@@ -47,9 +47,10 @@ def day_subgraph(graph: Graph, day: int,
             nodes.add(t.object)
     keep = nodes | vocab.class_iris()
     out = Graph()
-    for t in graph:
-        if t.subject in nodes and (isinstance(t.object, Literal) or t.object in keep):
-            out.insert(t)
+    for node in nodes:
+        for t in graph.match(node, None, None):
+            if isinstance(t.object, Literal) or t.object in keep:
+                out.insert(t)
     return out
 
 
@@ -88,14 +89,6 @@ def graph_to_dot(graph: Graph, name: str = "activity") -> str:
     """Render any graph as deterministic Graphviz text."""
     node_lines = set()
     edge_lines = set()
-    literal_ids: dict[str, str] = {}
-
-    def literal_id(lit: Literal) -> str:
-        key = term_to_ntriples(lit)
-        if key not in literal_ids:
-            literal_ids[key] = key
-        return key
-
     for t in graph:
         subject_id = t.subject.value
         node_lines.add(
@@ -107,7 +100,7 @@ def graph_to_dot(graph: Graph, name: str = "activity") -> str:
                 f"  {_quote(object_id)} [label={_quote(t.object.local_name())}];"
             )
         else:
-            object_id = literal_id(t.object)
+            object_id = term_to_ntriples(t.object)
             node_lines.add(
                 f"  {_quote(object_id)} [label={_quote(t.object.lexical)}, shape=box];"
             )

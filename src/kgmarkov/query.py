@@ -23,7 +23,6 @@ from .rdf import (
     Literal,
     Term,
     TermError,
-    Triple,
     term_to_ntriples,
     unescape_lexical,
 )
@@ -282,69 +281,69 @@ def parse_query(text: str, prefixes: Optional[PrefixTable] = None) -> Query:
     return Query(tuple(projection), tuple(patterns), order_by)
 
 
-def _substitute(term: PatternTerm, binding: dict[Var, Term]) -> Optional[Term]:
-    if isinstance(term, Var):
-        return binding.get(term)
-    return term
-
-
-def _extend(binding: dict[Var, Term], pattern: TriplePattern,
-            triple: Triple) -> Optional[dict[Var, Term]]:
-    out = binding
-    for term, value in (
-        (pattern.subject, triple.subject),
-        (pattern.predicate, triple.predicate),
-        (pattern.object, triple.object),
-    ):
-        if isinstance(term, Var):
-            bound = out.get(term)
-            if bound is None:
-                if out is binding:
-                    out = dict(binding)
-                out[term] = value
-            elif bound != value:
-                return None
-    return out
-
-
 def evaluate(query: Query, graph: Graph) -> SolutionTable:
-    """Join the patterns left to right against the graph and project.
+    """Join the patterns in written order against the graph and project.
 
-    Output order is deterministic: rows sort by the ORDER BY variable's
-    serialization when one is given (remaining ties by the projected row),
-    otherwise by the serialization of the projected row itself.
+    Every variable owns a slot, and a partial solution is a list holding
+    one N-Triples key per slot.  Which slots are bound before each pattern
+    is fixed by the pattern order, so each pattern is compiled once into
+    index lookups; candidates come unsorted from the graph's indexes.
+
+    Output order is deterministic and set only here, at projection, by
+    sorting key strings (the terms' serializations): rows sort by the ORDER
+    BY variable when one is given (remaining ties by the projected row),
+    otherwise by the projected row itself.  Keys become terms at the end.
     """
-    bindings: list[dict[Var, Term]] = [{}]
+    slots: dict[Var, int] = {}
+    steps = []
     for pattern in query.patterns:
-        grown: list[dict[Var, Term]] = []
-        for binding in bindings:
-            matches = graph.match(
-                _substitute(pattern.subject, binding),
-                _substitute(pattern.predicate, binding),
-                _substitute(pattern.object, binding),
+        lookups = []  # per position: (constant key, None) or (None, bound slot)
+        assign = []  # (position, slot) for variables this pattern binds
+        same = []  # (position, earlier position) for a variable repeated in it
+        first_seen: dict[Var, int] = {}
+        for position, term in enumerate((pattern.subject, pattern.predicate, pattern.object)):
+            if not isinstance(term, Var):
+                lookups.append((term_to_ntriples(term), None))
+            elif term in slots:
+                lookups.append((None, slots[term]))
+            elif term in first_seen:
+                lookups.append((None, None))
+                same.append((position, first_seen[term]))
+            else:
+                lookups.append((None, None))
+                first_seen[term] = position
+        for term, position in first_seen.items():
+            slots[term] = len(slots)
+            assign.append((position, slots[term]))
+        steps.append((lookups, assign, same))
+
+    match_keys = graph.match_keys
+    rows: list[list[Optional[str]]] = [[None] * len(slots)]
+    for ((s_key, s_slot), (p_key, p_slot), (o_key, o_slot)), assign, same in steps:
+        grown = []
+        for row in rows:
+            found = match_keys(
+                s_key if s_slot is None else row[s_slot],
+                p_key if p_slot is None else row[p_slot],
+                o_key if o_slot is None else row[o_slot],
             )
-            for triple in matches:
-                extended = _extend(binding, pattern, triple)
-                if extended is not None:
-                    grown.append(extended)
-        bindings = grown
-        if not bindings:
+            for keys in found:
+                if same and any(keys[a] != keys[b] for a, b in same):
+                    continue
+                extended = row.copy()
+                for position, slot in assign:
+                    extended[slot] = keys[position]
+                grown.append(extended)
+        rows = grown
+        if not rows:
             break
 
-    def row_key(row: tuple[Term, ...]):
-        return tuple(term_to_ntriples(t) for t in row)
-
+    projection = [slots[v] for v in query.projection]
+    keyed = [tuple(row[i] for i in projection) for row in rows]
     if query.order_by is not None:
-        order_var = query.order_by
-        bindings.sort(
-            key=lambda b: (
-                term_to_ntriples(b[order_var]),
-                row_key(tuple(b[v] for v in query.projection)),
-            )
-        )
-        rows = [tuple(b[v] for v in query.projection) for b in bindings]
+        order = slots[query.order_by]
+        keyed = [k for _, k in sorted(zip((row[order] for row in rows), keyed))]
     else:
-        rows = sorted(
-            (tuple(b[v] for v in query.projection) for b in bindings), key=row_key
-        )
-    return SolutionTable(query.projection, rows)
+        keyed.sort()
+    to_term = graph.term
+    return SolutionTable(query.projection, [tuple(to_term(k) for k in row) for row in keyed])

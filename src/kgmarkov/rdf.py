@@ -4,6 +4,11 @@ The store covers exactly what the rest of the package needs: IRI nodes,
 typed literals in four XSD datatypes (string, integer, decimal, dateTime),
 triple insertion with set semantics, and indexed pattern matching.  Blank
 nodes, language tags, and named graphs are out of scope and rejected.
+
+Terms are validated once, when they are built.  A ``Graph`` keys each term
+by its N-Triples text and keeps triples as key triples in two permutation
+indexes (see ``Graph``); only ``Graph.match``, ``serialize_ntriples`` and
+query projection sort, and they sort those key strings.
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ class Literal:
             if not _DATETIME_RE.match(self.lexical):
                 raise TermError(f"bad dateTime lexical form: {self.lexical!r}")
             try:
-                datetime.strptime(self.lexical, "%Y-%m-%dT%H:%M:%S")
+                datetime.fromisoformat(self.lexical)
             except ValueError:
                 raise TermError(f"bad dateTime value: {self.lexical!r}") from None
 
@@ -98,7 +103,7 @@ class Literal:
         if self.datatype == DECIMAL:
             return float(self.lexical)
         if self.datatype == DATETIME:
-            return datetime.strptime(self.lexical, "%Y-%m-%dT%H:%M:%S")
+            return datetime.fromisoformat(self.lexical)
         return self.lexical
 
     def __repr__(self):
@@ -149,15 +154,22 @@ def datetime_literal(value: datetime) -> Literal:
     return Literal(value.strftime("%Y-%m-%dT%H:%M:%S"), DATETIME)
 
 
-_ESCAPE_MAP = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPE_TABLE = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
 _UNESCAPE_MAP = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+# hex digits after the N-Triples UCHAR escapes \uXXXX and \UXXXXXXXX
+_UCHAR_WIDTHS = {"u": 4, "U": 8}
+_HEX_RE = re.compile(r"[0-9A-Fa-f]+")
 
 
 def escape_lexical(text: str) -> str:
-    return "".join(_ESCAPE_MAP.get(ch, ch) for ch in text)
+    return text.translate(_ESCAPE_TABLE)
 
 
 def unescape_lexical(text: str) -> str:
+    if "\\" not in text:
+        return text
     out = []
     i = 0
     while i < len(text):
@@ -166,6 +178,17 @@ def unescape_lexical(text: str) -> str:
             if i + 1 >= len(text):
                 raise TermError("dangling backslash in literal")
             nxt = text[i + 1]
+            if nxt in _UCHAR_WIDTHS:
+                width = _UCHAR_WIDTHS[nxt]
+                digits = text[i + 2 : i + 2 + width]
+                if len(digits) != width or not _HEX_RE.fullmatch(digits):
+                    raise TermError(f"bad escape sequence: \\{nxt}{digits}")
+                code = int(digits, 16)
+                if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                    raise TermError(f"escape is not a Unicode scalar value: \\{nxt}{digits}")
+                out.append(chr(code))
+                i += 2 + width
+                continue
             if nxt not in _UNESCAPE_MAP:
                 raise TermError(f"unknown escape sequence: \\{nxt}")
             out.append(_UNESCAPE_MAP[nxt])
@@ -191,22 +214,27 @@ def triple_to_ntriples(triple: Triple) -> str:
     )
 
 
-def _sort_key(triple: Triple):
-    return (
-        term_to_ntriples(triple.subject),
-        term_to_ntriples(triple.predicate),
-        term_to_ntriples(triple.object),
-    )
-
-
 class Graph:
-    """A set of triples with subject, predicate, and object indexes."""
+    """A set of triples held as N-Triples keys in two permutation indexes.
+
+    Every term is keyed by its N-Triples text (``term_to_ntriples``) and
+    stored once, in a key -> term dict.  Triples live only as keys, in the
+    nested permutation indexes ``spo`` (subject -> predicate -> objects) and
+    ``pos`` (predicate -> object -> subjects).  A pattern binding only the
+    object walks ``pos`` over its predicates; one binding subject and object
+    walks ``spo[subject]``.
+
+    Nothing is kept sorted.  Sorting happens only where order is part of
+    the contract: in ``match``, in ``serialize_ntriples`` and at query
+    projection.  Sorting key tuples gives the N-Triples order, because the
+    keys are the serialized terms.
+    """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: set[Triple] = set()
-        self._by_subject: dict[Iri, set[Triple]] = {}
-        self._by_predicate: dict[Iri, set[Triple]] = {}
-        self._by_object: dict[Term, set[Triple]] = {}
+        self._terms: dict[str, Term] = {}
+        self._spo: dict[str, dict[str, set[str]]] = {}
+        self._pos: dict[str, dict[str, set[str]]] = {}
+        self._size = 0
         for t in triples:
             self.insert(t)
 
@@ -214,17 +242,67 @@ class Graph:
         """Add a triple.  Returns False if it was already present."""
         if not isinstance(triple, Triple):
             raise TermError("can only insert Triple instances")
-        if triple in self._triples:
+        s = term_to_ntriples(triple.subject)
+        p = term_to_ntriples(triple.predicate)
+        o = term_to_ntriples(triple.object)
+        objects = self._spo.setdefault(s, {}).setdefault(p, set())
+        if o in objects:
             return False
-        self._triples.add(triple)
-        self._by_subject.setdefault(triple.subject, set()).add(triple)
-        self._by_predicate.setdefault(triple.predicate, set()).add(triple)
-        self._by_object.setdefault(triple.object, set()).add(triple)
+        objects.add(o)
+        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
+        terms = self._terms
+        terms.setdefault(s, triple.subject)
+        terms.setdefault(p, triple.predicate)
+        terms.setdefault(o, triple.object)
+        self._size += 1
         return True
 
     def update(self, triples: Iterable[Triple]) -> int:
         """Insert many triples; returns how many were new."""
         return sum(1 for t in triples if self.insert(t))
+
+    def term(self, key: str) -> Term:
+        """The term whose N-Triples text is ``key``."""
+        return self._terms[key]
+
+    def match_keys(
+        self,
+        s: Optional[str] = None,
+        p: Optional[str] = None,
+        o: Optional[str] = None,
+    ) -> list[tuple[str, str, str]]:
+        """Key triples matching the given keys (None is a wildcard), unsorted."""
+        if s is not None:
+            by_p = self._spo.get(s)
+            if by_p is None:
+                return []
+            if p is not None:
+                objects = by_p.get(p, ())
+                if o is not None:
+                    return [(s, p, o)] if o in objects else []
+                return [(s, p, obj) for obj in objects]
+            if o is not None:
+                return [(s, pred, o) for pred, objects in by_p.items() if o in objects]
+            return [(s, pred, obj) for pred, objects in by_p.items() for obj in objects]
+        if p is not None:
+            by_o = self._pos.get(p)
+            if by_o is None:
+                return []
+            if o is not None:
+                return [(subj, p, o) for subj in by_o.get(o, ())]
+            return [(subj, p, obj) for obj, subjects in by_o.items() for subj in subjects]
+        if o is not None:
+            return [
+                (subj, pred, o)
+                for pred, by_o in self._pos.items()
+                for subj in by_o.get(o, ())
+            ]
+        return [
+            (subj, pred, obj)
+            for subj, by_p in self._spo.items()
+            for pred, objects in by_p.items()
+            for obj in objects
+        ]
 
     def match(
         self,
@@ -237,48 +315,62 @@ class Graph:
         Results come back in a deterministic order, sorted by the N-Triples
         serialization of subject, then predicate, then object.
         """
-        smallest: Optional[set[Triple]] = None
-        for key, index in (
-            (subject, self._by_subject),
-            (predicate, self._by_predicate),
-            (object, self._by_object),
-        ):
-            if key is not None:
-                bucket = index.get(key, set())
-                if smallest is None or len(bucket) < len(smallest):
-                    smallest = bucket
-        candidates = self._triples if smallest is None else smallest
-        found = [
-            t
-            for t in candidates
-            if (subject is None or t.subject == subject)
-            and (predicate is None or t.predicate == predicate)
-            and (object is None or t.object == object)
-        ]
-        found.sort(key=_sort_key)
-        return found
+        found = self.match_keys(
+            None if subject is None else term_to_ntriples(subject),
+            None if predicate is None else term_to_ntriples(predicate),
+            None if object is None else term_to_ntriples(object),
+        )
+        found.sort()
+        terms = self._terms
+        return [Triple(terms[s], terms[p], terms[o]) for s, p, o in found]
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._size
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        terms = self._terms
+        for s, p, o in self.match_keys():
+            yield Triple(terms[s], terms[p], terms[o])
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
+        if not isinstance(triple, Triple):
+            return False
+        return bool(self.match_keys(
+            term_to_ntriples(triple.subject),
+            term_to_ntriples(triple.predicate),
+            term_to_ntriples(triple.object),
+        ))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._triples == other._triples
+        return self._spo == other._spo
 
     def copy(self) -> "Graph":
-        return Graph(self._triples)
+        """An independent graph with the same triples; no term is revalidated."""
+        new = Graph()
+        new._terms = self._terms.copy()
+        new._spo = {s: {p: objs.copy() for p, objs in by_p.items()}
+                    for s, by_p in self._spo.items()}
+        new._pos = {p: {o: subjs.copy() for o, subjs in by_o.items()}
+                    for p, by_o in self._pos.items()}
+        new._size = self._size
+        return new
 
 
 def serialize_ntriples(graph: Graph) -> str:
-    """Render a graph as N-Triples text, one sorted line per triple."""
-    lines = [triple_to_ntriples(t) for t in sorted(graph, key=_sort_key)]
+    """Render a graph as N-Triples text, one sorted line per triple.
+
+    Walking the ``spo`` index with each level sorted gives the same order as
+    sorting whole (subject, predicate, object) key tuples.
+    """
+    spo = graph._spo
+    lines = [
+        f"{s} {p} {o} ."
+        for s in sorted(spo)
+        for p in sorted(spo[s])
+        for o in sorted(spo[s][p])
+    ]
     if not lines:
         return ""
     return "\n".join(lines) + "\n"

@@ -1,0 +1,70 @@
+"""Byte-identity pins for the 100-day default-seed pipeline.
+
+Each digest is the SHA-256 of one output rendered from the same generated
+graph.  A change to the triple store, the query engine, a writeback model or
+the DOT exporter that alters a single output byte fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from kgmarkov.datagen import DEFAULT_SEED, GenConfig, generate
+from kgmarkov.dot import day_subgraph, graph_to_dot
+from kgmarkov.ingest import ingest_rows, load_bundled_query, location_sequence
+from kgmarkov.markov import count_transitions
+from kgmarkov.query import evaluate, parse_query
+from kgmarkov.rdf import serialize_ntriples
+from kgmarkov.vocab import Vocab
+from kgmarkov.writeback import writeback_cco_model, writeback_profile_model
+
+GRAPH_SHA = "d46371912b46976eb0d560e90e51e4fe6d1c9ea365dc1ae326863efd0555f4dd"
+PROFILE_LINK_SHA = "9c14870c261db5304295c98d5c63b08622bfacdc3200098888c0d78b3811731b"
+CCO_SHA = "5c1ddc545945b1d7333aa65cb8b1c32c4604f15b11aaf184c6224892825456f2"
+TRANSITIONS_CSV_SHA = "bdd276602b13bb297e72e14a67645aaf2b373d65ebe0acb174b71da3e43b6526"
+DAY1_DOT_SHA = "5b80cc7d89289446dae3c0faad048eec78453dc25465859a0ab96aea390be98e"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return ingest_rows(generate(GenConfig(days=100, seed=DEFAULT_SEED)))
+
+
+@pytest.fixture(scope="module")
+def counts(graph):
+    return count_transitions([loc.local_name() for _, loc in location_sequence(graph)])
+
+
+def test_graph_serialization(graph):
+    assert _sha(serialize_ntriples(graph)) == GRAPH_SHA
+
+
+def test_profile_writeback_with_realizations(graph, counts):
+    copy = graph.copy()
+    writeback_profile_model(copy, counts, "location2", 100, link_realizations=True)
+    assert _sha(serialize_ntriples(copy)) == PROFILE_LINK_SHA
+
+
+def test_cco_writeback(graph, counts):
+    copy = graph.copy()
+    writeback_cco_model(copy, counts, "location2", 100)
+    assert _sha(serialize_ntriples(copy)) == CCO_SHA
+
+
+def test_transitions_query_csv(graph):
+    query = parse_query(load_bundled_query("transitions"), Vocab().prefixes)
+    assert _sha(evaluate(query, graph).as_csv()) == TRANSITIONS_CSV_SHA
+
+
+def test_day_dot(graph):
+    assert _sha(graph_to_dot(day_subgraph(graph, 1), "d")) == DAY1_DOT_SHA
+
+
+def test_writebacks_leave_the_source_graph_alone(graph, counts):
+    writeback_profile_model(graph.copy(), counts, "location2", 100, link_realizations=True)
+    writeback_cco_model(graph.copy(), counts, "location2", 100)
+    assert _sha(serialize_ntriples(graph)) == GRAPH_SHA

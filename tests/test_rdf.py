@@ -68,6 +68,16 @@ class TestTerms:
         with pytest.raises(TermError):
             Literal(lexical, datatype)
 
+    @pytest.mark.parametrize(
+        "lexical",
+        ["2023-02-29T00:00:00", "0000-01-01T00:00:00", "2023-00-01T00:00:00",
+         "2023-13-01T00:00:00", "2023-01-00T00:00:00", "2023-01-01T24:00:00",
+         "2023-01-01T00:60:00", "2023-01-01T00:00:60", "2023-01-01T00:00:61"],
+    )
+    def test_datetime_rejects_impossible_values(self, lexical):
+        with pytest.raises(TermError):
+            Literal(lexical, DATETIME)
+
     def test_literal_rejects_unknown_datatype(self):
         with pytest.raises(TermError):
             Literal("1", "float")
@@ -117,7 +127,19 @@ class TestEscaping:
     def test_escape_round_trips(self, text):
         assert unescape_lexical(escape_lexical(text)) == text
 
-    @pytest.mark.parametrize("bad", ["trailing\\", "bad\\q"])
+    @pytest.mark.parametrize(
+        "escaped,raw",
+        [("caf\\u00e9", "caf\u00e9"), ("\\u00E9", "\u00e9"), ("A\\U0001F600", "A\U0001F600"),
+         ("\\u0022q\\u005C", '"q\\')],
+    )
+    def test_unescape_decodes_unicode_escapes(self, escaped, raw):
+        assert unescape_lexical(escaped) == raw
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["trailing\\", "bad\\q", "\\u12G4", "\\u00", "\\U0001F60", "\\u+123",
+         "\\uD800", "\\U00110000"],
+    )
     def test_unescape_rejects_bad_sequences(self, bad):
         with pytest.raises(TermError):
             unescape_lexical(bad)
@@ -251,6 +273,21 @@ class TestSerialization:
             parse_ntriples(line)
         assert err.value.line_no == lineno
 
+    def test_parse_decodes_unicode_escapes_and_writes_raw_characters(self):
+        g = parse_ntriples(f'<{EX}s> <{EX}p> "A\\U0001F600" .\n')
+        [t] = list(g)
+        assert t.object == string_literal("A\U0001F600")
+        assert serialize_ntriples(g) == (
+            f'<{EX}s> <{EX}p> "A\U0001F600"^^<http://www.w3.org/2001/XMLSchema#string> .\n'
+        )
+
+    @pytest.mark.parametrize("escape", ["\\u12G4", "\\u00"])
+    def test_parse_rejects_bad_unicode_escapes_on_their_line(self, escape):
+        text = f'<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> "x{escape}" .\n'
+        with pytest.raises(NTriplesError) as err:
+            parse_ntriples(text)
+        assert err.value.line_no == 2
+
     def test_parse_error_reports_the_right_line(self):
         text = f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> broken .\n"
         with pytest.raises(NTriplesError) as err:
@@ -289,6 +326,21 @@ class TestProperties:
     def test_serialization_is_canonical(self, g):
         text = serialize_ntriples(g)
         assert serialize_ntriples(parse_ntriples(text)) == text
+
+    @given(_graphs, st.lists(_triples, max_size=20))
+    @settings(max_examples=40)
+    def test_inserting_into_a_copy_leaves_the_original_alone(self, g, batch):
+        objects = [None, *_POOL_IRIS, *{t.object for t in [*g, *batch]}]
+        patterns = [(s, p, o) for s in [None, *_POOL_IRIS] for p in [None, *_POOL_PREDS]
+                    for o in objects]
+        text, size = serialize_ntriples(g), len(g)
+        matches = [g.match(*pattern) for pattern in patterns]
+        h = g.copy()
+        h.update(batch)
+        assert all(t in h for t in batch)
+        assert serialize_ntriples(g) == text
+        assert len(g) == size
+        assert [g.match(*pattern) for pattern in patterns] == matches
 
     @given(
         _graphs,
