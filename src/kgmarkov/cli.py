@@ -99,13 +99,13 @@ def _cmd_estimate(args) -> int:
         counts = markov.count_pair_transitions(labels, space)
         matrix = markov.estimate_second_order(counts)
     _write_text(args.out, markov.dumps_matrix(matrix, counts))
-    log.info("estimated an order-%d chain over %d states", args.order, len(space))
+    log.info("estimated an order-%d chain over %d states", matrix.order, len(space))
     return 0
 
 
 def _cmd_power(args) -> int:
     matrix, _ = markov.loads_matrix(_read_text(args.matrix))
-    if not isinstance(matrix, markov.TransitionMatrix):
+    if matrix.order != 1:
         raise CliError("power applies to first-order matrices only")
     powered = markov.matrix_power(matrix, args.steps)
     sys.stdout.write(markov.dumps_matrix(powered))
@@ -114,7 +114,7 @@ def _cmd_power(args) -> int:
 
 def _cmd_predict(args) -> int:
     matrix, _ = markov.loads_matrix(_read_text(args.matrix))
-    if isinstance(matrix, markov.TransitionMatrix):
+    if matrix.order == 1:
         if args.prev is not None:
             raise CliError("--prev is only meaningful for second-order matrices")
         distribution = markov.predict(matrix, args.state, args.steps or 1)
@@ -132,7 +132,7 @@ def _cmd_predict(args) -> int:
 def _cmd_writeback(args) -> int:
     graph = _load_graph(args.graph)
     matrix, counts = markov.loads_matrix(_read_text(args.matrix))
-    if not isinstance(matrix, markov.TransitionMatrix):
+    if matrix.order != 1:
         raise CliError("writeback consumes first-order matrices only")
     if counts is None:
         raise CliError(

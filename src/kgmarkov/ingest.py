@@ -4,7 +4,8 @@ Each observed day becomes a bundle of individuals: a trip part containing
 an instantaneous observation, the spatiotemporal instant it occupies, that
 instant's spatial and temporal projections, and the vessel's occupation of
 the track point.  Consecutive trip parts are chained with ``precedes``.
-Reading happens through the two bundled queries, not ad hoc traversal.
+Reading happens through the bundled location query, not ad hoc traversal;
+transitions are the consecutive pairs of its chronological rows.
 """
 
 from __future__ import annotations
@@ -24,27 +25,6 @@ from .vocab import EX_NS, Vocab
 log = logging.getLogger(__name__)
 
 BUNDLED_QUERIES = ("location_by_time", "transitions")
-
-# The transitions query joined with each pair's first timestamp so rows can
-# be returned chronologically instead of in serialization order.
-_ORDERED_TRANSITIONS_QUERY = """
-SELECT ?startLocationOffFishingVessel ?endLocationOffFishingVessel
-WHERE {
-  ?fishingTripPart1 bfo:precedes ?fishingTripPart2 .
-  ?fishingTripPart1 bfo:has_occurrent_part ?beingObserved1 .
-  ?beingObserved1 bfo:occupies_spatiotemporal_region ?spatiotemporalInstant1 .
-  ?spatiotemporalInstant1 bfo:spatially_projects_onto ?fishingVesselTrackPoint1 .
-  ?fishingVesselTrackPoint1 bfo:spatial_part_of ?startLocationOffFishingVessel .
-  ?fishingTripPart2 bfo:has_occurrent_part ?beingObserved2 .
-  ?beingObserved2 bfo:occupies_spatiotemporal_region ?spatiotemporalInstant2 .
-  ?spatiotemporalInstant2 bfo:spatially_projects_onto ?fishingVesselTrackPoint2 .
-  ?fishingVesselTrackPoint2 bfo:spatial_part_of ?endLocationOffFishingVessel .
-  ?spatiotemporalInstant1 bfo:temporally_projects_onto ?temporalInstant1 .
-  ?temporalInstant1 cco:has_datetime_value ?datetime1 .
-}
-ORDER BY ?datetime1
-"""
-
 
 class IngestError(ToolkitError):
     """Observation rows unsuitable for graph construction."""
@@ -171,9 +151,5 @@ def location_sequence(
 
 def transition_pairs(graph: Graph, vocab: Optional[Vocab] = None) -> list[tuple[Iri, Iri]]:
     """Consecutive (from, to) location pairs in chronological order."""
-    if vocab is None:
-        vocab = Vocab()
-    query = parse_query(_ORDERED_TRANSITIONS_QUERY, vocab.prefixes)
-    table = evaluate(query, graph)
-    log.info("transition query returned %d rows", len(table.rows))
-    return [(start, end) for start, end in table.rows]
+    locations = [where for _, where in location_sequence(graph, vocab)]
+    return list(zip(locations, locations[1:]))

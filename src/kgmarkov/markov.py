@@ -1,16 +1,17 @@
 """Discrete-time Markov chain estimation and prediction.
 
-First-order chains are estimated from consecutive label pairs, second-order
-chains from label triples keyed by the (previous, current) state pair.
-Rows whose state (or state pair) was never observed leaving are flagged
-``unobserved`` and left as zeros rather than silently made uniform; powering
-and prediction refuse to touch them.
+An order-k chain has one row per history of its last k states, indexed by
+the history's state indexes read as base-n digits: state i is first-order
+row i, the pair (i, j) is second-order row i * n + j.  Rows whose history
+was never observed leaving are flagged ``unobserved`` and left as zeros
+rather than silently made uniform; powering and prediction refuse to touch
+them.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -72,192 +73,185 @@ class StateSpace:
         return f"StateSpace({list(self.states)!r})"
 
 
-def _as_count_array(matrix, rows: int, cols: int, what: str) -> np.ndarray:
-    arr = np.asarray(matrix)
-    if arr.shape != (rows, cols):
-        raise MarkovError(f"{what} must have shape {(rows, cols)}, got {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise MarkovError(f"{what} entries must be integers")
-        arr = arr.astype(np.int64)
-    else:
-        arr = arr.astype(np.int64)
-    if np.any(arr < 0):
-        raise MarkovError(f"{what} entries must be non-negative")
-    return arr
+class _HistoryRows:
+    """A table over a state space with one row per history of ``order`` states."""
+
+    order: int
+    space: StateSpace
+
+    def row_index(self, *history: str) -> int:
+        """The row of a history, oldest state first, read as base-n digits."""
+        if len(history) != self.order:
+            raise MarkovError(f"an order-{self.order} chain needs a history of "
+                              f"{self.order} state(s), got {len(history)}")
+        n = len(self.space)
+        row = 0
+        for state in history:
+            row = row * n + self.space.index(state)
+        return row
 
 
-class TransitionCounts:
-    """How often each state was immediately followed by each other state."""
+class ChainCounts(_HistoryRows):
+    """How often each state followed each history; subclasses set ``order``."""
 
     def __init__(self, space: StateSpace, matrix):
         self.space = space
-        self.matrix = _as_count_array(matrix, len(space), len(space), "count matrix")
+        n = len(space)
+        rows = n ** self.order
+        what = f"order-{self.order} count matrix"
+        arr = np.asarray(matrix)
+        if arr.shape != (rows, n):
+            raise MarkovError(f"{what} must have shape {(rows, n)}, got {arr.shape}")
+        if not np.issubdtype(arr.dtype, np.integer) and not np.all(arr == np.floor(arr)):
+            raise MarkovError(f"{what} entries must be integers")
+        self.matrix = arr.astype(np.int64)
+        if np.any(self.matrix < 0):
+            raise MarkovError(f"{what} entries must be non-negative")
 
-    def count(self, from_state: str, to_state: str) -> int:
-        return int(self.matrix[self.space.index(from_state), self.space.index(to_state)])
+    def count(self, *states: str) -> int:
+        """How often the last state followed the history the others form."""
+        return int(self.matrix[self.row_index(*states[:-1]), self.space.index(states[-1])])
 
-    def row_total(self, from_state: str) -> int:
-        return int(self.matrix[self.space.index(from_state)].sum())
+    def row_total(self, *history: str) -> int:
+        return int(self.matrix[self.row_index(*history)].sum())
 
     def total(self) -> int:
         return int(self.matrix.sum())
 
     def __eq__(self, other):
-        if not isinstance(other, TransitionCounts):
+        if type(other) is not type(self):
             return NotImplemented
         return self.space == other.space and np.array_equal(self.matrix, other.matrix)
 
 
-class PairCounts:
+class TransitionCounts(ChainCounts):
+    """How often each state was immediately followed by each other state."""
+
+    order = 1
+
+
+class PairCounts(ChainCounts):
     """Transition counts keyed by the (previous, current) state pair.
 
     Row (i, j) lives at index i * n + j; columns index the next state.
     """
 
-    def __init__(self, space: StateSpace, matrix):
-        self.space = space
-        n = len(space)
-        self.matrix = _as_count_array(matrix, n * n, n, "pair count matrix")
+    order = 2
 
     def pair_index(self, prev: str, current: str) -> int:
-        n = len(self.space)
-        return self.space.index(prev) * n + self.space.index(current)
-
-    def row_total(self, prev: str, current: str) -> int:
-        return int(self.matrix[self.pair_index(prev, current)].sum())
-
-    def __eq__(self, other):
-        if not isinstance(other, PairCounts):
-            return NotImplemented
-        return self.space == other.space and np.array_equal(self.matrix, other.matrix)
+        return self.row_index(prev, current)
 
 
-def _check_sequence(labels: Sequence[str], space: StateSpace) -> list[int]:
-    return [space.index(label) for label in labels]
+def _count(labels: Sequence[str], space: Optional[StateSpace], cls: type) -> ChainCounts:
+    if space is None:
+        space = StateSpace.from_observations(labels)
+    n = len(space)
+    rows = n ** cls.order
+    matrix = np.zeros((rows, n), dtype=np.int64)
+    history = 0
+    for t, label in enumerate(labels):
+        state = space.index(label)
+        if t >= cls.order:
+            matrix[history, state] += 1
+        # keep only the last `order` states: drop the oldest base-n digit
+        history = (history * n + state) % rows
+    return cls(space, matrix)
 
 
 def count_transitions(labels: Sequence[str], space: Optional[StateSpace] = None) -> TransitionCounts:
     """Count consecutive pairs in an observed label sequence."""
-    if space is None:
-        space = StateSpace.from_observations(labels)
-    n = len(space)
-    matrix = np.zeros((n, n), dtype=np.int64)
-    indexes = _check_sequence(labels, space)
-    for a, b in zip(indexes, indexes[1:]):
-        matrix[a, b] += 1
-    return TransitionCounts(space, matrix)
+    return _count(labels, space, TransitionCounts)
 
 
 def count_pair_transitions(labels: Sequence[str], space: Optional[StateSpace] = None) -> PairCounts:
     """Count consecutive triples, keyed by their leading state pair."""
-    if space is None:
-        space = StateSpace.from_observations(labels)
-    n = len(space)
-    matrix = np.zeros((n * n, n), dtype=np.int64)
-    indexes = _check_sequence(labels, space)
-    for a, b, c in zip(indexes, indexes[1:], indexes[2:]):
-        matrix[a * n + b, c] += 1
-    return PairCounts(space, matrix)
+    return _count(labels, space, PairCounts)
 
 
-def _validate_stochastic(p: np.ndarray, row_status: Sequence[str], tol: float, what: str):
-    for i, status in enumerate(row_status):
-        if status not in (OBSERVED, UNOBSERVED):
-            raise MarkovError(f"bad row status: {status!r}")
-        row = p[i]
-        if status == UNOBSERVED:
-            if np.any(row != 0.0):
-                raise MarkovError(f"{what}: unobserved row {i} must be all zero")
-            continue
-        if np.any(row < -_ENTRY_SLACK) or np.any(row > 1.0 + tol + _ENTRY_SLACK):
-            raise MarkovError(f"{what}: row {i} has an entry outside [0, 1]")
-        if abs(float(row.sum()) - 1.0) > tol:
-            raise MarkovError(f"{what}: row {i} sums to {row.sum()}, not 1")
-
-
-class TransitionMatrix:
-    """A row-stochastic matrix over a state space, with per-row observation status."""
+class ChainMatrix(_HistoryRows):
+    """A row-stochastic matrix with one row per history and per-row
+    observation status; subclasses set ``order``."""
 
     def __init__(self, space: StateSpace, p, row_status: Optional[Sequence[str]] = None,
                  row_sum_tol: float = DEFAULT_ROW_SUM_TOL):
         self.space = space
         n = len(space)
-        arr = np.asarray(p, dtype=np.float64)
-        if arr.shape != (n, n):
-            raise MarkovError(f"probability matrix must be {n}x{n}, got {arr.shape}")
-        self.p = arr
-        self.row_status = tuple(row_status) if row_status is not None else (OBSERVED,) * n
-        if len(self.row_status) != n:
-            raise MarkovError("row_status length must match the state count")
-        self.row_sum_tol = float(row_sum_tol)
-        _validate_stochastic(self.p, self.row_status, self.row_sum_tol, "transition matrix")
+        rows = n ** self.order
+        what = f"order-{self.order} matrix"
+        self.p = np.asarray(p, dtype=np.float64)
+        if self.p.shape != (rows, n):
+            raise MarkovError(f"{what} must be {rows}x{n}, got {self.p.shape}")
+        self.row_status = tuple(row_status) if row_status is not None else (OBSERVED,) * rows
+        if len(self.row_status) != rows:
+            raise MarkovError(f"row_status length must match the {rows} rows of the {what}")
+        self.row_sum_tol = tol = float(row_sum_tol)
+        for i, status in enumerate(self.row_status):
+            if status not in (OBSERVED, UNOBSERVED):
+                raise MarkovError(f"bad row status: {status!r}")
+            row = self.p[i]
+            if status == UNOBSERVED:
+                if np.any(row != 0.0):
+                    raise MarkovError(f"{what}: unobserved row {i} must be all zero")
+                continue
+            if np.any(row < -_ENTRY_SLACK) or np.any(row > 1.0 + tol + _ENTRY_SLACK):
+                raise MarkovError(f"{what}: row {i} has an entry outside [0, 1]")
+            if abs(float(row.sum()) - 1.0) > tol:
+                raise MarkovError(f"{what}: row {i} sums to {row.sum()}, not 1")
 
-    def probability(self, from_state: str, to_state: str) -> float:
-        return float(self.p[self.space.index(from_state), self.space.index(to_state)])
+    def probability(self, *states: str) -> float:
+        """The probability that the last state follows the history the others form."""
+        return float(self.p[self.row_index(*states[:-1]), self.space.index(states[-1])])
 
-    def row(self, from_state: str) -> np.ndarray:
-        return self.p[self.space.index(from_state)].copy()
+    def row(self, *history: str) -> np.ndarray:
+        return self.p[self.row_index(*history)].copy()
 
     def fully_observed(self) -> bool:
         return all(s == OBSERVED for s in self.row_status)
 
 
-class SecondOrderMatrix:
+class TransitionMatrix(ChainMatrix):
+    """A row-stochastic matrix over a state space, with per-row observation status."""
+
+    order = 1
+
+
+class SecondOrderMatrix(ChainMatrix):
     """Row-stochastic matrix keyed by (previous, current) state pairs."""
 
-    def __init__(self, space: StateSpace, p, row_status: Optional[Sequence[str]] = None,
-                 row_sum_tol: float = DEFAULT_ROW_SUM_TOL):
-        self.space = space
-        n = len(space)
-        arr = np.asarray(p, dtype=np.float64)
-        if arr.shape != (n * n, n):
-            raise MarkovError(f"pair matrix must be {n * n}x{n}, got {arr.shape}")
-        self.p = arr
-        self.row_status = tuple(row_status) if row_status is not None else (OBSERVED,) * (n * n)
-        if len(self.row_status) != n * n:
-            raise MarkovError("row_status length must match the pair count")
-        self.row_sum_tol = float(row_sum_tol)
-        _validate_stochastic(self.p, self.row_status, self.row_sum_tol, "pair matrix")
+    order = 2
 
     def pair_index(self, prev: str, current: str) -> int:
-        n = len(self.space)
-        return self.space.index(prev) * n + self.space.index(current)
-
-    def probability(self, prev: str, current: str, to_state: str) -> float:
-        return float(self.p[self.pair_index(prev, current), self.space.index(to_state)])
+        return self.row_index(prev, current)
 
 
-AnyMatrix = Union[TransitionMatrix, SecondOrderMatrix]
-AnyCounts = Union[TransitionCounts, PairCounts]
+_MATRIX_CLASSES = {1: TransitionMatrix, 2: SecondOrderMatrix}
+_COUNT_CLASSES = {1: TransitionCounts, 2: PairCounts}
 
 
-def _estimate_rows(counts: np.ndarray, smoothing: float) -> tuple[np.ndarray, list[str]]:
+def _estimate(counts: ChainCounts, smoothing: float, cls: type) -> ChainMatrix:
     if smoothing < 0:
         raise MarkovError("smoothing must be non-negative")
-    rows, cols = counts.shape
+    rows, cols = counts.matrix.shape
     p = np.zeros((rows, cols), dtype=np.float64)
     status = []
     for i in range(rows):
-        total = counts[i].sum()
+        total = counts.matrix[i].sum()
         if total == 0 and smoothing == 0.0:
             status.append(UNOBSERVED)
             continue
-        p[i] = (counts[i] + smoothing) / (total + smoothing * cols)
+        p[i] = (counts.matrix[i] + smoothing) / (total + smoothing * cols)
         status.append(OBSERVED)
-    return p, status
+    return cls(counts.space, p, status)
 
 
 def estimate_first_order(counts: TransitionCounts, smoothing: float = 0.0) -> TransitionMatrix:
     """Divide each count row by its total.  With smoothing a > 0, each cell
     becomes (count + a) / (total + a * n) instead."""
-    p, status = _estimate_rows(counts.matrix, smoothing)
-    return TransitionMatrix(counts.space, p, status)
+    return _estimate(counts, smoothing, TransitionMatrix)
 
 
 def estimate_second_order(counts: PairCounts, smoothing: float = 0.0) -> SecondOrderMatrix:
-    p, status = _estimate_rows(counts.matrix, smoothing)
-    return SecondOrderMatrix(counts.space, p, status)
+    return _estimate(counts, smoothing, SecondOrderMatrix)
 
 
 def matrix_power(matrix: TransitionMatrix, steps: int) -> TransitionMatrix:
@@ -266,6 +260,8 @@ def matrix_power(matrix: TransitionMatrix, steps: int) -> TransitionMatrix:
     Zero steps gives the identity.  Matrices with unobserved rows cannot be
     powered because those rows would poison every product.
     """
+    if matrix.order != 1:
+        raise MarkovError(f"only first-order chains can be powered, got order {matrix.order}")
     if steps < 0:
         raise MarkovError("steps must be non-negative")
     if not matrix.fully_observed():
@@ -307,28 +303,25 @@ class Distribution:
         return [(s, float(self.mass[i])) for i, s in enumerate(self.space.states)]
 
 
+def _predict_row(matrix: ChainMatrix, history: tuple[str, ...], steps: int = 1) -> Distribution:
+    row = matrix.row_index(*history)
+    if matrix.row_status[row] == UNOBSERVED:
+        shown = ", ".join(repr(state) for state in history)
+        raise MarkovError(f"transitions leaving ({shown}) were never observed; cannot predict")
+    powered = matrix if steps == 1 else matrix_power(matrix, steps)
+    return Distribution(matrix.space, powered.p[row].copy(), tol=powered.row_sum_tol)
+
+
 def predict(matrix: TransitionMatrix, current: str, steps: int = 1) -> Distribution:
     """Where the chain will be after a number of steps from a known state."""
     if steps < 1:
         raise MarkovError("steps must be at least 1")
-    i = matrix.space.index(current)
-    if matrix.row_status[i] == UNOBSERVED:
-        raise MarkovError(
-            f"no transitions were ever observed leaving {current!r}; cannot predict"
-        )
-    powered = matrix if steps == 1 else matrix_power(matrix, steps)
-    return Distribution(matrix.space, powered.p[i].copy(), tol=powered.row_sum_tol)
+    return _predict_row(matrix, (current,), steps)
 
 
 def predict_second_order(matrix: SecondOrderMatrix, prev: str, current: str) -> Distribution:
     """Next-state distribution given the last two states."""
-    idx = matrix.pair_index(prev, current)
-    if matrix.row_status[idx] == UNOBSERVED:
-        raise MarkovError(
-            f"the state pair ({prev!r}, {current!r}) was never observed; "
-            "second-order rows thin out quickly on short histories"
-        )
-    return Distribution(matrix.space, matrix.p[idx].copy(), tol=matrix.row_sum_tol)
+    return _predict_row(matrix, (prev, current))
 
 
 def format_probability(value: float) -> str:
@@ -336,24 +329,26 @@ def format_probability(value: float) -> str:
     return f"{float(value):.3f}"
 
 
-def matrix_to_dict(matrix: AnyMatrix, counts: Optional[AnyCounts] = None) -> dict:
+def _for_order(classes: dict, order) -> type:
+    try:
+        return classes[order]
+    except (KeyError, TypeError):
+        raise MarkovError(f"unsupported chain order: {order!r}") from None
+
+
+def matrix_to_dict(matrix: ChainMatrix, counts: Optional[ChainCounts] = None) -> dict:
     """The JSON-ready file form of a matrix, optionally with its counts."""
-    if isinstance(matrix, TransitionMatrix):
-        order = 1
-    elif isinstance(matrix, SecondOrderMatrix):
-        order = 2
-    else:
+    if not isinstance(matrix, ChainMatrix):
         raise MarkovError(f"not a transition matrix: {type(matrix).__name__}")
     out = {
         "format": FILE_FORMAT,
-        "order": order,
+        "order": matrix.order,
         "states": list(matrix.space.states),
         "p": [[float(x) for x in row] for row in matrix.p],
         "row_status": list(matrix.row_status),
     }
     if counts is not None:
-        expected = TransitionCounts if order == 1 else PairCounts
-        if not isinstance(counts, expected):
+        if not isinstance(counts, _COUNT_CLASSES[matrix.order]):
             raise MarkovError("counts do not match the matrix order")
         if counts.space != matrix.space:
             raise MarkovError("counts and matrix use different state spaces")
@@ -361,7 +356,7 @@ def matrix_to_dict(matrix: AnyMatrix, counts: Optional[AnyCounts] = None) -> dic
     return out
 
 
-def matrix_from_dict(data: dict, row_sum_tol: float = LOADED_ROW_SUM_TOL) -> AnyMatrix:
+def matrix_from_dict(data: dict, row_sum_tol: float = LOADED_ROW_SUM_TOL) -> ChainMatrix:
     """Rebuild a matrix from its file form.
 
     The default row sum tolerance is loose enough for tables published with
@@ -371,35 +366,29 @@ def matrix_from_dict(data: dict, row_sum_tol: float = LOADED_ROW_SUM_TOL) -> Any
         raise MarkovError("matrix file must contain a JSON object")
     if data.get("format") != FILE_FORMAT:
         raise MarkovError(f"unsupported matrix file format: {data.get('format')!r}")
-    order = data.get("order")
-    if order not in (1, 2):
-        raise MarkovError(f"unsupported chain order: {order!r}")
+    cls = _for_order(_MATRIX_CLASSES, data.get("order"))
     space = StateSpace(tuple(data.get("states", ())))
     p = data.get("p")
     row_status = data.get("row_status")
     if row_status is None:
         raise MarkovError("matrix file is missing row_status")
-    if order == 1:
-        return TransitionMatrix(space, p, row_status, row_sum_tol=row_sum_tol)
-    return SecondOrderMatrix(space, p, row_status, row_sum_tol=row_sum_tol)
+    return cls(space, p, row_status, row_sum_tol=row_sum_tol)
 
 
-def counts_from_dict(data: dict) -> Optional[AnyCounts]:
+def counts_from_dict(data: dict) -> Optional[ChainCounts]:
     """The counts stored alongside a matrix, if the file carries them."""
     if "counts" not in data:
         return None
-    space = StateSpace(tuple(data.get("states", ())))
-    if data.get("order") == 1:
-        return TransitionCounts(space, data["counts"])
-    return PairCounts(space, data["counts"])
+    cls = _for_order(_COUNT_CLASSES, data.get("order"))
+    return cls(StateSpace(tuple(data.get("states", ()))), data["counts"])
 
 
-def dumps_matrix(matrix: AnyMatrix, counts: Optional[AnyCounts] = None) -> str:
+def dumps_matrix(matrix: ChainMatrix, counts: Optional[ChainCounts] = None) -> str:
     """Serialize to the canonical on-disk JSON text (stable byte-for-byte)."""
     return json.dumps(matrix_to_dict(matrix, counts), indent=2) + "\n"
 
 
-def loads_matrix(text: str) -> tuple[AnyMatrix, Optional[AnyCounts]]:
+def loads_matrix(text: str) -> tuple[ChainMatrix, Optional[ChainCounts]]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,5 +1,8 @@
 """Prefix handling and the fixed vocabulary of classes and properties.
 
+The vocabulary is the bundled ``data/vocabulary.tsv`` manifest: ``Vocab()``
+loads its terms from there, so that file is the one place a term is defined.
+
 Prefix lookup is case-insensitive because source material for this domain
 mixes spellings like ``bfo:`` and ``Bfo:``.  A small alias table folds two
 historical spellings onto their canonical terms so queries written either
@@ -8,7 +11,9 @@ way resolve to the same IRIs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from importlib import resources
 from typing import Iterable, Optional
 
 from .errors import ToolkitError
@@ -97,111 +102,25 @@ class VocabTerm:
             raise VocabularyError(f"unknown term kind: {self.kind!r}")
 
 
-# prefixed name, kind, label, definition, optional comment
-_TERM_ROWS = [
-    ("bfo:SpatiotemporalRegion", CLASS, "Spatiotemporal Region",
-     "An occurrent that is part of spacetime and has both spatial and temporal extent."),
-    ("bfo:SpatialRegion", CLASS, "Spatial Region",
-     "A continuant that is a region of space, independent of what occupies it."),
-    ("bfo:TemporalRegion", CLASS, "Temporal Region",
-     "An occurrent that is a region of time."),
-    ("bfo:TemporalInstant", CLASS, "Temporal Instant",
-     "A temporal region with no extent; a single point in time."),
-    ("bfo:Process", CLASS, "Process",
-     "An occurrent that unfolds in time and has at least one material participant."),
-    ("bfo:ProcessBoundary", CLASS, "Process Boundary",
-     "An instantaneous temporal part of a process, such as a single observation."),
-    ("bfo:History", CLASS, "History",
-     "The process that is the sum of everything that happens to a material entity."),
-    ("bfo:Disposition", CLASS, "Disposition",
-     "A realizable entity whose bearer tends to behave a certain way in certain circumstances."),
-    ("bfo:SpatiotemporalInstant", CLASS, "Spatiotemporal Instant",
-     "A spatiotemporal region that projects onto a single spatial point and a single temporal instant.",
-     "Narrower than SpatiotemporalRegion; introduced for point observations."),
-    ("cco:ProcessProfile", CLASS, "Process Profile",
-     "A part of a process that carries one structural aspect of it, such as its rate or rhythm."),
-    ("cco:PatternProcessProfile", CLASS, "Pattern Process Profile",
-     "A process profile that carries a repeated pattern exhibited across a process."),
-    ("cco:PatternOfLife", CLASS, "Pattern of Life",
-     "A pattern process profile over an agent's history summarizing recurring behavior."),
-    ("cco:Watercraft", CLASS, "Watercraft",
-     "A vehicle designed for travel on or in water."),
-    ("cco:VehicleTrackPoint", CLASS, "Vehicle Track Point",
-     "A spatial region occupied by a vehicle at the moment of one observation."),
-    ("cco:ProbabilityMeasurementICE", CLASS, "Probability Measurement ICE",
-     "An information content entity recording a probability value for something."),
-    ("cco:MarkovPMICE", CLASS, "Markov Probability Measurement ICE",
-     "A probability measurement whose value is a state transition probability estimated from counts."),
-    ("cco:TransitionCountICE", CLASS, "Transition Count ICE",
-     "An information content entity recording how often one state was followed by another."),
-    ("cco:TransitionTotalICE", CLASS, "Transition Total ICE",
-     "An information content entity recording how many transitions left a given state."),
-    ("rdf:type", OBJECT_PROPERTY, "type",
-     "Relates an individual to a class it instantiates."),
-    ("bfo:precedes", OBJECT_PROPERTY, "precedes",
-     "Relates an occurrent to a later occurrent it comes wholly before."),
-    ("bfo:has_occurrent_part", OBJECT_PROPERTY, "has occurrent part",
-     "Relates an occurrent to an occurrent that is part of it."),
-    ("bfo:occurrent_part_of", OBJECT_PROPERTY, "occurrent part of",
-     "Relates an occurrent to an occurrent it is part of; inverse of has occurrent part."),
-    ("bfo:has_temporal_part", OBJECT_PROPERTY, "has temporal part",
-     "Relates an occurrent to a temporal slice of it."),
-    ("bfo:history_of", OBJECT_PROPERTY, "history of",
-     "Relates a history to the material entity it is the history of."),
-    ("bfo:spatially_projects_onto", OBJECT_PROPERTY, "spatially projects onto",
-     "Relates a spatiotemporal region to the spatial region it projects onto."),
-    ("bfo:temporally_projects_onto", OBJECT_PROPERTY, "temporally projects onto",
-     "Relates a spatiotemporal region to the temporal region it projects onto."),
-    ("bfo:participates_in", OBJECT_PROPERTY, "participates in",
-     "Relates a continuant to a process it takes part in."),
-    ("bfo:inheres_in", OBJECT_PROPERTY, "inheres in",
-     "Relates a dependent entity, such as a disposition, to its bearer."),
-    ("bfo:realizes", OBJECT_PROPERTY, "realizes",
-     "Relates a process to a realizable entity it makes actual."),
-    ("bfo:occupies_spatial_region", OBJECT_PROPERTY, "occupies spatial region",
-     "Relates a continuant to the spatial region it exactly occupies."),
-    ("bfo:occupies_spatiotemporal_region", OBJECT_PROPERTY, "occupies spatiotemporal region",
-     "Relates an occurrent to the spatiotemporal region it exactly occupies."),
-    ("bfo:spatial_part_of", OBJECT_PROPERTY, "spatial part of",
-     "Relates a spatial region to a larger spatial region containing it."),
-    ("cco:is_a_measurement_of", OBJECT_PROPERTY, "is a measurement of",
-     "Relates an information content entity to the entity it measures."),
-    ("cco:modally_about", OBJECT_PROPERTY, "modally about",
-     "Relates an information content entity to something possible or predicted rather than actual."),
-    ("cco:is_about", OBJECT_PROPERTY, "is about",
-     "Relates an information content entity to its subject matter."),
-    ("cco:has_datetime_value", DATA_PROPERTY, "has datetime value",
-     "Carries the dateTime value of a temporal entity."),
-    ("cco:has_decimal_value", DATA_PROPERTY, "has decimal value",
-     "Carries the decimal value of a measurement."),
-    ("cco:has_integer_value", DATA_PROPERTY, "has integer value",
-     "Carries the integer value of a measurement or count."),
-    ("ex:predicted", DATA_PROPERTY, "predicted",
-     "Marks an individual as predicted rather than observed.",
-     "Instance-level flag; kept in the data namespace on purpose."),
-]
-
-
-def build_terms(prefixes: PrefixTable) -> tuple[VocabTerm, ...]:
-    terms = []
-    for row in _TERM_ROWS:
-        name, kind, label, definition = row[0], row[1], row[2], row[3]
-        comment = row[4] if len(row) > 4 else ""
-        terms.append(VocabTerm(name, prefixes.resolve(name), kind, label, definition, comment))
-    return tuple(terms)
+@functools.cache
+def _shipped_terms() -> tuple[VocabTerm, ...]:
+    """The terms of the bundled vocabulary.tsv, parsed once per process."""
+    text = resources.files("kgmarkov").joinpath("data", "vocabulary.tsv").read_text("utf-8")
+    return load_manifest(text).terms
 
 
 class Vocab:
     """The resolved vocabulary, with one attribute handle per term.
 
     Handles use the term's local name, so ``v.Process`` is the Process
-    class IRI and ``v.precedes`` the precedes property IRI.
+    class IRI and ``v.precedes`` the precedes property IRI.  Without
+    ``terms``, the terms of the bundled vocabulary.tsv are used.
     """
 
     def __init__(self, prefixes: Optional[PrefixTable] = None,
                  terms: Optional[Iterable[VocabTerm]] = None):
         self.prefixes = prefixes if prefixes is not None else PrefixTable()
-        self.terms = tuple(terms) if terms is not None else build_terms(self.prefixes)
+        self.terms = tuple(terms) if terms is not None else _shipped_terms()
         self._by_name: dict[str, VocabTerm] = {}
         seen_locals: dict[str, str] = {}
         for term in self.terms:

@@ -84,8 +84,7 @@ class ProbabilityAssertion:
 
 
 def _row_or_error(counts: TransitionCounts, current: str) -> tuple[list[int], int]:
-    i = counts.space.index(current)
-    row = [int(x) for x in counts.matrix[i]]
+    row = [int(x) for x in counts.matrix[counts.row_index(current)]]
     total = sum(row)
     if total == 0:
         raise WritebackError(

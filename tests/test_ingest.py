@@ -179,11 +179,21 @@ class TestReadback:
         shipped = evaluate(parse_query(load_bundled_query("transitions")), g)
         assert Counter(tuple(row) for row in shipped.rows) == ordered
 
-    def test_transition_pairs_zip_the_location_sequence(self):
-        rows = generate(GenConfig(days=40, seed=23))
-        g = ingest_rows(rows)
-        sequence = [loc for _, loc in location_sequence(g)]
-        assert transition_pairs(g) == list(zip(sequence, sequence[1:]))
+    @given(
+        st.lists(st.sampled_from(("location1", "location2", "location3", "harbor")),
+                 min_size=1, max_size=30),
+        st.lists(st.integers(1, 72), min_size=29, max_size=29),
+    )
+    @settings(max_examples=40)
+    def test_transition_pairs_are_consecutive_row_locations(self, labels, gaps_hours):
+        times = [datetime(2023, 4, 8, 12)]
+        for gap in gaps_hours[:len(labels) - 1]:
+            times.append(times[-1] + timedelta(hours=gap))
+        rows = [ObservationRow(t, f"Day{i + 1}", label)
+                for i, (t, label) in enumerate(zip(times, labels))]
+        manifest = default_manifest()
+        expected = [manifest.location(row.location) for row in rows]
+        assert transition_pairs(ingest_rows(rows)) == list(zip(expected, expected[1:]))
 
     def test_sequence_round_trips_the_input_rows(self):
         rows = generate(GenConfig(days=25, seed=31))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,11 +91,26 @@ class TestCounting:
         # triples: (a,b)->a, (b,a)->b, (a,b)->b
         assert c.matrix.tolist() == [[0, 0], [1, 1], [0, 1], [0, 0]]
         assert c.row_total("a", "b") == 2
+        assert c.count("a", "b", "b") == 1
         assert c.pair_index("b", "a") == 2
 
     def test_pair_total_is_sequence_length_minus_two(self):
         labels = ["location1", "location2", "location2", "location3", "location1"]
         assert int(count_pair_transitions(labels, SPACE3).matrix.sum()) == len(labels) - 2
+
+    @given(st.lists(st.sampled_from(("a", "b", "c")), max_size=60))
+    @settings(max_examples=80)
+    def test_every_cell_counts_its_label_windows(self, labels):
+        space = StateSpace(("a", "b", "c"))
+        pairs = Counter(zip(labels, labels[1:]))
+        triples = Counter(zip(labels, labels[1:], labels[2:]))
+        first = count_transitions(labels, space)
+        second = count_pair_transitions(labels, space)
+        for a in space:
+            for b in space:
+                assert first.matrix[space.index(a), space.index(b)] == pairs[a, b]
+                for c in space:
+                    assert second.matrix[second.pair_index(a, b), space.index(c)] == triples[a, b, c]
 
     @given(st.lists(st.sampled_from(("a", "b", "c")), min_size=1, max_size=60))
     @settings(max_examples=50)
@@ -209,6 +226,10 @@ class TestPower:
         with pytest.raises(MarkovError):
             matrix_power(example_matrix(), -1)
 
+    def test_second_order_matrix_cannot_be_powered(self):
+        with pytest.raises(MarkovError, match="order 2"):
+            matrix_power(example_second_order(), 2)
+
     def test_unobserved_rows_block_powering(self):
         c = TransitionCounts(SPACE3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
         m = estimate_first_order(c)
@@ -274,6 +295,14 @@ class TestPrediction:
         m = estimate_second_order(count_pair_transitions(labels))
         with pytest.raises(MarkovError, match="never observed"):
             predict_second_order(m, "b", "a")
+
+    def test_first_order_predict_refuses_a_second_order_matrix(self):
+        with pytest.raises(MarkovError, match="order-2"):
+            predict(example_second_order(), "location1")
+
+    def test_second_order_predict_refuses_a_first_order_matrix(self):
+        with pytest.raises(MarkovError, match="order-1"):
+            predict_second_order(example_matrix(), "location1", "location2")
 
     def test_distribution_validation(self):
         with pytest.raises(MarkovError):

@@ -145,6 +145,17 @@ class TestManifest:
         with pytest.raises(VocabularyError):
             load_manifest(base + line + "\n")
 
+    def test_vocabs_share_terms_but_not_prefix_tables(self):
+        first = Vocab()
+        first.prefixes.add("zz", "http://example.org/zz/")
+        assert first.prefixes.resolve("zz:x") == Iri("http://example.org/zz/x")
+        second = Vocab()
+        with pytest.raises(PrefixError):
+            second.prefixes.resolve("zz:x")
+        assert second.terms is first.terms
+        text = resources.files("kgmarkov").joinpath("data", "vocabulary.tsv").read_text()
+        assert second.terms == load_manifest(text).terms
+
     def test_load_rejects_duplicate_terms(self):
         text = (
             f"prefix\tbfo\t{BFO_NS}\n"

@@ -1,7 +1,13 @@
 import pytest
 
 from kgmarkov.ingest import default_manifest, ingest_rows
-from kgmarkov.markov import StateSpace, TransitionCounts, count_transitions
+from kgmarkov.markov import (
+    MarkovError,
+    StateSpace,
+    TransitionCounts,
+    count_pair_transitions,
+    count_transitions,
+)
 from kgmarkov.rdf import Graph, Iri, Triple, integer_literal, serialize_ntriples, string_literal
 from kgmarkov.writeback import (
     MODEL_CCO,
@@ -102,6 +108,12 @@ class TestProfileModel:
     def test_zero_total_row_is_an_error(self):
         with pytest.raises(WritebackError, match="location2"):
             writeback_profile_model(Graph(), worked_counts(), "location2", 100)
+
+    @pytest.mark.parametrize("model", [writeback_profile_model, writeback_cco_model])
+    def test_pair_counts_are_refused(self, model):
+        pair_counts = count_pair_transitions(["location1", "location2", "location1", "location3"])
+        with pytest.raises(MarkovError, match="order-2"):
+            model(Graph(), pair_counts, "location1", 100)
 
     def test_round_trip_through_the_graph(self):
         g = Graph()
