@@ -49,13 +49,7 @@ def _load_query_text(name: str) -> str:
     path = Path(name)
     if path.exists():
         return path.read_text(encoding="utf-8")
-    stem = name[:-3] if name.endswith(".rq") else name
-    if stem in ingest.BUNDLED_QUERIES:
-        return ingest.load_bundled_query(stem)
-    raise CliError(
-        f"query {name!r} is neither a file nor a bundled query "
-        f"(bundled: {', '.join(ingest.BUNDLED_QUERIES)})"
-    )
+    return ingest.load_bundled_query(name)
 
 
 def _cmd_gen_data(args) -> int:
@@ -117,11 +111,11 @@ def _cmd_predict(args) -> int:
     if matrix.order == 1:
         if args.prev is not None:
             raise CliError("--prev is only meaningful for second-order matrices")
-        distribution = markov.predict(matrix, args.state, args.steps or 1)
+        distribution = markov.predict(matrix, args.state, args.steps)
     else:
         if args.prev is None:
             raise CliError("second-order matrices need --prev")
-        if args.steps not in (None, 1):
+        if args.steps != 1:
             raise CliError("second-order prediction supports a single step only")
         distribution = markov.predict_second_order(matrix, args.prev, args.state)
     for state, value in distribution.as_pairs():
@@ -199,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--prev")
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps", type=int, default=1)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("writeback", help="materialize probabilities into a graph")

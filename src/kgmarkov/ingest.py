@@ -11,7 +11,7 @@ transitions are the consecutive pairs of its chronological rows.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from importlib import resources
 from typing import Optional, Sequence
@@ -20,7 +20,7 @@ from .datagen import ObservationRow
 from .errors import ToolkitError
 from .query import evaluate, parse_query
 from .rdf import Graph, Iri, Literal, Triple, datetime_literal
-from .vocab import EX_NS, Vocab
+from .vocab import PrefixTable, Vocab
 
 log = logging.getLogger(__name__)
 
@@ -34,7 +34,8 @@ def load_bundled_query(name: str) -> str:
     """Read one of the packaged query files by short name or file name."""
     stem = name[:-3] if name.endswith(".rq") else name
     if stem not in BUNDLED_QUERIES:
-        raise IngestError(f"no bundled query named {name!r}")
+        raise IngestError(
+            f"no bundled query named {name!r} (bundled: {', '.join(BUNDLED_QUERIES)})")
     return resources.files("kgmarkov").joinpath("data", stem + ".rq").read_text()
 
 
@@ -44,7 +45,7 @@ class IngestManifest:
 
     vessel: Iri
     trip: Iri
-    namespace: str = EX_NS
+    namespace: str = field(default_factory=lambda: PrefixTable().namespace("ex"))
 
     def trip_part(self, day: int) -> Iri:
         return Iri(f"{self.namespace}fishingTripPart_d{day}")
@@ -71,10 +72,8 @@ class IngestManifest:
 
 
 def default_manifest() -> IngestManifest:
-    return IngestManifest(
-        vessel=Iri(EX_NS + "fishingVessel"),
-        trip=Iri(EX_NS + "fishingTrip"),
-    )
+    ns = PrefixTable().namespace("ex")
+    return IngestManifest(Iri(ns + "fishingVessel"), Iri(ns + "fishingTrip"), ns)
 
 
 def ingest_rows(

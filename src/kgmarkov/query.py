@@ -17,14 +17,15 @@ from typing import Optional, Union
 from .errors import ToolkitError
 from .rdf import (
     DATETIME,
-    IRI_DATATYPES,
+    IRIREF_PATTERN,
+    LITERAL_PATTERN,
     Graph,
     Iri,
     Literal,
     Term,
     TermError,
+    decode_literal,
     term_to_ntriples,
-    unescape_lexical,
 )
 from .vocab import PrefixError, PrefixTable
 
@@ -105,15 +106,15 @@ def display_value(term: Term) -> str:
 
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
+    rf"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
-      | (?P<lbrace>\{)
-      | (?P<rbrace>\})
+      | (?P<lbrace>\{{)
+      | (?P<rbrace>\}})
       | (?P<dot>\.)
       | (?P<dtsep>\^\^)
-      | (?P<iriref><[^<>\s]*>)
+      | (?P<iriref>{IRIREF_PATTERN})
       | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<literal>"(?:[^"\\\n]|\\.)*")
+      | (?P<literal>{LITERAL_PATTERN})
       | (?P<pname>[A-Za-z_][A-Za-z0-9_.\-]*:[A-Za-z_][A-Za-z0-9_.\-]*)
       | (?P<word>[A-Za-z]+)
     """,
@@ -189,25 +190,18 @@ def _resolve_pname(tok: _Token, prefixes: PrefixTable) -> Iri:
 
 
 def _parse_literal(stream: _Stream, tok: _Token, prefixes: PrefixTable) -> Literal:
-    try:
-        lexical = unescape_lexical(tok.text[1:-1])
-    except TermError as exc:
-        raise QueryError(f"{tok.place()}: {exc}") from None
-    datatype = "string"
+    datatype_iri = None
     if stream.peek().kind == "dtsep":
         stream.next()
         dt_tok = stream.next()
         if dt_tok.kind == "iriref":
-            dt_iri = dt_tok.text[1:-1]
+            datatype_iri = dt_tok.text[1:-1]
         elif dt_tok.kind == "pname":
-            dt_iri = _resolve_pname(dt_tok, prefixes).value
+            datatype_iri = _resolve_pname(dt_tok, prefixes).value
         else:
             raise QueryError(f"{dt_tok.place()}: expected a datatype after ^^")
-        if dt_iri not in IRI_DATATYPES:
-            raise QueryError(f"{dt_tok.place()}: unsupported datatype IRI: {dt_iri}")
-        datatype = IRI_DATATYPES[dt_iri]
     try:
-        return Literal(lexical, datatype)
+        return decode_literal(tok.text[1:-1], datatype_iri)
     except TermError as exc:
         raise QueryError(f"{tok.place()}: {exc}") from None
 

@@ -36,6 +36,11 @@ IRI_DATATYPES = {iri: name for name, iri in DATATYPE_IRIS.items()}
 _INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
 _DECIMAL_RE = re.compile(r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)$")
 _DATETIME_RE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}$")
+# Regex source for an IRI in angle brackets and for a literal in quotes; the
+# N-Triples line pattern and the query tokenizer share them.  Characters the
+# IRI pattern admits but an Iri rejects fail with the Iri's message.
+IRIREF_PATTERN = r"<[^<>\x00-\x20]*>"
+LITERAL_PATTERN = r'"(?:[^"\\\n]|\\.)*"'
 # characters an IRIREF may not contain per the N-Triples grammar
 _IRI_BAD_RE = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 
@@ -199,6 +204,16 @@ def unescape_lexical(text: str) -> str:
     return "".join(out)
 
 
+def decode_literal(escaped: str, datatype_iri: Optional[str] = None) -> Literal:
+    """The literal written ``"escaped"`` or ``"escaped"^^<datatype_iri>``."""
+    lexical = unescape_lexical(escaped)
+    if datatype_iri is None:
+        return Literal(lexical, STRING)
+    if datatype_iri not in IRI_DATATYPES:
+        raise TermError(f"unsupported datatype IRI: {datatype_iri}")
+    return Literal(lexical, IRI_DATATYPES[datatype_iri])
+
+
 def term_to_ntriples(term: Term) -> str:
     if isinstance(term, Iri):
         return f"<{term.value}>"
@@ -245,15 +260,21 @@ class Graph:
         s = term_to_ntriples(triple.subject)
         p = term_to_ntriples(triple.predicate)
         o = term_to_ntriples(triple.object)
+        if not self._add(s, p, o):
+            return False
+        terms = self._terms
+        terms.setdefault(s, triple.subject)
+        terms.setdefault(p, triple.predicate)
+        terms.setdefault(o, triple.object)
+        return True
+
+    def _add(self, s: str, p: str, o: str) -> bool:
+        """Index a key triple whose terms are (or will be) in ``_terms``."""
         objects = self._spo.setdefault(s, {}).setdefault(p, set())
         if o in objects:
             return False
         objects.add(o)
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        terms = self._terms
-        terms.setdefault(s, triple.subject)
-        terms.setdefault(p, triple.predicate)
-        terms.setdefault(o, triple.object)
         self._size += 1
         return True
 
@@ -376,87 +397,46 @@ def serialize_ntriples(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_iriref(text: str, pos: int, line_no: int) -> tuple[Iri, int]:
-    if pos >= len(text) or text[pos] != "<":
-        raise NTriplesError(line_no, f"expected '<' at column {pos + 1}")
-    end = text.find(">", pos + 1)
-    if end == -1:
-        raise NTriplesError(line_no, "unterminated IRI")
-    raw = text[pos + 1 : end]
-    try:
-        iri = Iri(raw)
-    except TermError as exc:
-        raise NTriplesError(line_no, str(exc)) from None
-    return iri, end + 1
-
-
-def _parse_literal(text: str, pos: int, line_no: int) -> tuple[Literal, int]:
-    # scan for the closing quote, honoring backslash escapes
-    i = pos + 1
-    while i < len(text):
-        if text[i] == "\\":
-            i += 2
-            continue
-        if text[i] == '"':
-            break
-        i += 1
-    else:
-        raise NTriplesError(line_no, "unterminated literal")
-    if i >= len(text):
-        raise NTriplesError(line_no, "unterminated literal")
-    try:
-        lexical = unescape_lexical(text[pos + 1 : i])
-    except TermError as exc:
-        raise NTriplesError(line_no, str(exc)) from None
-    i += 1
-    datatype = STRING
-    if text.startswith("^^", i):
-        dt_iri, i = _parse_iriref(text, i + 2, line_no)
-        if dt_iri.value not in IRI_DATATYPES:
-            raise NTriplesError(line_no, f"unsupported datatype IRI: {dt_iri.value}")
-        datatype = IRI_DATATYPES[dt_iri.value]
-    try:
-        lit = Literal(lexical, datatype)
-    except TermError as exc:
-        raise NTriplesError(line_no, str(exc)) from None
-    return lit, i
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos] in " \t":
-        pos += 1
-    return pos
+# One N-Triples line, matched whole: subject IRI, predicate IRI, an IRI or a
+# literal with an optional ^^datatype, then '.', with spaces or tabs between.
+_LINE_RE = re.compile(
+    rf"({IRIREF_PATTERN})[ \t]*({IRIREF_PATTERN})[ \t]*"
+    rf"({IRIREF_PATTERN}|({LITERAL_PATTERN})(?:\^\^({IRIREF_PATTERN}))?)[ \t]*\."
+)
 
 
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples text into a Graph.
 
     Accepts blank lines and '#' comment lines.  The first malformed line
-    aborts the parse with an NTriplesError naming that line.
+    aborts the parse with an NTriplesError naming that line.  A term is
+    built only when its text is not yet a key of the graph, so each
+    distinct term in canonical form is built and validated once.
     """
     graph = Graph()
+    terms = graph._terms
+    match_line = _LINE_RE.fullmatch
     for line_no, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        pos = 0
-        subject, pos = _parse_iriref(line, pos, line_no)
-        pos = _skip_ws(line, pos)
-        predicate, pos = _parse_iriref(line, pos, line_no)
-        pos = _skip_ws(line, pos)
-        if pos < len(line) and line[pos] == '"':
-            obj, pos = _parse_literal(line, pos, line_no)
-        elif pos < len(line) and line[pos] == "<":
-            obj, pos = _parse_iriref(line, pos, line_no)
-        elif pos < len(line) and line[pos] == "_":
-            raise NTriplesError(line_no, "blank nodes are not supported")
-        else:
-            raise NTriplesError(line_no, "expected an IRI or literal object")
-        pos = _skip_ws(line, pos)
-        if pos >= len(line) or line[pos] != ".":
-            raise NTriplesError(line_no, "expected terminating '.'")
-        pos = _skip_ws(line, pos + 1)
-        if pos != len(line):
-            raise NTriplesError(line_no, "trailing content after '.'")
-        graph.insert(Triple(subject, predicate, obj))
+        m = match_line(line)
+        if m is None:
+            raise NTriplesError(line_no, "expected <subject> <predicate> <object-or-literal> .")
+        s, p, o, literal, datatype = m.groups()
+        try:
+            if s not in terms:
+                terms[s] = Iri(s[1:-1])
+            if p not in terms:
+                terms[p] = Iri(p[1:-1])
+            if o not in terms:
+                if literal is None:
+                    terms[o] = Iri(o[1:-1])
+                else:
+                    term = decode_literal(literal[1:-1], datatype and datatype[1:-1])
+                    o = term_to_ntriples(term)
+                    terms.setdefault(o, term)
+        except TermError as exc:
+            raise NTriplesError(line_no, str(exc)) from None
+        graph._add(s, p, o)
     return graph

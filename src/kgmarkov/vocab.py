@@ -1,7 +1,8 @@
 """Prefix handling and the fixed vocabulary of classes and properties.
 
 The vocabulary is the bundled ``data/vocabulary.tsv`` manifest: ``Vocab()``
-loads its terms from there, so that file is the one place a term is defined.
+and ``PrefixTable()`` load their terms and namespaces from there, so that
+file is the one place a prefix or a term is defined.
 
 Prefix lookup is case-insensitive because source material for this domain
 mixes spellings like ``bfo:`` and ``Bfo:``.  A small alias table folds two
@@ -17,20 +18,7 @@ from importlib import resources
 from typing import Iterable, Optional
 
 from .errors import ToolkitError
-from .rdf import XSD_NS, Iri
-
-BFO_NS = "http://example.org/ontology/bfo/"
-CCO_NS = "http://example.org/ontology/cco/"
-EX_NS = "http://example.org/data/"
-RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-
-DEFAULT_NAMESPACES = {
-    "bfo": BFO_NS,
-    "cco": CCO_NS,
-    "ex": EX_NS,
-    "rdf": RDF_NS,
-    "xsd": XSD_NS,
-}
+from .rdf import Iri
 
 # (prefix, local) spellings folded onto their canonical term
 ALIASES = {
@@ -57,7 +45,7 @@ class PrefixTable:
 
     def __init__(self, namespaces: Optional[dict[str, str]] = None):
         self._namespaces: dict[str, str] = {}
-        source = DEFAULT_NAMESPACES if namespaces is None else namespaces
+        source = _shipped().prefixes.namespaces() if namespaces is None else namespaces
         for prefix, ns in source.items():
             self.add(prefix, ns)
 
@@ -103,10 +91,10 @@ class VocabTerm:
 
 
 @functools.cache
-def _shipped_terms() -> tuple[VocabTerm, ...]:
-    """The terms of the bundled vocabulary.tsv, parsed once per process."""
+def _shipped() -> Vocab:
+    """The bundled vocabulary.tsv, namespaces and terms, parsed once per process."""
     text = resources.files("kgmarkov").joinpath("data", "vocabulary.tsv").read_text("utf-8")
-    return load_manifest(text).terms
+    return load_manifest(text)
 
 
 class Vocab:
@@ -114,13 +102,13 @@ class Vocab:
 
     Handles use the term's local name, so ``v.Process`` is the Process
     class IRI and ``v.precedes`` the precedes property IRI.  Without
-    ``terms``, the terms of the bundled vocabulary.tsv are used.
+    ``prefixes`` or ``terms``, those of the bundled vocabulary.tsv are used.
     """
 
     def __init__(self, prefixes: Optional[PrefixTable] = None,
                  terms: Optional[Iterable[VocabTerm]] = None):
         self.prefixes = prefixes if prefixes is not None else PrefixTable()
-        self.terms = tuple(terms) if terms is not None else _shipped_terms()
+        self.terms = tuple(terms) if terms is not None else _shipped().terms
         self._by_name: dict[str, VocabTerm] = {}
         seen_locals: dict[str, str] = {}
         for term in self.terms:
@@ -204,3 +192,13 @@ def load_manifest(text: str) -> Vocab:
             raise VocabularyError(f"term {name!r}: {exc}") from None
         terms.append(VocabTerm(name, iri, kind, label, definition, comment))
     return Vocab(prefixes, terms)
+
+
+_NAMESPACE_CONSTANTS = {"BFO_NS": "bfo", "CCO_NS": "cco", "EX_NS": "ex", "RDF_NS": "rdf"}
+
+
+def __getattr__(name: str) -> str:
+    """``BFO_NS``, ``CCO_NS``, ``EX_NS`` and ``RDF_NS``: shipped namespaces."""
+    if name not in _NAMESPACE_CONSTANTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _shipped().prefixes.namespace(_NAMESPACE_CONSTANTS[name])

@@ -202,6 +202,14 @@ class TestPredict:
         out = capsys.readouterr().out
         assert out.splitlines()[1] == "location2 0.363"
 
+    def test_zero_steps_exits_1(self, tmp_path, capsys):
+        m = write_example_matrix(tmp_path / "m.json")
+        assert main(["predict", "--matrix", str(m), "--state", "location1",
+                     "--steps", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "steps must be at least 1" in captured.err
+
     def test_prev_with_first_order_exits_1(self, tmp_path, capsys):
         m = write_example_matrix(tmp_path / "m.json")
         assert main(["predict", "--matrix", str(m), "--state", "location1",

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgmarkov.rdf import (
+    DATATYPE_IRIS,
     DATETIME,
     DECIMAL,
     INTEGER,
@@ -266,6 +267,8 @@ class TestSerialization:
             (f'<{EX}s> <{EX}p> "unterminated .', 1),
             (f'<{EX}s> <{EX}p> "bad\\q" .', 1),
             (f'<{EX}s> <{EX}p> "nope"^^<http://www.w3.org/2001/XMLSchema#dateTime> .', 1),
+            (f'<{EX}s> <{EX}p> "x"@en .', 1),
+            (f"<{EX}s> <{EX}p> <{EX}o> . .", 1),
         ],
     )
     def test_parse_rejects_malformed_lines(self, line, lineno):
@@ -313,6 +316,26 @@ _triples = st.builds(
     st.one_of(st.sampled_from(_POOL_IRIS), _literals),
 )
 _graphs = st.lists(_triples, max_size=40).map(Graph)
+_gaps = st.sampled_from(["", " ", "\t", " \t "])
+
+
+def _respelled_line(draw, triple: Triple) -> str:
+    """The triple as a valid but non-canonical N-Triples line: any spacing,
+    characters of a literal written as \\u or \\U escapes, and a string
+    literal's datatype left off."""
+    obj = triple.object
+    if isinstance(obj, Literal):
+        body = "".join(
+            (f"\\u{ord(ch):04X}" if ord(ch) <= 0xFFFF else f"\\U{ord(ch):08X}")
+            if draw(st.booleans()) else escape_lexical(ch)
+            for ch in obj.lexical
+        )
+        plain = obj.datatype == STRING and draw(st.booleans())
+        obj_text = f'"{body}"' + ("" if plain else f"^^<{DATATYPE_IRIS[obj.datatype]}>")
+    else:
+        obj_text = term_to_ntriples(obj)
+    return (f"{draw(_gaps)}{term_to_ntriples(triple.subject)}{draw(_gaps)}"
+            f"{term_to_ntriples(triple.predicate)}{draw(_gaps)}{obj_text}{draw(_gaps)}.")
 
 
 class TestProperties:
@@ -326,6 +349,18 @@ class TestProperties:
     def test_serialization_is_canonical(self, g):
         text = serialize_ntriples(g)
         assert serialize_ntriples(parse_ntriples(text)) == text
+
+    @given(_graphs, st.data())
+    @settings(max_examples=60)
+    def test_respelled_lines_parse_to_the_same_graph(self, g, data):
+        lines = [_respelled_line(data.draw, t) for t in g]
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, len(lines)))
+            lines.insert(at, data.draw(st.sampled_from(["", "# comment", " \t# <a> <b> <c> ."])))
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        parsed = parse_ntriples(newline.join(lines))
+        assert parsed == g
+        assert parsed.match() == g.match()
 
     @given(_graphs, st.lists(_triples, max_size=20))
     @settings(max_examples=40)

@@ -1,8 +1,12 @@
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
 from kgmarkov import ingest_rows
+from kgmarkov import vocab as vocab_module
+from kgmarkov.datagen import GenConfig, generate
+from kgmarkov.ingest import default_manifest, location_sequence
 from kgmarkov.markov import count_transitions
 from kgmarkov.rdf import Iri, Literal
 from kgmarkov.vocab import (
@@ -155,6 +159,30 @@ class TestManifest:
         assert second.terms is first.terms
         text = resources.files("kgmarkov").joinpath("data", "vocabulary.tsv").read_text()
         assert second.terms == load_manifest(text).terms
+
+    def test_prefix_rows_of_the_shipped_manifest_drive_ingest_and_queries(
+            self, tmp_path, monkeypatch):
+        """Moving the bfo and ex namespaces in vocabulary.tsv moves the prefix
+        table, the vocabulary and the minted IRIs together, so the bundled
+        location query still reads every ingested day back."""
+        text = resources.files("kgmarkov").joinpath("data", "vocabulary.tsv").read_text()
+        moved = text.replace(f"prefix\tbfo\t{BFO_NS}\n", "prefix\tbfo\thttp://example.org/v2/bfo/\n")
+        moved = moved.replace(f"prefix\tex\t{EX_NS}\n", "prefix\tex\thttp://example.org/v2/ex/\n")
+        assert moved.count("http://example.org/v2/") == 2
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "vocabulary.tsv").write_text(moved, encoding="utf-8")
+        monkeypatch.setattr(vocab_module, "resources", SimpleNamespace(files=lambda _: tmp_path))
+        vocab_module._shipped.cache_clear()
+        try:
+            assert Vocab().Process == Iri("http://example.org/v2/bfo/Process")
+            assert PrefixTable().resolve("bfo:Process") == Vocab().Process
+            assert default_manifest().vessel == Iri("http://example.org/v2/ex/fishingVessel")
+            graph = ingest_rows(generate(GenConfig(days=10)))
+            assert len(location_sequence(graph)) == 10
+        finally:
+            monkeypatch.undo()
+            vocab_module._shipped.cache_clear()
+        assert PrefixTable().namespace("bfo") == BFO_NS
 
     def test_load_rejects_duplicate_terms(self):
         text = (
