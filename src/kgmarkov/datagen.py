@@ -3,7 +3,7 @@
 One observation per day at a fixed time of day, with the location either
 drawn uniformly or driven by a first-order transition kernel.  All draws
 come from a splitmix64 stream seeded by the caller, so a (days, seed,
-start, kernel) tuple always produces byte-identical output.
+kernel, initial location) tuple always produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ class ObservationRow:
 class GenConfig:
     days: int
     seed: int = DEFAULT_SEED
-    start: datetime = DEFAULT_START
     kernel: Optional[tuple[tuple[float, ...], ...]] = None
     initial_location: Optional[str] = None
 
@@ -116,7 +115,7 @@ def generate(config: GenConfig) -> list[ObservationRow]:
         current = idx
         rows.append(
             ObservationRow(
-                time=config.start + timedelta(days=day),
+                time=DEFAULT_START + timedelta(days=day),
                 day_label=f"Day{day + 1}",
                 location=LOCATIONS[idx],
             )

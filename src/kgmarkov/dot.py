@@ -8,12 +8,10 @@ and edges by property local name, sorted so files diff cleanly.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import ToolkitError
-from .ingest import IngestManifest, default_manifest
+from .ingest import default_manifest
 from .rdf import Graph, Iri, Literal, string_literal, term_to_ntriples
-from .vocab import Vocab
+from .vocab import _shipped
 from .writeback import PREDICTED_FLAG
 
 
@@ -21,14 +19,10 @@ class DotError(ToolkitError):
     """The requested fragment is not present in the graph."""
 
 
-def day_subgraph(graph: Graph, day: int,
-                 manifest: Optional[IngestManifest] = None,
-                 vocab: Optional[Vocab] = None) -> Graph:
+def day_subgraph(graph: Graph, day: int) -> Graph:
     """The triples describing a single observed day, vessel and trip included."""
-    if manifest is None:
-        manifest = default_manifest()
-    if vocab is None:
-        vocab = Vocab()
+    manifest = default_manifest()
+    vocab = _shipped()
     part = manifest.trip_part(day)
     if not graph.match(part, None, None):
         raise DotError(f"day {day} is not present in the graph")
@@ -54,10 +48,9 @@ def day_subgraph(graph: Graph, day: int,
     return out
 
 
-def writeback_subgraph(graph: Graph, vocab: Optional[Vocab] = None) -> Graph:
+def writeback_subgraph(graph: Graph) -> Graph:
     """Everything the probability writeback added, plus its anchor nodes."""
-    if vocab is None:
-        vocab = Vocab()
+    vocab = _shipped()
     wb_classes = (
         vocab.PatternOfLife,
         vocab.PatternProcessProfile,

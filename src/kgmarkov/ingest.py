@@ -10,17 +10,18 @@ transitions are the consecutive pairs of its chronological rows.
 
 from __future__ import annotations
 
+import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .datagen import ObservationRow
 from .errors import ToolkitError
-from .query import evaluate, parse_query
+from .query import Query, evaluate, parse_query
 from .rdf import Graph, Iri, Literal, Triple, datetime_literal
-from .vocab import PrefixTable, Vocab
+from .vocab import Vocab, _shipped
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +46,7 @@ class IngestManifest:
 
     vessel: Iri
     trip: Iri
-    namespace: str = field(default_factory=lambda: PrefixTable().namespace("ex"))
+    namespace: str
 
     def trip_part(self, day: int) -> Iri:
         return Iri(f"{self.namespace}fishingTripPart_d{day}")
@@ -72,15 +73,11 @@ class IngestManifest:
 
 
 def default_manifest() -> IngestManifest:
-    ns = PrefixTable().namespace("ex")
+    ns = _shipped().prefixes.namespace("ex")
     return IngestManifest(Iri(ns + "fishingVessel"), Iri(ns + "fishingTrip"), ns)
 
 
-def ingest_rows(
-    rows: Sequence[ObservationRow],
-    manifest: Optional[IngestManifest] = None,
-    vocab: Optional[Vocab] = None,
-) -> Graph:
+def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
     """Build the full activity graph for a sequence of daily observations.
 
     For n rows over L distinct locations the result holds exactly
@@ -93,10 +90,8 @@ def ingest_rows(
             raise IngestError(
                 f"observation times must strictly increase ({cur.day_label})"
             )
-    if manifest is None:
-        manifest = default_manifest()
-    if vocab is None:
-        vocab = Vocab()
+    manifest = default_manifest()
+    vocab = _shipped()
     graph = Graph()
     add = graph.insert
     add(Triple(manifest.vessel, vocab.type, vocab.Watercraft))
@@ -129,17 +124,18 @@ def ingest_rows(
     return graph
 
 
-def location_sequence(
-    graph: Graph, vocab: Optional[Vocab] = None
-) -> list[tuple[datetime, Iri]]:
+@functools.cache
+def _location_query(vocab: Vocab) -> Query:
+    """The bundled location query, parsed once per loaded vocabulary."""
+    return parse_query(load_bundled_query("location_by_time"), vocab.prefixes)
+
+
+def location_sequence(graph: Graph) -> list[tuple[datetime, Iri]]:
     """All observed (time, location) pairs, chronologically.
 
     A graph without the expected shape simply yields no rows.
     """
-    if vocab is None:
-        vocab = Vocab()
-    query = parse_query(load_bundled_query("location_by_time"), vocab.prefixes)
-    table = evaluate(query, graph)
+    table = evaluate(_location_query(_shipped()), graph)
     log.info("location query returned %d rows", len(table.rows))
     out = []
     for when, where in table.rows:
@@ -148,7 +144,7 @@ def location_sequence(
     return out
 
 
-def transition_pairs(graph: Graph, vocab: Optional[Vocab] = None) -> list[tuple[Iri, Iri]]:
+def transition_pairs(graph: Graph) -> list[tuple[Iri, Iri]]:
     """Consecutive (from, to) location pairs in chronological order."""
-    locations = [where for _, where in location_sequence(graph, vocab)]
+    locations = [where for _, where in location_sequence(graph)]
     return list(zip(locations, locations[1:]))

@@ -356,11 +356,11 @@ def matrix_to_dict(matrix: ChainMatrix, counts: Optional[ChainCounts] = None) ->
     return out
 
 
-def matrix_from_dict(data: dict, row_sum_tol: float = LOADED_ROW_SUM_TOL) -> ChainMatrix:
+def matrix_from_dict(data: dict) -> ChainMatrix:
     """Rebuild a matrix from its file form.
 
-    The default row sum tolerance is loose enough for tables published with
-    three-decimal rounding.
+    The row sum tolerance, LOADED_ROW_SUM_TOL, is loose enough for tables
+    published with three-decimal rounding.
     """
     if not isinstance(data, dict):
         raise MarkovError("matrix file must contain a JSON object")
@@ -372,7 +372,7 @@ def matrix_from_dict(data: dict, row_sum_tol: float = LOADED_ROW_SUM_TOL) -> Cha
     row_status = data.get("row_status")
     if row_status is None:
         raise MarkovError("matrix file is missing row_status")
-    return cls(space, p, row_status, row_sum_tol=row_sum_tol)
+    return cls(space, p, row_status, row_sum_tol=LOADED_ROW_SUM_TOL)
 
 
 def counts_from_dict(data: dict) -> Optional[ChainCounts]:

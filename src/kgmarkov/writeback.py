@@ -32,7 +32,7 @@ from .rdf import (
     integer_literal,
     string_literal,
 )
-from .vocab import Vocab
+from .vocab import Vocab, _shipped
 
 MODEL_CCO = "cco"
 MODEL_PROFILE = "profile"
@@ -84,6 +84,12 @@ class ProbabilityAssertion:
 
 
 def _row_or_error(counts: TransitionCounts, current: str) -> tuple[list[int], int]:
+    # read_probabilities would rename a label whose minted IRIs read back as
+    # another label, or merge it with that label
+    for label in counts.space.states:
+        if _detokenize(state_token(label)) != label:
+            raise WritebackError(f"state label {label!r} cannot be written back: its "
+                                 f"IRIs read back as {_detokenize(state_token(label))!r}")
     row = [int(x) for x in counts.matrix[counts.row_index(current)]]
     total = sum(row)
     if total == 0:
@@ -98,8 +104,6 @@ def writeback_profile_model(
     counts: TransitionCounts,
     current: str,
     day_index: int,
-    manifest: Optional[IngestManifest] = None,
-    vocab: Optional[Vocab] = None,
     link_realizations: bool = False,
 ) -> list[ProbabilityAssertion]:
     """Attach the pattern-of-life structure for one from-state.
@@ -112,10 +116,8 @@ def writeback_profile_model(
     day being predicted; profile IRIs do not depend on it, the argument just
     keeps both model calls interchangeable.
     """
-    if manifest is None:
-        manifest = default_manifest()
-    if vocab is None:
-        vocab = Vocab()
+    manifest = default_manifest()
+    vocab = _shipped()
     row, total = _row_or_error(counts, current)
     s_tok = state_token(current)
     ns = manifest.namespace
@@ -159,7 +161,7 @@ def writeback_profile_model(
 
     if link_realizations:
         current_iri = manifest.location(current)
-        for day, (start, end) in enumerate(transition_pairs(graph, vocab), start=1):
+        for day, (start, end) in enumerate(transition_pairs(graph), start=1):
             if start == current_iri:
                 end_label = end.local_name()
                 if end_label in dispositions:
@@ -174,8 +176,6 @@ def writeback_cco_model(
     counts: TransitionCounts,
     current: str,
     day_index: int,
-    manifest: Optional[IngestManifest] = None,
-    vocab: Optional[Vocab] = None,
 ) -> list[ProbabilityAssertion]:
     """Attach probabilities as PMICEs modally_about a future trip part.
 
@@ -184,10 +184,8 @@ def writeback_cco_model(
     has not occurred.  PMICE IRIs carry the future day so writebacks for
     different days can coexist.
     """
-    if manifest is None:
-        manifest = default_manifest()
-    if vocab is None:
-        vocab = Vocab()
+    manifest = default_manifest()
+    vocab = _shipped()
     if day_index < 0:
         raise WritebackError("day_index must be non-negative")
     row, total = _row_or_error(counts, current)
@@ -219,13 +217,6 @@ def _decimal_value(graph: Graph, subject: Iri, vocab: Vocab) -> Optional[float]:
         if isinstance(t.object, Literal):
             return float(t.object.lexical)
     return None
-
-
-def _known_location_labels(graph: Graph, vocab: Vocab) -> set[str]:
-    return {
-        t.subject.local_name()
-        for t in graph.match(None, vocab.type, vocab.SpatialRegion)
-    }
 
 
 def _read_profile(graph: Graph, current: str, manifest: IngestManifest,
@@ -268,22 +259,18 @@ def _read_cco(graph: Graph, current: str, manifest: IngestManifest,
     if values:
         # zero-count states have no PMICE; restore them from the graph's
         # known locations so the distribution keeps its full support
-        for label in _known_location_labels(graph, vocab):
-            values.setdefault(label, 0.0)
+        for t in graph.match(None, vocab.type, vocab.SpatialRegion):
+            values.setdefault(t.subject.local_name(), 0.0)
     return values
 
 
-def read_probabilities(graph: Graph, current: str, model: str,
-                       manifest: Optional[IngestManifest] = None,
-                       vocab: Optional[Vocab] = None) -> Distribution:
+def read_probabilities(graph: Graph, current: str, model: str) -> Distribution:
     """Rebuild the next-state distribution for one from-state by querying
     the PMICE structure a previous writeback left in the graph."""
     if model not in MODELS:
         raise WritebackError(f"unknown model: {model!r}")
-    if manifest is None:
-        manifest = default_manifest()
-    if vocab is None:
-        vocab = Vocab()
+    manifest = default_manifest()
+    vocab = _shipped()
     if model == MODEL_PROFILE:
         values = _read_profile(graph, current, manifest, vocab)
     else:

@@ -164,6 +164,31 @@ class TestEstimate:
         assert main(["estimate", "--graph", str(empty),
                      "--out", str(tmp_path / "m.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "moved,named",
+        [("http://example.org/alt/location2",
+          ["<http://example.org/alt/location2>", "<http://example.org/data/location2>",
+           "share the local name 'location2'"]),
+         ("http://example.org/data/location1/",
+          ["<http://example.org/data/location1/> has an empty local name"])],
+    )
+    def test_locations_whose_local_names_clash_exit_1(self, tmp_path, capsys,
+                                                       moved, named):
+        """Distinct location IRIs must not collapse onto one state label."""
+        csv_path, graph = tmp_path / "obs.csv", tmp_path / "graph.nt"
+        main(["gen-data", "--days", "6", "--out", str(csv_path)])
+        main(["ingest", "--csv", str(csv_path), "--out", str(graph)])
+        text = graph.read_text(encoding="utf-8")
+        assert "/data/location1>" in text and "/data/location2>" in text
+        graph.write_text(text.replace("http://example.org/data/location1>", moved + ">"),
+                         encoding="utf-8")
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert main(["estimate", "--graph", str(graph), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert all(part in err for part in named), err
+        assert not out.exists()
+
 
 class TestPower:
     def test_step_5_distribution(self, tmp_path, capsys):

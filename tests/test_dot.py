@@ -17,7 +17,7 @@ def worked_counts():
 
 class TestDaySubgraph:
     def test_one_day_bundle_is_complete(self, three_day_graph, vocab):
-        sub = day_subgraph(three_day_graph, 1, vocab=vocab)
+        sub = day_subgraph(three_day_graph, 1)
         # 13 triples describe a day; the vessel and trip contribute 4 more
         assert len(sub) == 17
         part = Iri("http://example.org/data/fishingTripPart_d1")
@@ -25,7 +25,7 @@ class TestDaySubgraph:
         assert sub.match(Iri("http://example.org/data/fishingVessel"), None, None)
 
     def test_neighbouring_days_are_excluded(self, three_day_graph, vocab):
-        sub = day_subgraph(three_day_graph, 2, vocab=vocab)
+        sub = day_subgraph(three_day_graph, 2)
         locals_seen = {t.subject.local_name() for t in sub}
         assert "fishingTripPart_d2" in locals_seen
         assert "fishingTripPart_d1" not in locals_seen
@@ -45,15 +45,15 @@ class TestWritebackSubgraph:
     def test_captures_the_profile_structure(self, vocab):
         g = ingest_rows(THREE_DAY_ROWS)
         base = len(g)
-        writeback_profile_model(g, worked_counts(), "location1", 3, vocab=vocab)
-        sub = writeback_subgraph(g, vocab)
+        writeback_profile_model(g, worked_counts(), "location1", 3)
+        sub = writeback_subgraph(g)
         assert len(sub) == len(g) - base
         assert all("fishingTripPart" not in t.subject.value for t in sub)
 
     def test_captures_the_flagged_future_part(self, vocab):
         g = ingest_rows(THREE_DAY_ROWS)
-        writeback_cco_model(g, worked_counts(), "location1", 3, vocab=vocab)
-        sub = writeback_subgraph(g, vocab)
+        writeback_cco_model(g, worked_counts(), "location1", 3)
+        sub = writeback_subgraph(g)
         future = Iri("http://example.org/data/fishingTripPart_4")
         assert Triple(future, vocab.predicted, string_literal("true")) in sub
         assert len(sub.match(None, vocab.modally_about, future)) == 3

@@ -166,6 +166,18 @@ class TestReadback:
         from kgmarkov.rdf import Graph
         assert location_sequence(Graph()) == []
 
+    def test_the_location_query_is_not_reparsed_per_call(self, three_day_graph, monkeypatch):
+        import kgmarkov.ingest as ingest
+        location_sequence(three_day_graph)
+        calls = []
+        for name in ("load_bundled_query", "parse_query"):
+            real = getattr(ingest, name)
+            monkeypatch.setattr(ingest, name,
+                                lambda *args, real=real: calls.append(args) or real(*args))
+        location_sequence(three_day_graph)
+        transition_pairs(three_day_graph)
+        assert calls == []
+
     def test_transition_pairs_for_three_days(self, three_day_graph):
         assert transition_pairs(three_day_graph) == [
             (Iri(E + "location3"), Iri(E + "location1")),

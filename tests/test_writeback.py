@@ -41,6 +41,24 @@ class TestStateToken:
     def test_tokens(self, label, token):
         assert state_token(label) == token
 
+    @pytest.mark.parametrize("model", [writeback_profile_model, writeback_cco_model])
+    @pytest.mark.parametrize(
+        "states,bad",
+        [(("harbor", "open sea"), "open sea"),
+         (("1", "location1"), "1"),
+         (("dock-4", "dock_4"), "dock-4")],
+    )
+    def test_labels_that_do_not_read_back_are_refused_before_any_write(
+            self, model, states, bad):
+        """'open sea' would read back as 'open_sea'; '1' and 'dock-4' would
+        mint the IRIs of 'location1' and 'dock_4'."""
+        g = ingest_rows(THREE_DAY_ROWS)
+        before = len(g)
+        counts = TransitionCounts(StateSpace(states), [[1, 1], [1, 1]])
+        with pytest.raises(WritebackError, match=f"state label {bad!r}"):
+            model(g, counts, states[1], 3)
+        assert len(g) == before
+
 
 class TestProbabilityAssertion:
     def test_value_is_the_exact_quotient(self):
@@ -67,7 +85,7 @@ class TestProfileModel:
 
     def test_structure_of_the_pattern_of_life(self, vocab):
         g = Graph()
-        writeback_profile_model(g, worked_counts(), "location1", 100, vocab=vocab)
+        writeback_profile_model(g, worked_counts(), "location1", 100)
         pol = Iri(EX + "fishingVessel_PoL")
         assert Triple(pol, vocab.type, vocab.PatternOfLife) in g
         assert Triple(pol, vocab.type, vocab.PatternProcessProfile) in g
@@ -80,7 +98,7 @@ class TestProfileModel:
 
     def test_counts_and_total_are_stored_as_integers(self, vocab):
         g = Graph()
-        writeback_profile_model(g, worked_counts(), "location1", 100, vocab=vocab)
+        writeback_profile_model(g, worked_counts(), "location1", 100)
         total = Iri(EX + "total1toXTransitions")
         assert Triple(total, vocab.has_integer_value, integer_literal(32)) in g
         count = Iri(EX + "1to2TransitionCount")
@@ -92,7 +110,7 @@ class TestProfileModel:
             StateSpace(LOCATIONS3), [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
         )
         g = Graph()
-        assertions = writeback_profile_model(g, counts, "location3", 3, vocab=vocab)
+        assertions = writeback_profile_model(g, counts, "location3", 3)
         assert [a.to_state for a in assertions] == ["location3"]
         assert Triple(Iri(EX + "3to1TransitionCount"), vocab.has_integer_value,
                       integer_literal(0)) in g
@@ -101,7 +119,7 @@ class TestProfileModel:
 
     def test_nothing_points_at_a_future_process(self, vocab):
         g = Graph()
-        writeback_profile_model(g, worked_counts(), "location1", 100, vocab=vocab)
+        writeback_profile_model(g, worked_counts(), "location1", 100)
         assert not g.match(None, vocab.predicted, None)
         assert not g.match(None, vocab.modally_about, None)
 
@@ -140,7 +158,7 @@ class TestProfileModel:
         counts = count_transitions(["location3", "location1", "location3"],
                                    StateSpace(LOCATIONS3))
         before = len(g)
-        writeback_profile_model(g, counts, "location3", 3, vocab=vocab,
+        writeback_profile_model(g, counts, "location3", 3,
                                 link_realizations=True)
         # days 1 and 2 both start a transition; only day 1 starts at location3
         realized = g.match(None, vocab.realizes, None)
@@ -153,7 +171,7 @@ class TestProfileModel:
         g = ingest_rows(THREE_DAY_ROWS)
         counts = count_transitions(["location3", "location1", "location3"],
                                    StateSpace(LOCATIONS3))
-        writeback_profile_model(g, counts, "location3", 3, vocab=vocab)
+        writeback_profile_model(g, counts, "location3", 3)
         assert not g.match(None, vocab.realizes, None)
 
     def test_writeback_is_idempotent(self):
@@ -167,7 +185,7 @@ class TestProfileModel:
 class TestCcoModel:
     def test_mints_a_flagged_future_part(self, vocab):
         g = Graph()
-        writeback_cco_model(g, worked_counts(), "location1", 100, vocab=vocab)
+        writeback_cco_model(g, worked_counts(), "location1", 100)
         future = Iri(EX + "fishingTripPart_101")
         assert Triple(future, vocab.type, vocab.Process) in g
         assert Triple(future, vocab.predicted, string_literal(PREDICTED_FLAG)) in g
@@ -176,8 +194,7 @@ class TestCcoModel:
 
     def test_pmices_point_at_the_future_part(self, vocab):
         g = Graph()
-        assertions = writeback_cco_model(g, worked_counts(), "location1", 100,
-                                         vocab=vocab)
+        assertions = writeback_cco_model(g, worked_counts(), "location1", 100)
         future = Iri(EX + "fishingTripPart_101")
         assert len(assertions) == 3
         for a in assertions:
@@ -193,7 +210,7 @@ class TestCcoModel:
             StateSpace(LOCATIONS3), [[0, 0, 0], [0, 0, 0], [2, 0, 1]]
         )
         g = Graph()
-        assertions = writeback_cco_model(g, counts, "location3", 3, vocab=vocab)
+        assertions = writeback_cco_model(g, counts, "location3", 3)
         assert [a.to_state for a in assertions] == ["location1", "location3"]
         assert not g.match(None, None, Iri(EX + "markovPMICE_3to2_d4"))
 
@@ -221,8 +238,8 @@ class TestCcoModel:
 
     def test_writebacks_for_two_days_coexist(self, vocab):
         g = Graph()
-        writeback_cco_model(g, worked_counts(), "location1", 100, vocab=vocab)
-        writeback_cco_model(g, worked_counts(), "location1", 101, vocab=vocab)
+        writeback_cco_model(g, worked_counts(), "location1", 100)
+        writeback_cco_model(g, worked_counts(), "location1", 101)
         assert g.match(Iri(EX + "markovPMICE_1to2_d101"), None, None)
         assert g.match(Iri(EX + "markovPMICE_1to2_d102"), None, None)
 
