@@ -7,80 +7,4 @@ resulting probabilities back into the graph under two competing modeling
 styles.
 """
 
-from .datagen import GenConfig, ObservationRow, SplitMix64, generate
-from .errors import ToolkitError
-from .ingest import IngestManifest, default_manifest, ingest_rows, location_sequence, transition_pairs
-from .markov import (
-    Distribution,
-    PairCounts,
-    SecondOrderMatrix,
-    StateSpace,
-    TransitionCounts,
-    TransitionMatrix,
-    count_pair_transitions,
-    count_transitions,
-    estimate_first_order,
-    estimate_second_order,
-    matrix_power,
-    predict,
-    predict_second_order,
-)
-from .query import Query, SolutionTable, evaluate, parse_query
-from .rdf import Graph, Iri, Literal, Triple, parse_ntriples, serialize_ntriples
-from .vocab import PrefixTable, Vocab, VocabTerm, required_terms
-from .writeback import (
-    MODEL_CCO,
-    MODEL_PROFILE,
-    ProbabilityAssertion,
-    read_probabilities,
-    writeback_cco_model,
-    writeback_profile_model,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Distribution",
-    "GenConfig",
-    "Graph",
-    "IngestManifest",
-    "Iri",
-    "Literal",
-    "MODEL_CCO",
-    "MODEL_PROFILE",
-    "ObservationRow",
-    "PairCounts",
-    "PrefixTable",
-    "ProbabilityAssertion",
-    "Query",
-    "SecondOrderMatrix",
-    "SolutionTable",
-    "SplitMix64",
-    "StateSpace",
-    "ToolkitError",
-    "TransitionCounts",
-    "TransitionMatrix",
-    "Triple",
-    "Vocab",
-    "VocabTerm",
-    "count_pair_transitions",
-    "count_transitions",
-    "default_manifest",
-    "estimate_first_order",
-    "estimate_second_order",
-    "evaluate",
-    "generate",
-    "ingest_rows",
-    "location_sequence",
-    "matrix_power",
-    "parse_ntriples",
-    "parse_query",
-    "predict",
-    "predict_second_order",
-    "read_probabilities",
-    "required_terms",
-    "serialize_ntriples",
-    "transition_pairs",
-    "writeback_cco_model",
-    "writeback_profile_model",
-]

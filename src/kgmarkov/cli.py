@@ -1,6 +1,7 @@
 """Command line front end for the generate/ingest/estimate/predict pipeline.
 
-Every subcommand computes its full result before writing anything, so a
+Every subcommand computes its full result before writing anything, and
+writes it to a temporary file that is then renamed onto ``--out``, so a
 failure never leaves a partial output file.  Exit codes: 0 success, 1 any
 validation or data error, 2 I/O failure.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -37,7 +39,19 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    """Write beside ``path``, then rename onto it: a failed write leaves no
+    partial file and keeps whatever ``path`` held.  Mode "x" creates the
+    file with the umask's permissions, as a plain write would."""
+    target = Path(path)
+    tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
+    f = open(tmp, "x", encoding="utf-8")
+    try:
+        with f:
+            f.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_graph(path: str):
@@ -97,15 +111,14 @@ def _cmd_estimate(args) -> int:
     if not sequence:
         raise CliError("the graph contains no observations to estimate from")
     labels = _state_labels(sequence)
-    space = markov.StateSpace.from_observations(labels)
     if args.order == 1:
-        counts = markov.count_transitions(labels, space)
+        counts = markov.count_transitions(labels)
         matrix = markov.estimate_first_order(counts)
     else:
-        counts = markov.count_pair_transitions(labels, space)
+        counts = markov.count_pair_transitions(labels)
         matrix = markov.estimate_second_order(counts)
     _write_text(args.out, markov.dumps_matrix(matrix, counts))
-    log.info("estimated an order-%d chain over %d states", matrix.order, len(space))
+    log.info("estimated an order-%d chain over %d states", matrix.order, len(matrix.space))
     return 0
 
 

@@ -138,9 +138,6 @@ class PairCounts(ChainCounts):
 
     order = 2
 
-    def pair_index(self, prev: str, current: str) -> int:
-        return self.row_index(prev, current)
-
 
 def _count(labels: Sequence[str], space: Optional[StateSpace], cls: type) -> ChainCounts:
     if space is None:
@@ -220,38 +217,32 @@ class SecondOrderMatrix(ChainMatrix):
 
     order = 2
 
-    def pair_index(self, prev: str, current: str) -> int:
-        return self.row_index(prev, current)
-
 
 _MATRIX_CLASSES = {1: TransitionMatrix, 2: SecondOrderMatrix}
 _COUNT_CLASSES = {1: TransitionCounts, 2: PairCounts}
 
 
-def _estimate(counts: ChainCounts, smoothing: float, cls: type) -> ChainMatrix:
-    if smoothing < 0:
-        raise MarkovError("smoothing must be non-negative")
+def _estimate(counts: ChainCounts, cls: type) -> ChainMatrix:
     rows, cols = counts.matrix.shape
     p = np.zeros((rows, cols), dtype=np.float64)
     status = []
     for i in range(rows):
         total = counts.matrix[i].sum()
-        if total == 0 and smoothing == 0.0:
+        if total == 0:
             status.append(UNOBSERVED)
             continue
-        p[i] = (counts.matrix[i] + smoothing) / (total + smoothing * cols)
+        p[i] = counts.matrix[i] / total
         status.append(OBSERVED)
     return cls(counts.space, p, status)
 
 
-def estimate_first_order(counts: TransitionCounts, smoothing: float = 0.0) -> TransitionMatrix:
-    """Divide each count row by its total.  With smoothing a > 0, each cell
-    becomes (count + a) / (total + a * n) instead."""
-    return _estimate(counts, smoothing, TransitionMatrix)
+def estimate_first_order(counts: TransitionCounts) -> TransitionMatrix:
+    """Divide each count row by its total."""
+    return _estimate(counts, TransitionMatrix)
 
 
-def estimate_second_order(counts: PairCounts, smoothing: float = 0.0) -> SecondOrderMatrix:
-    return _estimate(counts, smoothing, SecondOrderMatrix)
+def estimate_second_order(counts: PairCounts) -> SecondOrderMatrix:
+    return _estimate(counts, SecondOrderMatrix)
 
 
 def matrix_power(matrix: TransitionMatrix, steps: int) -> TransitionMatrix:

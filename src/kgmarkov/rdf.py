@@ -141,18 +141,14 @@ def integer_literal(value: int) -> Literal:
     return Literal(str(int(value)), INTEGER)
 
 
-def decimal_literal(value) -> Literal:
-    """Build an xsd:decimal literal from a float or Decimal.
+def decimal_literal(value: float) -> Literal:
+    """Build an xsd:decimal literal from a float.
 
-    Floats go through repr() so the lexical form round-trips to the exact
-    same float, then through Decimal to force plain (non-exponent) notation,
-    which xsd:decimal requires.
+    The float goes through repr() so the lexical form round-trips to the
+    exact same float, then through Decimal to force plain (non-exponent)
+    notation, which xsd:decimal requires.
     """
-    if isinstance(value, Decimal):
-        dec = value
-    else:
-        dec = Decimal(repr(float(value)))
-    return Literal(format(dec, "f"), DECIMAL)
+    return Literal(format(Decimal(repr(float(value))), "f"), DECIMAL)
 
 
 def datetime_literal(value: datetime) -> Literal:
@@ -277,10 +273,6 @@ class Graph:
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
         self._size += 1
         return True
-
-    def update(self, triples: Iterable[Triple]) -> int:
-        """Insert many triples; returns how many were new."""
-        return sum(1 for t in triples if self.insert(t))
 
     def term(self, key: str) -> Term:
         """The term whose N-Triples text is ``key``."""

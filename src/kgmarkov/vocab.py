@@ -144,11 +144,6 @@ class Vocab:
         return frozenset(t.iri for t in self.classes())
 
 
-def required_terms() -> tuple[VocabTerm, ...]:
-    """The full term set every conforming graph writer draws from."""
-    return Vocab().terms
-
-
 def dump_manifest(vocab: Vocab) -> str:
     """Serialize prefixes and terms to the tab-separated manifest format."""
     lines = []
@@ -193,12 +188,3 @@ def load_manifest(text: str) -> Vocab:
         terms.append(VocabTerm(name, iri, kind, label, definition, comment))
     return Vocab(prefixes, terms)
 
-
-_NAMESPACE_CONSTANTS = {"BFO_NS": "bfo", "CCO_NS": "cco", "EX_NS": "ex", "RDF_NS": "rdf"}
-
-
-def __getattr__(name: str) -> str:
-    """``BFO_NS``, ``CCO_NS``, ``EX_NS`` and ``RDF_NS``: shipped namespaces."""
-    if name not in _NAMESPACE_CONSTANTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return _shipped().prefixes.namespace(_NAMESPACE_CONSTANTS[name])

@@ -86,10 +86,19 @@ class ProbabilityAssertion:
 def _row_or_error(counts: TransitionCounts, current: str) -> tuple[list[int], int]:
     # read_probabilities would rename a label whose minted IRIs read back as
     # another label, or merge it with that label
-    for label in counts.space.states:
-        if _detokenize(state_token(label)) != label:
+    tokens = {label: state_token(label) for label in counts.space.states}
+    for label, token in tokens.items():
+        if _detokenize(token) != label:
             raise WritebackError(f"state label {label!r} cannot be written back: its "
-                                 f"IRIs read back as {_detokenize(state_token(label))!r}")
+                                 f"IRIs read back as {_detokenize(token)!r}")
+    # "{s}to{j}" names are distinct, and "{s}to" prefixes only s's names,
+    # exactly when no token starts with another token followed by "to"
+    for label, token in tokens.items():
+        for other, other_token in tokens.items():
+            if other_token.startswith(token + "to"):
+                raise WritebackError(f"state labels {label!r} and {other!r} cannot be "
+                                     f"written back together: the IRIs minted for "
+                                     f"{other!r} start with those of {label!r}")
     row = [int(x) for x in counts.matrix[counts.row_index(current)]]
     total = sum(row)
     if total == 0:
@@ -123,12 +132,22 @@ def writeback_profile_model(
     ns = manifest.namespace
     add = graph.insert
 
+    total_ice = Iri(f"{ns}total{s_tok}toXTransitions")
+    count_ices = [Iri(f"{ns}{s_tok}to{state_token(to_state)}TransitionCount")
+                  for to_state in counts.space.states]
+    # readback would sum the old and new rows; replacing them is not supported
+    for ice, value in zip([total_ice, *count_ices], [total, *row]):
+        for t in graph.match(ice, vocab.has_integer_value, None):
+            if t.object != integer_literal(value):
+                raise WritebackError(f"the graph already holds a different profile writeback "
+                                     f"for {current!r}: {ice.local_name()} is "
+                                     f"{t.object.lexical}, not {value}")
+
     pol = Iri(f"{ns}{manifest.vessel.local_name()}_PoL")
     add(Triple(pol, vocab.type, vocab.PatternOfLife))
     add(Triple(pol, vocab.type, vocab.PatternProcessProfile))
     add(Triple(pol, vocab.occurrent_part_of, manifest.trip))
 
-    total_ice = Iri(f"{ns}total{s_tok}toXTransitions")
     add(Triple(total_ice, vocab.type, vocab.TransitionTotalICE))
     add(Triple(total_ice, vocab.has_integer_value, integer_literal(total)))
 
@@ -145,7 +164,7 @@ def writeback_profile_model(
         add(Triple(disposition, vocab.inheres_in, manifest.vessel))
         dispositions[to_state] = disposition
 
-        count_ice = Iri(f"{ns}{s_tok}to{j_tok}TransitionCount")
+        count_ice = count_ices[j]
         add(Triple(count_ice, vocab.type, vocab.TransitionCountICE))
         add(Triple(count_ice, vocab.is_a_measurement_of, part))
         add(Triple(count_ice, vocab.has_integer_value, integer_literal(row[j])))
@@ -246,6 +265,7 @@ def _read_cco(graph: Graph, current: str, manifest: IngestManifest,
     s_tok = state_token(current)
     prefix = f"markovPMICE_{s_tok}to"
     values: dict[str, float] = {}
+    futures = []
     for t in graph.match(None, vocab.predicted, string_literal(PREDICTED_FLAG)):
         for m in graph.match(None, vocab.modally_about, t.subject):
             local = m.subject.local_name()
@@ -256,6 +276,12 @@ def _read_cco(graph: Graph, current: str, manifest: IngestManifest,
             value = _decimal_value(graph, m.subject, vocab)
             if value is not None:
                 values[_detokenize(token)] = value
+                if t.subject not in futures:
+                    futures.append(t.subject)
+    if len(futures) > 1:
+        raise WritebackError(f"the graph holds cco writebacks for {current!r} on more "
+                             f"than one predicted day: "
+                             f"{', '.join(f.local_name() for f in futures)}")
     if values:
         # zero-count states have no PMICE; restore them from the graph's
         # known locations so the distribution keeps its full support

@@ -2,8 +2,9 @@ from datetime import datetime
 
 import pytest
 
-from kgmarkov import Vocab, ingest_rows
 from kgmarkov.datagen import ObservationRow
+from kgmarkov.ingest import ingest_rows
+from kgmarkov.vocab import Vocab
 
 LOCATIONS3 = ("location1", "location2", "location3")
 

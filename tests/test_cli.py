@@ -1,4 +1,8 @@
+import builtins
+import errno
+import io
 import json
+import stat
 
 import pytest
 
@@ -351,3 +355,89 @@ class TestPipelineDeterminism:
                     mj.read_bytes(), wb.read_bytes())
 
         assert run("first") == run("second")
+
+
+class _FailsPartway:
+    """A text file whose first write stores half its text, then fails."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, text):
+        self._f.write(text[: len(text) // 2])
+        self._f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def close(self):
+        self._f.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+@pytest.fixture
+def failing_writes(monkeypatch):
+    """Make every file opened for writing fail partway through its first write."""
+    real_open = io.open
+
+    def open_(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return _FailsPartway(f) if set(mode) & set("wxa") else f
+
+    def install():
+        monkeypatch.setattr(io, "open", open_)
+        monkeypatch.setattr(builtins, "open", open_)
+
+    return install
+
+
+def _writing_commands(tmp_path, graph_file):
+    """Each writing subcommand's arguments, minus --out, with inputs in place."""
+    csv_path = tmp_path / "obs.csv"
+    csv_path.write_text(THREE_DAY_CSV, encoding="utf-8")
+    m = write_example_matrix(tmp_path / "m.json", with_counts=True)
+    return {
+        "gen-data": ["gen-data", "--days", "50"],
+        "ingest": ["ingest", "--csv", str(csv_path)],
+        "estimate": ["estimate", "--graph", str(graph_file)],
+        "writeback": ["writeback", "--graph", str(graph_file), "--matrix", str(m),
+                      "--state", "location3", "--day", "3", "--model", "profile"],
+        "export-dot": ["export-dot", "--graph", str(graph_file), "--day", "1"],
+    }
+
+
+class TestAtomicOutput:
+    @pytest.mark.parametrize("command", ["gen-data", "ingest", "estimate", "writeback",
+                                         "export-dot"])
+    @pytest.mark.parametrize("existing", [None, b"earlier bytes\n"])
+    def test_a_failed_write_leaves_no_partial_file(self, graph_file, tmp_path,
+                                                   failing_writes, command, existing):
+        args = _writing_commands(tmp_path, graph_file)[command]
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "result"
+        if existing is not None:
+            out.write_bytes(existing)
+        failing_writes()
+        assert main([*args, "--out", str(out)]) == 2
+        if existing is None:
+            assert list(out_dir.iterdir()) == []
+        else:
+            assert list(out_dir.iterdir()) == [out]
+            assert out.read_bytes() == existing
+
+    def test_output_gets_the_mode_a_plain_write_gives(self, tmp_path):
+        plain, out = tmp_path / "plain.csv", tmp_path / "obs.csv"
+        plain.write_text("x", encoding="utf-8")
+        assert main(["gen-data", "--days", "3", "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv", "plain.csv"]
+
+    def test_an_existing_output_is_replaced(self, tmp_path):
+        out = tmp_path / "obs.csv"
+        out.write_text("old contents that are longer than the new ones\n" * 40)
+        assert main(["gen-data", "--days", "3", "--out", str(out)]) == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 4

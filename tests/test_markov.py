@@ -92,7 +92,7 @@ class TestCounting:
         assert c.matrix.tolist() == [[0, 0], [1, 1], [0, 1], [0, 0]]
         assert c.row_total("a", "b") == 2
         assert c.count("a", "b", "b") == 1
-        assert c.pair_index("b", "a") == 2
+        assert c.row_index("b", "a") == 2
 
     def test_pair_total_is_sequence_length_minus_two(self):
         labels = ["location1", "location2", "location2", "location3", "location1"]
@@ -110,7 +110,7 @@ class TestCounting:
             for b in space:
                 assert first.matrix[space.index(a), space.index(b)] == pairs[a, b]
                 for c in space:
-                    assert second.matrix[second.pair_index(a, b), space.index(c)] == triples[a, b, c]
+                    assert second.matrix[second.row_index(a, b), space.index(c)] == triples[a, b, c]
 
     @given(st.lists(st.sampled_from(("a", "b", "c")), min_size=1, max_size=60))
     @settings(max_examples=50)
@@ -135,21 +135,9 @@ class TestEstimation:
         assert m.p[1].tolist() == [0.0, 0.0, 0.0]
         assert not m.fully_observed()
 
-    def test_smoothing_fills_every_row(self):
-        c = TransitionCounts(SPACE3, [[2, 0, 0], [0, 0, 0], [0, 0, 0]])
-        m = estimate_first_order(c, smoothing=1.0)
-        assert m.row_status == (OBSERVED,) * 3
-        assert m.p[0].tolist() == [3 / 5, 1 / 5, 1 / 5]
-        assert m.p[1].tolist() == [1 / 3, 1 / 3, 1 / 3]
-
     def test_smoothing_defaults_off(self):
         c = TransitionCounts(SPACE3, [[2, 0, 0], [0, 0, 0], [0, 0, 0]])
         assert estimate_first_order(c).p[0].tolist() == [1.0, 0.0, 0.0]
-
-    def test_negative_smoothing_rejected(self):
-        c = TransitionCounts(SPACE3, np.zeros((3, 3)))
-        with pytest.raises(MarkovError):
-            estimate_first_order(c, smoothing=-0.5)
 
     @given(
         st.lists(
@@ -173,7 +161,7 @@ class TestEstimation:
         # (a,b) occurred 3 times: followed by a twice, b once
         assert m.probability("a", "b", "a") == pytest.approx(2 / 3)
         assert m.probability("a", "b", "b") == pytest.approx(1 / 3)
-        assert m.row_status[m.pair_index("a", "a")] == UNOBSERVED
+        assert m.row_status[m.row_index("a", "a")] == UNOBSERVED
 
 
 class TestMatrixValidation:

@@ -23,9 +23,12 @@ from kgmarkov.rdf import (
     integer_literal,
     string_literal,
 )
-from kgmarkov.vocab import BFO_NS, EX_NS, PrefixTable
+from kgmarkov.vocab import PrefixTable
 
 from oracles import brute_force_rows, random_graph_and_query
+
+BFO_NS = PrefixTable().namespace("bfo")
+EX_NS = PrefixTable().namespace("ex")
 
 EX = "http://example.org/data/"
 

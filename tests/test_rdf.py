@@ -155,13 +155,6 @@ class TestGraph:
         assert len(g) == 1
         assert t in g
 
-    def test_update_counts_new_triples(self):
-        t1 = Triple(iri("s"), iri("p"), iri("o1"))
-        t2 = Triple(iri("s"), iri("p"), iri("o2"))
-        g = Graph([t1])
-        assert g.update([t1, t2]) == 1
-        assert len(g) == 2
-
     def test_equality_is_by_triple_set(self):
         t1 = Triple(iri("s"), iri("p"), iri("o1"))
         t2 = Triple(iri("s"), iri("p"), iri("o2"))
@@ -371,7 +364,8 @@ class TestProperties:
         text, size = serialize_ntriples(g), len(g)
         matches = [g.match(*pattern) for pattern in patterns]
         h = g.copy()
-        h.update(batch)
+        for t in batch:
+            h.insert(t)
         assert all(t in h for t in batch)
         assert serialize_ntriples(g) == text
         assert len(g) == size

@@ -3,16 +3,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from kgmarkov import ingest_rows
 from kgmarkov import vocab as vocab_module
 from kgmarkov.datagen import GenConfig, generate
-from kgmarkov.ingest import default_manifest, location_sequence
+from kgmarkov.ingest import default_manifest, ingest_rows, location_sequence
 from kgmarkov.markov import count_transitions
 from kgmarkov.rdf import Iri, Literal
 from kgmarkov.vocab import (
-    BFO_NS,
-    CCO_NS,
-    EX_NS,
     CLASS,
     DATA_PROPERTY,
     OBJECT_PROPERTY,
@@ -22,11 +18,14 @@ from kgmarkov.vocab import (
     VocabularyError,
     dump_manifest,
     load_manifest,
-    required_terms,
 )
 from kgmarkov.writeback import writeback_cco_model, writeback_profile_model
 
 from conftest import THREE_DAY_ROWS
+
+BFO_NS = PrefixTable().namespace("bfo")
+CCO_NS = PrefixTable().namespace("cco")
+EX_NS = PrefixTable().namespace("ex")
 
 
 class TestPrefixTable:
@@ -86,7 +85,7 @@ _EXPECTED_PROPERTIES = [
 
 class TestVocabulary:
     def test_required_terms_cover_expected_names(self):
-        names = {t.prefixed_name for t in required_terms()}
+        names = {t.prefixed_name for t in Vocab().terms}
         for name in _EXPECTED_CLASSES + _EXPECTED_PROPERTIES:
             assert name in names, name
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgmarkov.ingest import default_manifest, ingest_rows
 from kgmarkov.markov import (
@@ -58,6 +60,48 @@ class TestStateToken:
         with pytest.raises(WritebackError, match=f"state label {bad!r}"):
             model(g, counts, states[1], 3)
         assert len(g) == before
+
+    @pytest.mark.parametrize("model", [writeback_profile_model, writeback_cco_model])
+    @pytest.mark.parametrize("states", [("a", "ato", "x"), ("a", "ato", "tox", "x")])
+    @pytest.mark.parametrize("current", ["a", "ato"])
+    def test_labels_whose_names_prefix_each_other_are_refused_before_any_write(
+            self, model, states, current):
+        """'a' reads back every name starting 'ato', so it would take in
+        'ato''s row; with 'tox' too, ('a', 'tox') and ('ato', 'x') both
+        mint 'atotox…'."""
+        g = ingest_rows(THREE_DAY_ROWS)
+        before = len(g)
+        n = len(states)
+        counts = TransitionCounts(StateSpace(states), [[1] * n] * n)
+        with pytest.raises(WritebackError, match="'a' and 'ato'"):
+            model(g, counts, current, 3)
+        assert len(g) == before
+
+    @given(st.lists(st.lists(st.sampled_from(["a", "t", "o", "to", "x", "1"]),
+                             min_size=1, max_size=3).map("".join),
+                    min_size=2, max_size=5, unique=True),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.parametrize("model", [MODEL_PROFILE, MODEL_CCO])
+    def test_writeback_refuses_or_reads_every_row_back(self, model, labels, data):
+        n = len(labels)
+        rows = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n)
+                                  .filter(any), min_size=n, max_size=n))
+        counts = TransitionCounts(StateSpace(labels), rows)
+        write = writeback_profile_model if model == MODEL_PROFILE else writeback_cco_model
+        g = Graph()
+        try:
+            for label in labels:
+                write(g, counts, label, 7)
+        except WritebackError:
+            assert len(g) == 0
+            return
+        for i, label in enumerate(labels):
+            total = sum(rows[i])
+            # a bare cco graph knows only the states some PMICE points at
+            want = {to: c / total for to, c in zip(labels, rows[i])
+                    if c or model == MODEL_PROFILE}
+            assert dict(read_probabilities(g, label, model).as_pairs()) == want
 
 
 class TestProbabilityAssertion:
@@ -181,6 +225,18 @@ class TestProfileModel:
         writeback_profile_model(g, worked_counts(), "location1", 100)
         assert serialize_ntriples(g) == text
 
+    def test_a_different_rewrite_is_refused_before_any_write(self):
+        space = StateSpace(("location1", "location2"))
+        g = Graph()
+        writeback_profile_model(g, TransitionCounts(space, [[1, 1], [0, 0]]), "location1", 5)
+        text = serialize_ntriples(g)
+        with pytest.raises(WritebackError, match="location1.*total1toXTransitions is 2, not 4"):
+            writeback_profile_model(g, TransitionCounts(space, [[3, 1], [0, 0]]),
+                                    "location1", 6)
+        assert serialize_ntriples(g) == text
+        assert read_probabilities(g, "location1", MODEL_PROFILE).as_pairs() == [
+            ("location1", 0.5), ("location2", 0.5)]
+
 
 class TestCcoModel:
     def test_mints_a_flagged_future_part(self, vocab):
@@ -242,6 +298,15 @@ class TestCcoModel:
         writeback_cco_model(g, worked_counts(), "location1", 101)
         assert g.match(Iri(EX + "markovPMICE_1to2_d101"), None, None)
         assert g.match(Iri(EX + "markovPMICE_1to2_d102"), None, None)
+
+    def test_reading_writebacks_for_two_days_is_refused(self):
+        g = ingest_rows(THREE_DAY_ROWS)
+        writeback_cco_model(g, worked_counts(), "location1", 8)
+        later = TransitionCounts(StateSpace(LOCATIONS3), [[1, 0, 1], [0, 0, 0], [0, 0, 0]])
+        writeback_cco_model(g, later, "location1", 9)
+        with pytest.raises(WritebackError,
+                           match="'location1'.*fishingTripPart_10, fishingTripPart_9"):
+            read_probabilities(g, "location1", MODEL_CCO)
 
     def test_writeback_is_idempotent(self):
         g = Graph()
