@@ -124,8 +124,6 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_power(args) -> int:
     matrix, _ = markov.loads_matrix(_read_text(args.matrix))
-    if matrix.order != 1:
-        raise CliError("power applies to first-order matrices only")
     powered = markov.matrix_power(matrix, args.steps)
     sys.stdout.write(markov.dumps_matrix(powered))
     return 0
@@ -205,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate a transition matrix from a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--order", type=int, choices=(1, 2), default=1)
+    p.add_argument("--order", type=int, choices=markov.ORDERS, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_estimate)
 

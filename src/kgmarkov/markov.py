@@ -25,6 +25,7 @@ DEFAULT_ROW_SUM_TOL = 1e-9
 LOADED_ROW_SUM_TOL = 2e-3
 
 FILE_FORMAT = 1
+ORDERS = (1, 2)
 
 _ENTRY_SLACK = 1e-12
 
@@ -76,8 +77,11 @@ class StateSpace:
 class _HistoryRows:
     """A table over a state space with one row per history of ``order`` states."""
 
-    order: int
-    space: StateSpace
+    def __init__(self, space: StateSpace, order: int):
+        if type(order) is not int or order not in ORDERS:
+            raise MarkovError(f"unsupported chain order: {order!r}")
+        self.space = space
+        self.order = order
 
     def row_index(self, *history: str) -> int:
         """The row of a history, oldest state first, read as base-n digits."""
@@ -92,10 +96,10 @@ class _HistoryRows:
 
 
 class ChainCounts(_HistoryRows):
-    """How often each state followed each history; subclasses set ``order``."""
+    """How often each state followed each history of ``order`` states."""
 
-    def __init__(self, space: StateSpace, matrix):
-        self.space = space
+    def __init__(self, space: StateSpace, matrix, order: int):
+        super().__init__(space, order)
         n = len(space)
         rows = n ** self.order
         what = f"order-{self.order} count matrix"
@@ -119,59 +123,46 @@ class ChainCounts(_HistoryRows):
         return int(self.matrix.sum())
 
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if not isinstance(other, ChainCounts):
             return NotImplemented
-        return self.space == other.space and np.array_equal(self.matrix, other.matrix)
+        return (self.order == other.order and self.space == other.space
+                and np.array_equal(self.matrix, other.matrix))
 
 
-class TransitionCounts(ChainCounts):
-    """How often each state was immediately followed by each other state."""
-
-    order = 1
-
-
-class PairCounts(ChainCounts):
-    """Transition counts keyed by the (previous, current) state pair.
-
-    Row (i, j) lives at index i * n + j; columns index the next state.
-    """
-
-    order = 2
-
-
-def _count(labels: Sequence[str], space: Optional[StateSpace], cls: type) -> ChainCounts:
+def _count(labels: Sequence[str], space: Optional[StateSpace], order: int) -> ChainCounts:
     if space is None:
         space = StateSpace.from_observations(labels)
     n = len(space)
-    rows = n ** cls.order
+    rows = n ** order
     matrix = np.zeros((rows, n), dtype=np.int64)
     history = 0
     for t, label in enumerate(labels):
         state = space.index(label)
-        if t >= cls.order:
+        if t >= order:
             matrix[history, state] += 1
         # keep only the last `order` states: drop the oldest base-n digit
         history = (history * n + state) % rows
-    return cls(space, matrix)
+    return ChainCounts(space, matrix, order)
 
 
-def count_transitions(labels: Sequence[str], space: Optional[StateSpace] = None) -> TransitionCounts:
+def count_transitions(labels: Sequence[str], space: Optional[StateSpace] = None) -> ChainCounts:
     """Count consecutive pairs in an observed label sequence."""
-    return _count(labels, space, TransitionCounts)
+    return _count(labels, space, 1)
 
 
-def count_pair_transitions(labels: Sequence[str], space: Optional[StateSpace] = None) -> PairCounts:
+def count_pair_transitions(labels: Sequence[str], space: Optional[StateSpace] = None) -> ChainCounts:
     """Count consecutive triples, keyed by their leading state pair."""
-    return _count(labels, space, PairCounts)
+    return _count(labels, space, 2)
 
 
 class ChainMatrix(_HistoryRows):
-    """A row-stochastic matrix with one row per history and per-row
-    observation status; subclasses set ``order``."""
+    """A row-stochastic matrix with one row per history of ``order`` states
+    and per-row observation status."""
 
-    def __init__(self, space: StateSpace, p, row_status: Optional[Sequence[str]] = None,
+    def __init__(self, space: StateSpace, p, order: int,
+                 row_status: Optional[Sequence[str]] = None,
                  row_sum_tol: float = DEFAULT_ROW_SUM_TOL):
-        self.space = space
+        super().__init__(space, order)
         n = len(space)
         rows = n ** self.order
         what = f"order-{self.order} matrix"
@@ -206,23 +197,10 @@ class ChainMatrix(_HistoryRows):
         return all(s == OBSERVED for s in self.row_status)
 
 
-class TransitionMatrix(ChainMatrix):
-    """A row-stochastic matrix over a state space, with per-row observation status."""
-
-    order = 1
-
-
-class SecondOrderMatrix(ChainMatrix):
-    """Row-stochastic matrix keyed by (previous, current) state pairs."""
-
-    order = 2
-
-
-_MATRIX_CLASSES = {1: TransitionMatrix, 2: SecondOrderMatrix}
-_COUNT_CLASSES = {1: TransitionCounts, 2: PairCounts}
-
-
-def _estimate(counts: ChainCounts, cls: type) -> ChainMatrix:
+def _estimate(counts: ChainCounts, order: int) -> ChainMatrix:
+    if counts.order != order:
+        raise MarkovError(f"order-{order} estimation needs order-{order} counts, "
+                          f"got order {counts.order}")
     rows, cols = counts.matrix.shape
     p = np.zeros((rows, cols), dtype=np.float64)
     status = []
@@ -233,19 +211,19 @@ def _estimate(counts: ChainCounts, cls: type) -> ChainMatrix:
             continue
         p[i] = counts.matrix[i] / total
         status.append(OBSERVED)
-    return cls(counts.space, p, status)
+    return ChainMatrix(counts.space, p, order, status)
 
 
-def estimate_first_order(counts: TransitionCounts) -> TransitionMatrix:
+def estimate_first_order(counts: ChainCounts) -> ChainMatrix:
     """Divide each count row by its total."""
-    return _estimate(counts, TransitionMatrix)
+    return _estimate(counts, 1)
 
 
-def estimate_second_order(counts: PairCounts) -> SecondOrderMatrix:
-    return _estimate(counts, SecondOrderMatrix)
+def estimate_second_order(counts: ChainCounts) -> ChainMatrix:
+    return _estimate(counts, 2)
 
 
-def matrix_power(matrix: TransitionMatrix, steps: int) -> TransitionMatrix:
+def matrix_power(matrix: ChainMatrix, steps: int) -> ChainMatrix:
     """The t-step transition matrix, by binary exponentiation.
 
     Zero steps gives the identity.  Matrices with unobserved rows cannot be
@@ -269,7 +247,7 @@ def matrix_power(matrix: TransitionMatrix, steps: int) -> TransitionMatrix:
         exponent >>= 1
     # row sums can drift by at most (1 + tol)^t - 1 when input rows are off by tol
     tol = (1.0 + matrix.row_sum_tol) ** max(steps, 1) - 1.0 + 1e-12
-    return TransitionMatrix(matrix.space, result, row_sum_tol=max(tol, matrix.row_sum_tol))
+    return ChainMatrix(matrix.space, result, 1, row_sum_tol=max(tol, matrix.row_sum_tol))
 
 
 class Distribution:
@@ -303,14 +281,14 @@ def _predict_row(matrix: ChainMatrix, history: tuple[str, ...], steps: int = 1) 
     return Distribution(matrix.space, powered.p[row].copy(), tol=powered.row_sum_tol)
 
 
-def predict(matrix: TransitionMatrix, current: str, steps: int = 1) -> Distribution:
+def predict(matrix: ChainMatrix, current: str, steps: int = 1) -> Distribution:
     """Where the chain will be after a number of steps from a known state."""
     if steps < 1:
         raise MarkovError("steps must be at least 1")
     return _predict_row(matrix, (current,), steps)
 
 
-def predict_second_order(matrix: SecondOrderMatrix, prev: str, current: str) -> Distribution:
+def predict_second_order(matrix: ChainMatrix, prev: str, current: str) -> Distribution:
     """Next-state distribution given the last two states."""
     return _predict_row(matrix, (prev, current))
 
@@ -318,13 +296,6 @@ def predict_second_order(matrix: SecondOrderMatrix, prev: str, current: str) -> 
 def format_probability(value: float) -> str:
     """Fixed three-decimal display form used everywhere probabilities print."""
     return f"{float(value):.3f}"
-
-
-def _for_order(classes: dict, order) -> type:
-    try:
-        return classes[order]
-    except (KeyError, TypeError):
-        raise MarkovError(f"unsupported chain order: {order!r}") from None
 
 
 def matrix_to_dict(matrix: ChainMatrix, counts: Optional[ChainCounts] = None) -> dict:
@@ -339,7 +310,7 @@ def matrix_to_dict(matrix: ChainMatrix, counts: Optional[ChainCounts] = None) ->
         "row_status": list(matrix.row_status),
     }
     if counts is not None:
-        if not isinstance(counts, _COUNT_CLASSES[matrix.order]):
+        if counts.order != matrix.order:
             raise MarkovError("counts do not match the matrix order")
         if counts.space != matrix.space:
             raise MarkovError("counts and matrix use different state spaces")
@@ -357,21 +328,31 @@ def matrix_from_dict(data: dict) -> ChainMatrix:
         raise MarkovError("matrix file must contain a JSON object")
     if data.get("format") != FILE_FORMAT:
         raise MarkovError(f"unsupported matrix file format: {data.get('format')!r}")
-    cls = _for_order(_MATRIX_CLASSES, data.get("order"))
     space = StateSpace(tuple(data.get("states", ())))
     p = data.get("p")
     row_status = data.get("row_status")
     if row_status is None:
         raise MarkovError("matrix file is missing row_status")
-    return cls(space, p, row_status, row_sum_tol=LOADED_ROW_SUM_TOL)
+    return ChainMatrix(space, p, data.get("order"), row_status, row_sum_tol=LOADED_ROW_SUM_TOL)
 
 
 def counts_from_dict(data: dict) -> Optional[ChainCounts]:
     """The counts stored alongside a matrix, if the file carries them."""
     if "counts" not in data:
         return None
-    cls = _for_order(_COUNT_CLASSES, data.get("order"))
-    return cls(StateSpace(tuple(data.get("states", ()))), data["counts"])
+    return ChainCounts(StateSpace(tuple(data.get("states", ()))), data["counts"], data.get("order"))
+
+
+def _check_counts_agree(matrix: ChainMatrix, counts: ChainCounts) -> None:
+    """Refuse a file whose counts would give another p than the one it holds."""
+    expected = _estimate(counts, matrix.order)
+    for i, (want, got) in enumerate(zip(expected.row_status, matrix.row_status)):
+        if want != got:
+            raise MarkovError(f"matrix file: row {i} is {got}, "
+                              f"but its counts total {counts.matrix[i].sum()}")
+    off = np.flatnonzero(np.any(np.abs(expected.p - matrix.p) > LOADED_ROW_SUM_TOL, axis=1))
+    if off.size:
+        raise MarkovError(f"matrix file: row {off[0]} of p disagrees with its counts")
 
 
 def dumps_matrix(matrix: ChainMatrix, counts: Optional[ChainCounts] = None) -> str:
@@ -384,4 +365,7 @@ def loads_matrix(text: str) -> tuple[ChainMatrix, Optional[ChainCounts]]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MarkovError(f"matrix file is not valid JSON: {exc}") from None
-    return matrix_from_dict(data), counts_from_dict(data)
+    matrix, counts = matrix_from_dict(data), counts_from_dict(data)
+    if counts is not None:
+        _check_counts_agree(matrix, counts)
+    return matrix, counts

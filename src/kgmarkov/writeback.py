@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import ToolkitError
 from .ingest import IngestManifest, default_manifest, transition_pairs
-from .markov import Distribution, StateSpace, TransitionCounts
+from .markov import ChainCounts, Distribution, StateSpace
 from .rdf import (
     Graph,
     Iri,
@@ -83,7 +83,7 @@ class ProbabilityAssertion:
         return self.count / self.total
 
 
-def _row_or_error(counts: TransitionCounts, current: str) -> tuple[list[int], int]:
+def _row_or_error(counts: ChainCounts, current: str) -> tuple[list[int], int]:
     # read_probabilities would rename a label whose minted IRIs read back as
     # another label, or merge it with that label
     tokens = {label: state_token(label) for label in counts.space.states}
@@ -108,9 +108,20 @@ def _row_or_error(counts: TransitionCounts, current: str) -> tuple[list[int], in
     return row, total
 
 
+def _refuse_a_different_rewrite(graph: Graph, model: str, current: str, predicate: Iri,
+                                expected: dict[Iri, Literal]) -> None:
+    # readback would mix the old and new rows; replacing them is not supported
+    for subject, value in expected.items():
+        for t in graph.match(subject, predicate, None):
+            if t.object != value:
+                raise WritebackError(f"the graph already holds a different {model} writeback "
+                                     f"for {current!r}: {subject.local_name()} is "
+                                     f"{t.object.lexical}, not {value.lexical}")
+
+
 def writeback_profile_model(
     graph: Graph,
-    counts: TransitionCounts,
+    counts: ChainCounts,
     current: str,
     day_index: int,
     link_realizations: bool = False,
@@ -135,13 +146,8 @@ def writeback_profile_model(
     total_ice = Iri(f"{ns}total{s_tok}toXTransitions")
     count_ices = [Iri(f"{ns}{s_tok}to{state_token(to_state)}TransitionCount")
                   for to_state in counts.space.states]
-    # readback would sum the old and new rows; replacing them is not supported
-    for ice, value in zip([total_ice, *count_ices], [total, *row]):
-        for t in graph.match(ice, vocab.has_integer_value, None):
-            if t.object != integer_literal(value):
-                raise WritebackError(f"the graph already holds a different profile writeback "
-                                     f"for {current!r}: {ice.local_name()} is "
-                                     f"{t.object.lexical}, not {value}")
+    _refuse_a_different_rewrite(graph, MODEL_PROFILE, current, vocab.has_integer_value, {
+        ice: integer_literal(value) for ice, value in zip([total_ice, *count_ices], [total, *row])})
 
     pol = Iri(f"{ns}{manifest.vessel.local_name()}_PoL")
     add(Triple(pol, vocab.type, vocab.PatternOfLife))
@@ -192,7 +198,7 @@ def writeback_profile_model(
 
 def writeback_cco_model(
     graph: Graph,
-    counts: TransitionCounts,
+    counts: ChainCounts,
     current: str,
     day_index: int,
 ) -> list[ProbabilityAssertion]:
@@ -212,6 +218,13 @@ def writeback_cco_model(
     ns = manifest.namespace
     add = graph.insert
 
+    pmices = [Iri(f"{ns}markovPMICE_{s_tok}to{state_token(to_state)}_d{day_index + 1}")
+              for to_state in counts.space.states]
+    # a zero-count target has no PMICE, so any value an earlier writeback left differs
+    values = [decimal_literal(count / total) for count in row]
+    _refuse_a_different_rewrite(graph, MODEL_CCO, current, vocab.has_decimal_value,
+                                dict(zip(pmices, values)))
+
     future = manifest.future_trip_part(day_index + 1)
     add(Triple(future, vocab.type, vocab.Process))
     add(Triple(future, vocab.predicted, string_literal(PREDICTED_FLAG)))
@@ -220,11 +233,10 @@ def writeback_cco_model(
     for j, to_state in enumerate(counts.space.states):
         if row[j] == 0:
             continue
-        j_tok = state_token(to_state)
-        pmice = Iri(f"{ns}markovPMICE_{s_tok}to{j_tok}_d{day_index + 1}")
+        pmice = pmices[j]
         add(Triple(pmice, vocab.type, vocab.MarkovPMICE))
         add(Triple(pmice, vocab.modally_about, future))
-        add(Triple(pmice, vocab.has_decimal_value, decimal_literal(row[j] / total)))
+        add(Triple(pmice, vocab.has_decimal_value, values[j]))
         assertions.append(
             ProbabilityAssertion(current, to_state, row[j], total, future, pmice)
         )

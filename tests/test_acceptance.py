@@ -21,10 +21,9 @@ from kgmarkov.ingest import (
 from kgmarkov.markov import (
     LOADED_ROW_SUM_TOL,
     OBSERVED,
-    SecondOrderMatrix,
+    ChainCounts,
+    ChainMatrix,
     StateSpace,
-    TransitionCounts,
-    TransitionMatrix,
     count_transitions,
     dumps_matrix,
     estimate_first_order,
@@ -64,8 +63,8 @@ def _verdict(name, failures):
 
 def _example_matrix():
     text = dumps_matrix(
-        TransitionMatrix(StateSpace(LOCATIONS3), EXAMPLE_P,
-                         row_sum_tol=LOADED_ROW_SUM_TOL)
+        ChainMatrix(StateSpace(LOCATIONS3), EXAMPLE_P, 1,
+                    row_sum_tol=LOADED_ROW_SUM_TOL)
     )
     matrix, _ = loads_matrix(text)
     return matrix
@@ -85,8 +84,8 @@ def test_01_five_step_power_regression():
 
 def test_02_worked_probability_display():
     failures = []
-    counts = TransitionCounts(StateSpace(LOCATIONS3),
-                              [[12, 9, 11], [0, 0, 0], [0, 0, 0]])
+    counts = ChainCounts(StateSpace(LOCATIONS3),
+                         [[12, 9, 11], [0, 0, 0], [0, 0, 0]], 1)
     value = estimate_first_order(counts).probability("location1", "location2")
     if value != 0.28125:
         failures.append(f"9/32 evaluated to {value!r}")
@@ -107,8 +106,8 @@ def test_03_one_step_prediction():
 
 def test_04_second_order_lookup():
     failures = []
-    m = SecondOrderMatrix(StateSpace(LOCATIONS3), EXAMPLE_P2,
-                          row_sum_tol=LOADED_ROW_SUM_TOL)
+    m = ChainMatrix(StateSpace(LOCATIONS3), EXAMPLE_P2, 2,
+                    row_sum_tol=LOADED_ROW_SUM_TOL)
     got = predict_second_order(m, "location1", "location2").probability("location3")
     if abs(got - 0.222) > 1e-9:
         failures.append(f"location3 mass {got!r}")
@@ -219,7 +218,7 @@ def test_08_matrix_power_oracle_and_semigroup():
         p = rng.random((size, size)) + 1e-9
         p /= p.sum(axis=1, keepdims=True)
         space = StateSpace(tuple(f"s{i}" for i in range(size)))
-        m = TransitionMatrix(space, p)
+        m = ChainMatrix(space, p, 1)
         t = int(rng.integers(0, 13))
         diff = np.max(np.abs(matrix_power(m, t).p - naive_power(p, t)))
         if diff > 1e-12:

@@ -9,9 +9,9 @@ import pytest
 from kgmarkov.cli import main
 from kgmarkov.datagen import DEFAULT_SEED
 from kgmarkov.markov import (
+    ChainCounts,
+    ChainMatrix,
     StateSpace,
-    TransitionCounts,
-    TransitionMatrix,
     count_pair_transitions,
     dumps_matrix,
     estimate_first_order,
@@ -33,11 +33,11 @@ THREE_DAY_CSV = (
 def write_example_matrix(path, with_counts=False):
     space = StateSpace(LOCATIONS3)
     if with_counts:
-        counts = TransitionCounts(space, [[12, 9, 11], [5, 9, 4], [11, 9, 11]])
+        counts = ChainCounts(space, [[12, 9, 11], [5, 9, 4], [11, 9, 11]], 1)
         matrix = estimate_first_order(counts)
         path.write_text(dumps_matrix(matrix, counts), encoding="utf-8")
     else:
-        matrix = TransitionMatrix(space, EXAMPLE_P, row_sum_tol=2e-3)
+        matrix = ChainMatrix(space, EXAMPLE_P, 1, row_sum_tol=2e-3)
         path.write_text(dumps_matrix(matrix), encoding="utf-8")
     return path
 
@@ -292,6 +292,20 @@ class TestWriteback:
                      "--out", str(out)]) == 1
         assert "counts" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_counts_that_disagree_with_p_exit_1(self, graph_file, tmp_path, capsys):
+        m = write_example_matrix(tmp_path / "m.json", with_counts=True)
+        data = json.loads(m.read_text(encoding="utf-8"))
+        data["counts"][0] = [0, 9, 0]
+        m.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "wb.nt"
+        assert main(["writeback", "--graph", str(graph_file), "--matrix", str(m),
+                     "--state", "location1", "--day", "3", "--model", "profile",
+                     "--out", str(out)]) == 1
+        assert "row 0 of p disagrees with its counts" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["predict", "--matrix", str(m), "--state", "location1"]) == 1
+        assert capsys.readouterr().out == ""
 
 
 class TestExportDot:

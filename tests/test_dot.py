@@ -2,7 +2,7 @@ import pytest
 
 from kgmarkov.dot import DotError, day_subgraph, graph_to_dot, writeback_subgraph
 from kgmarkov.ingest import ingest_rows
-from kgmarkov.markov import StateSpace, TransitionCounts
+from kgmarkov.markov import ChainCounts, StateSpace
 from kgmarkov.rdf import Graph, Iri, Triple, string_literal
 from kgmarkov.writeback import writeback_cco_model, writeback_profile_model
 
@@ -10,8 +10,8 @@ from conftest import LOCATIONS3, THREE_DAY_ROWS
 
 
 def worked_counts():
-    return TransitionCounts(
-        StateSpace(LOCATIONS3), [[12, 9, 11], [0, 0, 0], [0, 0, 0]]
+    return ChainCounts(
+        StateSpace(LOCATIONS3), [[12, 9, 11], [0, 0, 0], [0, 0, 0]], 1
     )
 
 

@@ -12,7 +12,13 @@ import pytest
 from kgmarkov.datagen import DEFAULT_SEED, GenConfig, generate
 from kgmarkov.dot import day_subgraph, graph_to_dot
 from kgmarkov.ingest import ingest_rows, load_bundled_query, location_sequence
-from kgmarkov.markov import count_transitions
+from kgmarkov.markov import (
+    count_pair_transitions,
+    count_transitions,
+    dumps_matrix,
+    estimate_first_order,
+    estimate_second_order,
+)
 from kgmarkov.query import evaluate, parse_query
 from kgmarkov.rdf import serialize_ntriples
 from kgmarkov.vocab import Vocab
@@ -23,6 +29,10 @@ PROFILE_LINK_SHA = "9c14870c261db5304295c98d5c63b08622bfacdc3200098888c0d78b3811
 CCO_SHA = "5c1ddc545945b1d7333aa65cb8b1c32c4604f15b11aaf184c6224892825456f2"
 TRANSITIONS_CSV_SHA = "bdd276602b13bb297e72e14a67645aaf2b373d65ebe0acb174b71da3e43b6526"
 DAY1_DOT_SHA = "5b80cc7d89289446dae3c0faad048eec78453dc25465859a0ab96aea390be98e"
+# `kgmarkov estimate --order 1` and `--order 2` files; power is left out because
+# its products go through BLAS and may differ in the last bit across CPUs
+ORDER1_MATRIX_SHA = "3910b5789e3495777cbfb30fc1232830bafba99c2aab4d20b7009581a53721c1"
+ORDER2_MATRIX_SHA = "eb74355d157ca7e01593bc411670687794d238fa25b62d984e172b2bf257fb52"
 
 
 def _sha(text: str) -> str:
@@ -62,6 +72,15 @@ def test_transitions_query_csv(graph):
 
 def test_day_dot(graph):
     assert _sha(graph_to_dot(day_subgraph(graph, 1), "d")) == DAY1_DOT_SHA
+
+
+@pytest.mark.parametrize("count,estimate,digest", [
+    (count_transitions, estimate_first_order, ORDER1_MATRIX_SHA),
+    (count_pair_transitions, estimate_second_order, ORDER2_MATRIX_SHA),
+], ids=["order1", "order2"])
+def test_matrix_file(graph, count, estimate, digest):
+    c = count([loc.local_name() for _, loc in location_sequence(graph)])
+    assert _sha(dumps_matrix(estimate(c), c)) == digest
 
 
 def test_writebacks_leave_the_source_graph_alone(graph, counts):

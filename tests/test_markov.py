@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -9,13 +10,11 @@ from kgmarkov.markov import (
     LOADED_ROW_SUM_TOL,
     OBSERVED,
     UNOBSERVED,
+    ChainCounts,
+    ChainMatrix,
     Distribution,
     MarkovError,
-    PairCounts,
-    SecondOrderMatrix,
     StateSpace,
-    TransitionCounts,
-    TransitionMatrix,
     count_pair_transitions,
     count_transitions,
     counts_from_dict,
@@ -38,11 +37,11 @@ SPACE3 = StateSpace(LOCATIONS3)
 
 
 def example_matrix():
-    return TransitionMatrix(SPACE3, EXAMPLE_P)
+    return ChainMatrix(SPACE3, EXAMPLE_P, 1)
 
 
 def example_second_order():
-    return SecondOrderMatrix(SPACE3, EXAMPLE_P2, row_sum_tol=LOADED_ROW_SUM_TOL)
+    return ChainMatrix(SPACE3, EXAMPLE_P2, 2, row_sum_tol=LOADED_ROW_SUM_TOL)
 
 
 class TestStateSpace:
@@ -123,20 +122,20 @@ class TestCounting:
 
 class TestEstimation:
     def test_worked_row(self):
-        c = TransitionCounts(SPACE3, [[12, 9, 11], [0, 0, 0], [0, 0, 0]])
+        c = ChainCounts(SPACE3, [[12, 9, 11], [0, 0, 0], [0, 0, 0]], 1)
         m = estimate_first_order(c)
         assert m.p[0].tolist() == [12 / 32, 9 / 32, 11 / 32]
         assert m.probability("location1", "location2") == 0.28125
 
     def test_unobserved_rows_are_flagged_not_uniform(self):
-        c = TransitionCounts(SPACE3, [[12, 9, 11], [0, 0, 0], [0, 0, 0]])
+        c = ChainCounts(SPACE3, [[12, 9, 11], [0, 0, 0], [0, 0, 0]], 1)
         m = estimate_first_order(c)
         assert m.row_status == (OBSERVED, UNOBSERVED, UNOBSERVED)
         assert m.p[1].tolist() == [0.0, 0.0, 0.0]
         assert not m.fully_observed()
 
     def test_smoothing_defaults_off(self):
-        c = TransitionCounts(SPACE3, [[2, 0, 0], [0, 0, 0], [0, 0, 0]])
+        c = ChainCounts(SPACE3, [[2, 0, 0], [0, 0, 0], [0, 0, 0]], 1)
         assert estimate_first_order(c).p[0].tolist() == [1.0, 0.0, 0.0]
 
     @given(
@@ -147,7 +146,7 @@ class TestEstimation:
     )
     @settings(max_examples=60)
     def test_estimates_match_exact_rational_arithmetic(self, rows):
-        c = TransitionCounts(SPACE3, rows)
+        c = ChainCounts(SPACE3, rows, 1)
         m = estimate_first_order(c)
         expected = rational_estimate(np.asarray(rows))
         for i in range(3):
@@ -163,37 +162,46 @@ class TestEstimation:
         assert m.probability("a", "b", "b") == pytest.approx(1 / 3)
         assert m.row_status[m.row_index("a", "a")] == UNOBSERVED
 
+    @pytest.mark.parametrize("labels", [["a", "b", "a", "b"], ["a", "a", "a"]],
+                             ids=["two-states", "one-state"])
+    def test_counts_of_another_order_are_refused(self, labels):
+        # one state gives 1x1 counts at both orders, so the shape cannot tell them apart
+        with pytest.raises(MarkovError, match="order-1 estimation needs order-1 counts"):
+            estimate_first_order(count_pair_transitions(labels))
+        with pytest.raises(MarkovError, match="order-2 estimation needs order-2 counts"):
+            estimate_second_order(count_transitions(labels))
+
 
 class TestMatrixValidation:
     def test_shape_mismatch(self):
         with pytest.raises(MarkovError):
-            TransitionMatrix(SPACE3, np.zeros((2, 3)))
+            ChainMatrix(SPACE3, np.zeros((2, 3)), 1)
 
     def test_row_sum_out_of_tolerance(self):
         bad = [[0.5, 0.4, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
         with pytest.raises(MarkovError):
-            TransitionMatrix(SPACE3, bad)
+            ChainMatrix(SPACE3, bad, 1)
 
     def test_negative_entry(self):
         bad = [[1.2, -0.2, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
         with pytest.raises(MarkovError):
-            TransitionMatrix(SPACE3, bad)
+            ChainMatrix(SPACE3, bad, 1)
 
     def test_unobserved_row_must_be_zero(self):
         p = [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
         with pytest.raises(MarkovError):
-            TransitionMatrix(SPACE3, p, (OBSERVED, UNOBSERVED, OBSERVED))
+            ChainMatrix(SPACE3, p, 1, (OBSERVED, UNOBSERVED, OBSERVED))
 
     def test_bad_status_value(self):
         p = np.eye(3)
         with pytest.raises(MarkovError):
-            TransitionMatrix(SPACE3, p, ("observed", "guessed", "observed"))
+            ChainMatrix(SPACE3, p, 1, ("observed", "guessed", "observed"))
 
     def test_loose_tolerance_admits_published_rounding(self):
-        m = TransitionMatrix(SPACE3, EXAMPLE_P2[:3], row_sum_tol=LOADED_ROW_SUM_TOL)
+        m = ChainMatrix(SPACE3, EXAMPLE_P2[:3], 1, row_sum_tol=LOADED_ROW_SUM_TOL)
         assert m.row_sum_tol == LOADED_ROW_SUM_TOL
         with pytest.raises(MarkovError):
-            TransitionMatrix(SPACE3, EXAMPLE_P2[:3], row_sum_tol=1e-9)
+            ChainMatrix(SPACE3, EXAMPLE_P2[:3], 1, row_sum_tol=1e-9)
 
 
 class TestPower:
@@ -206,7 +214,7 @@ class TestPower:
         assert np.allclose(matrix_power(base, 1).p, base.p, atol=0)
 
     def test_permutation_matrix_cycles(self):
-        cycle = TransitionMatrix(SPACE3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        cycle = ChainMatrix(SPACE3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1)
         assert np.array_equal(matrix_power(cycle, 3).p, np.eye(3))
         assert np.array_equal(matrix_power(cycle, 7).p, cycle.p)
 
@@ -219,7 +227,7 @@ class TestPower:
             matrix_power(example_second_order(), 2)
 
     def test_unobserved_rows_block_powering(self):
-        c = TransitionCounts(SPACE3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+        c = ChainCounts(SPACE3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]], 1)
         m = estimate_first_order(c)
         with pytest.raises(MarkovError, match="unobserved"):
             matrix_power(m, 2)
@@ -230,7 +238,7 @@ class TestPower:
         rng = np.random.default_rng(seed)
         p = rng.random((size, size)) + 1e-9
         p /= p.sum(axis=1, keepdims=True)
-        m = TransitionMatrix(StateSpace(tuple(f"s{i}" for i in range(size))), p)
+        m = ChainMatrix(StateSpace(tuple(f"s{i}" for i in range(size))), p, 1)
         assert np.max(np.abs(matrix_power(m, steps).p - naive_power(p, steps))) <= 1e-12
 
     @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2**32 - 1))
@@ -239,7 +247,7 @@ class TestPower:
         rng = np.random.default_rng(seed)
         p = rng.random((3, 3)) + 1e-9
         p /= p.sum(axis=1, keepdims=True)
-        m = TransitionMatrix(SPACE3, p)
+        m = ChainMatrix(SPACE3, p, 1)
         combined = matrix_power(m, a + b).p
         split = matrix_power(m, a).p @ matrix_power(m, b).p
         assert np.max(np.abs(combined - split)) <= 1e-9
@@ -263,7 +271,7 @@ class TestPrediction:
         assert abs(d.mass.sum() - 1.0) <= d.tol
 
     def test_predicting_from_an_unobserved_state_fails(self):
-        c = TransitionCounts(SPACE3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+        c = ChainCounts(SPACE3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]], 1)
         m = estimate_first_order(c)
         with pytest.raises(MarkovError, match="location2"):
             predict(m, "location2")
@@ -311,21 +319,21 @@ class TestDisplay:
 
 class TestFileFormat:
     def test_first_order_round_trip_with_counts(self):
-        c = TransitionCounts(SPACE3, [[12, 9, 11], [5, 5, 0], [1, 2, 3]])
+        c = ChainCounts(SPACE3, [[12, 9, 11], [5, 5, 0], [1, 2, 3]], 1)
         m = estimate_first_order(c)
         loaded_m, loaded_c = loads_matrix(dumps_matrix(m, c))
-        assert isinstance(loaded_m, TransitionMatrix)
+        assert loaded_m.order == 1
         assert loaded_m.space == m.space
         assert np.array_equal(loaded_m.p, m.p)
         assert loaded_m.row_status == m.row_status
         assert loaded_c == c
 
-    def test_second_order_round_trip(self):
-        labels = ["a", "b", "a", "b", "a"]
+    @pytest.mark.parametrize("labels", [["a", "b", "a", "b", "a"], ["a", "a", "a", "a"]])
+    def test_second_order_round_trip(self, labels):
         pc = count_pair_transitions(labels)
         m = estimate_second_order(pc)
         loaded_m, loaded_c = loads_matrix(dumps_matrix(m, pc))
-        assert isinstance(loaded_m, SecondOrderMatrix)
+        assert loaded_m.order == 2
         assert np.array_equal(loaded_m.p, m.p)
         assert loaded_c == pc
 
@@ -335,7 +343,7 @@ class TestFileFormat:
         assert c is None
 
     def test_serialization_is_stable(self):
-        c = TransitionCounts(SPACE3, [[12, 9, 11], [5, 5, 0], [1, 2, 3]])
+        c = ChainCounts(SPACE3, [[12, 9, 11], [5, 5, 0], [1, 2, 3]], 1)
         m = estimate_first_order(c)
         assert dumps_matrix(m, c) == dumps_matrix(m, c)
 
@@ -345,9 +353,10 @@ class TestFileFormat:
         with pytest.raises(MarkovError, match="format"):
             matrix_from_dict(data)
 
-    def test_order_field_is_checked(self):
+    @pytest.mark.parametrize("order", [3, True, 1.0, "1"])
+    def test_order_field_is_checked(self, order):
         data = matrix_to_dict(example_matrix())
-        data["order"] = 3
+        data["order"] = order
         with pytest.raises(MarkovError, match="order"):
             matrix_from_dict(data)
 
@@ -358,14 +367,38 @@ class TestFileFormat:
             matrix_from_dict(data)
 
     def test_counts_must_match_the_space(self):
-        other = TransitionCounts(StateSpace(("x", "y", "z")), np.ones((3, 3)))
+        other = ChainCounts(StateSpace(("x", "y", "z")), np.ones((3, 3)), 1)
         with pytest.raises(MarkovError):
             matrix_to_dict(example_matrix(), other)
 
     def test_counts_must_match_the_order(self):
-        pc = PairCounts(SPACE3, np.zeros((9, 3)))
+        pc = ChainCounts(SPACE3, np.zeros((9, 3)), 2)
         with pytest.raises(MarkovError):
             matrix_to_dict(example_matrix(), pc)
+
+    def test_counts_that_disagree_with_p_are_refused(self):
+        c = ChainCounts(SPACE3, [[12, 9, 11], [5, 5, 0], [1, 2, 3]], 1)
+        data = matrix_to_dict(estimate_first_order(c), c)
+        data["counts"][2] = [1, 2, 4]
+        with pytest.raises(MarkovError, match="row 2 of p disagrees with its counts"):
+            loads_matrix(json.dumps(data))
+
+    @pytest.mark.parametrize("row,counts,status", [
+        (1, [0, 0, 0], "observed"), (2, [0, 1, 0], "unobserved"),
+    ], ids=["observed-without-counts", "unobserved-with-counts"])
+    def test_a_row_status_must_match_its_count_total(self, row, counts, status):
+        c = ChainCounts(SPACE3, [[12, 9, 11], [5, 5, 0], [0, 0, 0]], 1)
+        data = matrix_to_dict(estimate_first_order(c), c)
+        data["counts"][row] = counts
+        with pytest.raises(MarkovError, match=f"row {row} is {status}, but its counts total"):
+            loads_matrix(json.dumps(data))
+
+    def test_counts_within_the_file_tolerance_of_p_load(self):
+        c = ChainCounts(SPACE3, [[12, 9, 11], [5, 9, 4], [11, 9, 11]], 1)
+        m = ChainMatrix(SPACE3, EXAMPLE_P, 1, row_sum_tol=LOADED_ROW_SUM_TOL)
+        loaded_m, loaded_c = loads_matrix(dumps_matrix(m, c))
+        assert np.array_equal(loaded_m.p, m.p)
+        assert loaded_c == c
 
     def test_bad_json_text(self):
         with pytest.raises(MarkovError, match="JSON"):

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from kgmarkov.ingest import default_manifest, ingest_rows
 from kgmarkov.markov import (
+    ChainCounts,
     MarkovError,
     StateSpace,
-    TransitionCounts,
     count_pair_transitions,
     count_transitions,
 )
@@ -29,8 +29,8 @@ EX = "http://example.org/data/"
 
 
 def worked_counts():
-    return TransitionCounts(
-        StateSpace(LOCATIONS3), [[12, 9, 11], [0, 0, 0], [0, 0, 0]]
+    return ChainCounts(
+        StateSpace(LOCATIONS3), [[12, 9, 11], [0, 0, 0], [0, 0, 0]], 1
     )
 
 
@@ -56,7 +56,7 @@ class TestStateToken:
         mint the IRIs of 'location1' and 'dock_4'."""
         g = ingest_rows(THREE_DAY_ROWS)
         before = len(g)
-        counts = TransitionCounts(StateSpace(states), [[1, 1], [1, 1]])
+        counts = ChainCounts(StateSpace(states), [[1, 1], [1, 1]], 1)
         with pytest.raises(WritebackError, match=f"state label {bad!r}"):
             model(g, counts, states[1], 3)
         assert len(g) == before
@@ -72,7 +72,7 @@ class TestStateToken:
         g = ingest_rows(THREE_DAY_ROWS)
         before = len(g)
         n = len(states)
-        counts = TransitionCounts(StateSpace(states), [[1] * n] * n)
+        counts = ChainCounts(StateSpace(states), [[1] * n] * n, 1)
         with pytest.raises(WritebackError, match="'a' and 'ato'"):
             model(g, counts, current, 3)
         assert len(g) == before
@@ -87,7 +87,7 @@ class TestStateToken:
         n = len(labels)
         rows = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n)
                                   .filter(any), min_size=n, max_size=n))
-        counts = TransitionCounts(StateSpace(labels), rows)
+        counts = ChainCounts(StateSpace(labels), rows, 1)
         write = writeback_profile_model if model == MODEL_PROFILE else writeback_cco_model
         g = Graph()
         try:
@@ -150,8 +150,8 @@ class TestProfileModel:
         assert Triple(count, vocab.is_a_measurement_of, Iri(EX + "1to2_PoL_Part")) in g
 
     def test_zero_count_keeps_its_count_ice_but_gets_no_pmice(self, vocab):
-        counts = TransitionCounts(
-            StateSpace(LOCATIONS3), [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
+        counts = ChainCounts(
+            StateSpace(LOCATIONS3), [[0, 0, 0], [0, 0, 0], [0, 0, 1]], 1
         )
         g = Graph()
         assertions = writeback_profile_model(g, counts, "location3", 3)
@@ -187,8 +187,8 @@ class TestProfileModel:
         assert d.probability("location3") == 0.34375
 
     def test_round_trip_with_a_zero_entry(self):
-        counts = TransitionCounts(
-            StateSpace(LOCATIONS3), [[0, 0, 0], [0, 0, 0], [1, 0, 1]]
+        counts = ChainCounts(
+            StateSpace(LOCATIONS3), [[0, 0, 0], [0, 0, 0], [1, 0, 1]], 1
         )
         g = Graph()
         writeback_cco_side = writeback_profile_model(g, counts, "location3", 2)
@@ -228,10 +228,10 @@ class TestProfileModel:
     def test_a_different_rewrite_is_refused_before_any_write(self):
         space = StateSpace(("location1", "location2"))
         g = Graph()
-        writeback_profile_model(g, TransitionCounts(space, [[1, 1], [0, 0]]), "location1", 5)
+        writeback_profile_model(g, ChainCounts(space, [[1, 1], [0, 0]], 1), "location1", 5)
         text = serialize_ntriples(g)
         with pytest.raises(WritebackError, match="location1.*total1toXTransitions is 2, not 4"):
-            writeback_profile_model(g, TransitionCounts(space, [[3, 1], [0, 0]]),
+            writeback_profile_model(g, ChainCounts(space, [[3, 1], [0, 0]], 1),
                                     "location1", 6)
         assert serialize_ntriples(g) == text
         assert read_probabilities(g, "location1", MODEL_PROFILE).as_pairs() == [
@@ -239,6 +239,22 @@ class TestProfileModel:
 
 
 class TestCcoModel:
+    @pytest.mark.parametrize("first,second,message", [
+        ([1, 1], [3, 1], "markovPMICE_1to1_d6 is 0.5, not 0.75"),
+        ([1, 0], [0, 1], "markovPMICE_1to1_d6 is 1.0, not 0.0"),
+    ], ids=["another-value", "another-target"])
+    def test_a_different_rewrite_is_refused_before_any_write(self, first, second, message):
+        space = StateSpace(("location1", "location2"))
+        g = Graph()
+        writeback_cco_model(g, ChainCounts(space, [first, [0, 0]], 1), "location1", 5)
+        text = serialize_ntriples(g)
+        with pytest.raises(WritebackError, match=f"cco writeback for 'location1': {message}"):
+            writeback_cco_model(g, ChainCounts(space, [second, [0, 0]], 1), "location1", 5)
+        assert serialize_ntriples(g) == text
+        # a bare graph has no location individuals to restore zero states from
+        expected = [(s, c / sum(first)) for s, c in zip(space.states, first) if c]
+        assert read_probabilities(g, "location1", MODEL_CCO).as_pairs() == expected
+
     def test_mints_a_flagged_future_part(self, vocab):
         g = Graph()
         writeback_cco_model(g, worked_counts(), "location1", 100)
@@ -262,8 +278,8 @@ class TestCcoModel:
                          "markovPMICE_1to3_d101"]
 
     def test_zero_counts_get_no_pmice(self, vocab):
-        counts = TransitionCounts(
-            StateSpace(LOCATIONS3), [[0, 0, 0], [0, 0, 0], [2, 0, 1]]
+        counts = ChainCounts(
+            StateSpace(LOCATIONS3), [[0, 0, 0], [0, 0, 0], [2, 0, 1]], 1
         )
         g = Graph()
         assertions = writeback_cco_model(g, counts, "location3", 3)
@@ -302,7 +318,7 @@ class TestCcoModel:
     def test_reading_writebacks_for_two_days_is_refused(self):
         g = ingest_rows(THREE_DAY_ROWS)
         writeback_cco_model(g, worked_counts(), "location1", 8)
-        later = TransitionCounts(StateSpace(LOCATIONS3), [[1, 0, 1], [0, 0, 0], [0, 0, 0]])
+        later = ChainCounts(StateSpace(LOCATIONS3), [[1, 0, 1], [0, 0, 0], [0, 0, 0]], 1)
         writeback_cco_model(g, later, "location1", 9)
         with pytest.raises(WritebackError,
                            match="'location1'.*fishingTripPart_10, fishingTripPart_9"):
