@@ -11,6 +11,7 @@ them.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -318,6 +319,30 @@ def matrix_to_dict(matrix: ChainMatrix, counts: Optional[ChainCounts] = None) ->
     return out
 
 
+def _file_strings(data: dict, field: str) -> list:
+    """A matrix file's field, refused unless it is a JSON list of strings."""
+    value = data.get(field)
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise MarkovError(f"matrix file: {field} must be a list of strings")
+    return value
+
+
+def _is_number(x) -> bool:
+    # bool is a subclass of int, and json reads NaN and Infinity as floats
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _file_table(data: dict, field: str) -> list:
+    """A matrix file's field, refused unless it is a JSON list of
+    equal-length lists of numbers."""
+    rows = data.get(field)
+    if (not isinstance(rows, list)
+            or not all(isinstance(row, list) and all(map(_is_number, row)) for row in rows)
+            or len({len(row) for row in rows}) > 1):
+        raise MarkovError(f"matrix file: {field} must be a list of equal-length lists of numbers")
+    return rows
+
+
 def matrix_from_dict(data: dict) -> ChainMatrix:
     """Rebuild a matrix from its file form.
 
@@ -328,19 +353,17 @@ def matrix_from_dict(data: dict) -> ChainMatrix:
         raise MarkovError("matrix file must contain a JSON object")
     if data.get("format") != FILE_FORMAT:
         raise MarkovError(f"unsupported matrix file format: {data.get('format')!r}")
-    space = StateSpace(tuple(data.get("states", ())))
-    p = data.get("p")
-    row_status = data.get("row_status")
-    if row_status is None:
-        raise MarkovError("matrix file is missing row_status")
-    return ChainMatrix(space, p, data.get("order"), row_status, row_sum_tol=LOADED_ROW_SUM_TOL)
+    return ChainMatrix(StateSpace(_file_strings(data, "states")), _file_table(data, "p"),
+                       data.get("order"), _file_strings(data, "row_status"),
+                       row_sum_tol=LOADED_ROW_SUM_TOL)
 
 
 def counts_from_dict(data: dict) -> Optional[ChainCounts]:
     """The counts stored alongside a matrix, if the file carries them."""
     if "counts" not in data:
         return None
-    return ChainCounts(StateSpace(tuple(data.get("states", ()))), data["counts"], data.get("order"))
+    return ChainCounts(StateSpace(_file_strings(data, "states")), _file_table(data, "counts"),
+                       data.get("order"))
 
 
 def _check_counts_agree(matrix: ChainMatrix, counts: ChainCounts) -> None:

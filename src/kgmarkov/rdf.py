@@ -239,6 +239,11 @@ class Graph:
     the contract: in ``match``, in ``serialize_ntriples`` and at query
     projection.  Sorting key tuples gives the N-Triples order, because the
     keys are the serialized terms.
+
+    Copies share inner containers (see ``copy``).  ``_add`` is the only
+    write path, and on a graph that may share it first copies what it is
+    about to write; any future mutator, such as a ``remove``, must go
+    through the same unshare step before it touches an inner container.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -246,6 +251,9 @@ class Graph:
         self._spo: dict[str, dict[str, set[str]]] = {}
         self._pos: dict[str, dict[str, set[str]]] = {}
         self._size = 0
+        # None until a copy(); then the containers made its own since, as
+        # ("spo", s), ("pos", p) and (p, o) for pos[p][o] (no key is a tag)
+        self._owned: Optional[set[tuple[str, str]]] = None
         for t in triples:
             self.insert(t)
 
@@ -266,6 +274,8 @@ class Graph:
 
     def _add(self, s: str, p: str, o: str) -> bool:
         """Index a key triple whose terms are (or will be) in ``_terms``."""
+        if self._owned is not None:
+            self._unshare(s, p, o)
         objects = self._spo.setdefault(s, {}).setdefault(p, set())
         if o in objects:
             return False
@@ -273,6 +283,27 @@ class Graph:
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
         self._size += 1
         return True
+
+    def _unshare(self, s: str, p: str, o: str) -> None:
+        """Copy each container ``_add(s, p, o)`` writes that a copy may share:
+        ``spo[s]`` with its object sets, ``pos[p]`` and ``pos[p][o]``.  Each
+        is copied at most once per graph between copies."""
+        owned = self._owned
+        if ("spo", s) not in owned:
+            owned.add(("spo", s))
+            by_p = self._spo.get(s)
+            if by_p is not None:
+                self._spo[s] = {pred: objs.copy() for pred, objs in by_p.items()}
+        if ("pos", p) not in owned:
+            owned.add(("pos", p))
+            by_o = self._pos.get(p)
+            if by_o is not None:
+                self._pos[p] = by_o.copy()
+        if (p, o) not in owned:
+            owned.add((p, o))
+            by_o = self._pos.get(p, {})
+            if o in by_o:
+                by_o[o] = by_o[o].copy()
 
     def term(self, key: str) -> Term:
         """The term whose N-Triples text is ``key``."""
@@ -360,33 +391,43 @@ class Graph:
         return self._spo == other._spo
 
     def copy(self) -> "Graph":
-        """An independent graph with the same triples; no term is revalidated."""
+        """An independent graph with the same triples; no term is revalidated.
+
+        Only the term dict and the top-level ``spo``/``pos`` dicts are
+        copied; both graphs then share every inner dict and set, and both
+        are marked as sharing, so that a later write to either one copies
+        the containers it touches first (``_unshare``).  What either graph
+        owned before is shared from now on, so both start owning nothing.
+        """
         new = Graph()
         new._terms = self._terms.copy()
-        new._spo = {s: {p: objs.copy() for p, objs in by_p.items()}
-                    for s, by_p in self._spo.items()}
-        new._pos = {p: {o: subjs.copy() for o, subjs in by_o.items()}
-                    for p, by_o in self._pos.items()}
+        new._spo = self._spo.copy()
+        new._pos = self._pos.copy()
         new._size = self._size
+        new._owned = set()
+        self._owned = set()
         return new
 
 
 def serialize_ntriples(graph: Graph) -> str:
     """Render a graph as N-Triples text, one sorted line per triple.
 
-    Walking the ``spo`` index with each level sorted gives the same order as
-    sorting whole (subject, predicate, object) key tuples.
+    One sort of the whole lines gives the order of sorted (subject,
+    predicate, object) key tuples, because no key is a proper prefix of
+    another: an IRI key is ``<...>`` with no ``>`` inside, and a literal key
+    is ``"..."^^<datatype>``, whose text ends at its first unescaped ``"``
+    and then at the datatype's ``>``.  So two lines first differ inside the
+    first key where their triples differ, at the same character where those
+    keys differ.
     """
-    spo = graph._spo
     lines = [
-        f"{s} {p} {o} ."
-        for s in sorted(spo)
-        for p in sorted(spo[s])
-        for o in sorted(spo[s][p])
+        f"{s} {p} {o} .\n"
+        for s, by_p in graph._spo.items()
+        for p, objects in by_p.items()
+        for o in objects
     ]
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    lines.sort()
+    return "".join(lines)
 
 
 # One N-Triples line, matched whole: subject IRI, predicate IRI, an IRI or a

@@ -239,6 +239,17 @@ class TestPredict:
         assert captured.out == ""
         assert "steps must be at least 1" in captured.err
 
+    def test_counts_written_as_strings_exit_1_with_one_error_line(self, tmp_path, capsys):
+        m = write_example_matrix(tmp_path / "m.json", with_counts=True)
+        data = json.loads(m.read_text(encoding="utf-8"))
+        data["counts"] = [[str(x) for x in row] for row in data["counts"]]
+        m.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["predict", "--matrix", str(m), "--state", "location1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix file: counts must be a list of equal-length " \
+                               "lists of numbers\n"
+
     def test_prev_with_first_order_exits_1(self, tmp_path, capsys):
         m = write_example_matrix(tmp_path / "m.json")
         assert main(["predict", "--matrix", str(m), "--state", "location1",

@@ -393,6 +393,28 @@ class TestFileFormat:
         with pytest.raises(MarkovError, match=f"row {row} is {status}, but its counts total"):
             loads_matrix(json.dumps(data))
 
+    @pytest.mark.parametrize("field,value", [
+        ("states", "abc"),
+        ("states", ["location1", 2, "location3"]),
+        ("p", [[str(x) for x in row] for row in EXAMPLE_P]),
+        ("p", [[True, False, False], *EXAMPLE_P[1:]]),
+        ("p", [[float("nan")] * 3, *EXAMPLE_P[1:]]),
+        ("p", [EXAMPLE_P[0][:2], *EXAMPLE_P[1:]]),
+        ("p", None),
+        ("row_status", 3),
+        ("counts", [["12", "9", "11"], ["5", "5", "0"], ["1", "2", "3"]]),
+        ("counts", [[12, 9, 11], [5, 5, 0], [True, 2, 3]]),
+        ("counts", [[12, 9, 11], [5, 5], [1, 2, 3]]),
+        ("counts", "counts"),
+    ], ids=["states-string", "states-number", "p-strings", "p-booleans", "p-nan",
+            "p-ragged", "p-missing", "row_status-number", "counts-strings",
+            "counts-boolean", "counts-ragged", "counts-string"])
+    def test_field_types_are_checked(self, field, value):
+        data = matrix_to_dict(example_matrix())
+        data[field] = value
+        with pytest.raises(MarkovError, match=f"matrix file: {field} must be a list"):
+            loads_matrix(json.dumps(data))
+
     def test_counts_within_the_file_tolerance_of_p_load(self):
         c = ChainCounts(SPACE3, [[12, 9, 11], [5, 9, 4], [11, 9, 11]], 1)
         m = ChainMatrix(SPACE3, EXAMPLE_P, 1, row_sum_tol=LOADED_ROW_SUM_TOL)

@@ -167,6 +167,27 @@ class TestGraph:
         h.insert(Triple(iri("s"), iri("p"), iri("o2")))
         assert len(g) == 1 and len(h) == 2
 
+    def test_copy_shares_what_neither_graph_has_written(self):
+        g = Graph(Triple(iri(s), iri("p"), iri("o")) for s in ("s1", "s2", "s3"))
+        h = g.copy()
+        g.insert(Triple(iri("s1"), iri("p"), iri("o2")))
+        h.insert(Triple(iri("s2"), iri("p"), iri("o2")))
+        key = term_to_ntriples(iri("s3"))
+        assert h._spo[key] is g._spo[key]
+        assert len(g.match(iri("s1"))) == 2 and len(h.match(iri("s1"))) == 1
+        assert len(g.match(iri("s2"))) == 1 and len(h.match(iri("s2"))) == 2
+
+    def test_copying_again_shares_what_the_original_had_made_its_own(self):
+        g = Graph([Triple(iri("s"), iri("p"), iri("o"))])
+        g.copy()
+        g.insert(Triple(iri("s"), iri("p"), iri("o2")))
+        k = g.copy()
+        g.insert(Triple(iri("s"), iri("p"), iri("o3")))
+        k.insert(Triple(iri("s2"), iri("p"), iri("o3")))
+        assert len(k) == 3 and len(k.match(iri("s"))) == 2
+        assert len(g) == 3 and g.match(None, iri("p"), iri("o3")) == [
+            Triple(iri("s"), iri("p"), iri("o3"))]
+
     def _sample(self):
         g = Graph()
         for s in ("a", "b"):
@@ -229,6 +250,19 @@ class TestSerialization:
             f'<{EX}b> <{EX}p> "say \\"hi\\""'
             '^^<http://www.w3.org/2001/XMLSchema#string> .\n'
         )
+
+    def test_serialize_sorts_by_key_tuple_where_keys_prefix_one_another(self):
+        strings = ["a", 'a"', "a\\", "a\t", "a\n", "a\x01", "a\u00e9", "a\U0001F600", "a>"]
+        objects = [*map(string_literal, strings), Literal("1", INTEGER),
+                   Literal("10", INTEGER), Literal("0.5", DECIMAL), Literal("0.50", DECIMAL),
+                   Literal("2023-04-08T12:00:00", DATETIME), *_PREFIX_IRIS]
+        g = Graph(Triple(s, p, o) for s in _PREFIX_IRIS for p in _PREFIX_IRIS[:2]
+                  for o in objects)
+        text = serialize_ntriples(g)
+        assert text == _text_in_key_order(g)
+        subjects = [line.split(" ", 1)[0] for line in text.split("\n")[:-1]]
+        assert list(dict.fromkeys(subjects)) == [
+            f"<{EX}{name}>" for name in ("a#b", "a-", "a/b", "a", "ab", "b")]
 
     def test_serialize_empty_graph(self):
         assert serialize_ntriples(Graph()) == ""
@@ -311,6 +345,43 @@ _triples = st.builds(
 _graphs = st.lists(_triples, max_size=40).map(Graph)
 _gaps = st.sampled_from(["", " ", "\t", " \t "])
 
+# IRIs that prefix one another, and lexical forms that prefix one another
+# and hold every character the writer escapes or passes through raw: key
+# order and the order of whole lines differ for these unless no key is a
+# proper prefix of another.
+_PREFIX_IRIS = [Iri(EX + name) for name in ("a", "ab", "a/b", "a#b", "a-", "b")]
+_tricky_text = st.text(
+    alphabet=["a", '"', "\\", "\t", "\n", "\r", "\x01", "\x1f", " ", ">", "<", "^",
+              "\u00e9", "\u2028", "\U0001F600"],
+    max_size=4,
+)
+_tricky_literals = st.one_of(
+    _tricky_text.map(string_literal),
+    st.sampled_from(["1", "10", "-1", "+1", "01", "100"]).map(lambda x: Literal(x, INTEGER)),
+    st.sampled_from(["0.5", "0.50", "0.05", "1", "1.", ".5"]).map(lambda x: Literal(x, DECIMAL)),
+    st.sampled_from(["2023-04-08T12:00:00", "2023-04-08T02:00:00"]).map(
+        lambda x: Literal(x, DATETIME)),
+)
+_prefix_graphs = st.lists(
+    st.builds(Triple, st.sampled_from(_PREFIX_IRIS), st.sampled_from(_PREFIX_IRIS),
+              st.one_of(st.sampled_from(_PREFIX_IRIS), _tricky_literals)),
+    max_size=40,
+).map(Graph)
+
+
+def _text_in_key_order(g: Graph) -> str:
+    return "".join(f"{s} {p} {o} .\n" for s, p, o in sorted(g.match_keys()))
+
+
+# a domain small enough that graphs and their copies often write the same
+# spo and pos containers, and every pattern over it
+_SMALL_IRIS = _POOL_IRIS[:3]
+_SMALL_OBJECTS = [*_SMALL_IRIS, integer_literal(1)]
+_small_triples = st.builds(Triple, st.sampled_from(_SMALL_IRIS), st.sampled_from(_POOL_PREDS),
+                           st.sampled_from(_SMALL_OBJECTS))
+_SMALL_PATTERNS = [(s, p, o) for s in [None, *_SMALL_IRIS] for p in [None, *_POOL_PREDS]
+                   for o in [None, *_SMALL_OBJECTS]]
+
 
 def _respelled_line(draw, triple: Triple) -> str:
     """The triple as a valid but non-canonical N-Triples line: any spacing,
@@ -370,6 +441,35 @@ class TestProperties:
         assert serialize_ntriples(g) == text
         assert len(g) == size
         assert [g.match(*pattern) for pattern in patterns] == matches
+
+    @given(st.lists(_small_triples, max_size=10), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_copies_and_inserts_in_any_order_match_a_fresh_graph(self, triples, data):
+        def seen(graph):
+            return (serialize_ntriples(graph), len(graph),
+                    [graph.match(*pattern) for pattern in _SMALL_PATTERNS])
+
+        # graphs[i] must always look like a fresh Graph of held[i]; copies of
+        # copies are taken, and any live graph may be written next
+        graphs, held = [Graph(triples)], [list(triples)]
+        expected = [seen(Graph(triples))]
+        for _ in range(data.draw(st.integers(1, 16))):
+            i = data.draw(st.integers(0, len(graphs) - 1))
+            if data.draw(st.booleans()):
+                graphs.append(graphs[i].copy())
+                held.append(list(held[i]))
+                expected.append(expected[i])
+            else:
+                t = data.draw(_small_triples)
+                graphs[i].insert(t)
+                held[i].append(t)
+                expected[i] = seen(Graph(held[i]))
+            assert [seen(graph) for graph in graphs] == expected
+
+    @given(_prefix_graphs)
+    @settings(max_examples=100)
+    def test_serialization_is_in_key_tuple_order(self, g):
+        assert serialize_ntriples(g) == _text_in_key_order(g)
 
     @given(
         _graphs,
