@@ -156,12 +156,13 @@ def _cmd_writeback(args) -> int:
             "the matrix file carries no counts; writeback needs the counts "
             "that estimate stores alongside the matrix"
         )
+    before = len(graph)
     if args.model == writeback.MODEL_PROFILE:
-        assertions = writeback.writeback_profile_model(graph, counts, args.state, args.day)
+        writeback.writeback_profile_model(graph, counts, args.state, args.day)
     else:
-        assertions = writeback.writeback_cco_model(graph, counts, args.state, args.day)
+        writeback.writeback_cco_model(graph, counts, args.state, args.day)
     _write_text(args.out, serialize_ntriples(graph))
-    log.info("wrote %d probability assertions to %s", len(assertions), args.out)
+    log.info("added %d triples, wrote %s", len(graph) - before, args.out)
     return 0
 
 

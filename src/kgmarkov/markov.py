@@ -29,6 +29,7 @@ FILE_FORMAT = 1
 ORDERS = (1, 2)
 
 _ENTRY_SLACK = 1e-12
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class MarkovError(ToolkitError):
@@ -107,11 +108,16 @@ class ChainCounts(_HistoryRows):
         arr = np.asarray(matrix)
         if arr.shape != (rows, n):
             raise MarkovError(f"{what} must have shape {(rows, n)}, got {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer) and not np.all(arr == np.floor(arr)):
+        # checked as Python numbers, which neither overflow nor wrap as int64 does
+        values = arr.tolist()
+        if not all(x % 1 == 0 for row in values for x in row):
             raise MarkovError(f"{what} entries must be integers")
-        self.matrix = arr.astype(np.int64)
-        if np.any(self.matrix < 0):
+        if any(x < 0 for row in values for x in row):
             raise MarkovError(f"{what} entries must be non-negative")
+        for i, row in enumerate(values):
+            if sum(map(int, row)) > _INT64_MAX:
+                raise MarkovError(f"{what}: the total of row {i} does not fit in int64")
+        self.matrix = np.array(values, dtype=np.int64)
 
     def count(self, *states: str) -> int:
         """How often the last state followed the history the others form."""
@@ -170,6 +176,8 @@ class ChainMatrix(_HistoryRows):
         self.p = np.asarray(p, dtype=np.float64)
         if self.p.shape != (rows, n):
             raise MarkovError(f"{what} must be {rows}x{n}, got {self.p.shape}")
+        if not np.all(np.isfinite(self.p)):
+            raise MarkovError(f"{what} entries must be finite")
         self.row_status = tuple(row_status) if row_status is not None else (OBSERVED,) * rows
         if len(self.row_status) != rows:
             raise MarkovError(f"row_status length must match the {rows} rows of the {what}")
@@ -259,6 +267,8 @@ class Distribution:
         arr = np.asarray(mass, dtype=np.float64)
         if arr.shape != (len(space),):
             raise MarkovError(f"mass must have shape ({len(space)},), got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise MarkovError("distribution entries must be finite")
         self.mass = arr
         self.tol = float(tol)
         if np.any(arr < -_ENTRY_SLACK) or np.any(arr > 1.0 + self.tol + _ENTRY_SLACK):
@@ -299,26 +309,6 @@ def format_probability(value: float) -> str:
     return f"{float(value):.3f}"
 
 
-def matrix_to_dict(matrix: ChainMatrix, counts: Optional[ChainCounts] = None) -> dict:
-    """The JSON-ready file form of a matrix, optionally with its counts."""
-    if not isinstance(matrix, ChainMatrix):
-        raise MarkovError(f"not a transition matrix: {type(matrix).__name__}")
-    out = {
-        "format": FILE_FORMAT,
-        "order": matrix.order,
-        "states": list(matrix.space.states),
-        "p": [[float(x) for x in row] for row in matrix.p],
-        "row_status": list(matrix.row_status),
-    }
-    if counts is not None:
-        if counts.order != matrix.order:
-            raise MarkovError("counts do not match the matrix order")
-        if counts.space != matrix.space:
-            raise MarkovError("counts and matrix use different state spaces")
-        out["counts"] = [[int(x) for x in row] for row in counts.matrix]
-    return out
-
-
 def _file_strings(data: dict, field: str) -> list:
     """A matrix file's field, refused unless it is a JSON list of strings."""
     value = data.get(field)
@@ -343,29 +333,6 @@ def _file_table(data: dict, field: str) -> list:
     return rows
 
 
-def matrix_from_dict(data: dict) -> ChainMatrix:
-    """Rebuild a matrix from its file form.
-
-    The row sum tolerance, LOADED_ROW_SUM_TOL, is loose enough for tables
-    published with three-decimal rounding.
-    """
-    if not isinstance(data, dict):
-        raise MarkovError("matrix file must contain a JSON object")
-    if data.get("format") != FILE_FORMAT:
-        raise MarkovError(f"unsupported matrix file format: {data.get('format')!r}")
-    return ChainMatrix(StateSpace(_file_strings(data, "states")), _file_table(data, "p"),
-                       data.get("order"), _file_strings(data, "row_status"),
-                       row_sum_tol=LOADED_ROW_SUM_TOL)
-
-
-def counts_from_dict(data: dict) -> Optional[ChainCounts]:
-    """The counts stored alongside a matrix, if the file carries them."""
-    if "counts" not in data:
-        return None
-    return ChainCounts(StateSpace(_file_strings(data, "states")), _file_table(data, "counts"),
-                       data.get("order"))
-
-
 def _check_counts_agree(matrix: ChainMatrix, counts: ChainCounts) -> None:
     """Refuse a file whose counts would give another p than the one it holds."""
     expected = _estimate(counts, matrix.order)
@@ -379,16 +346,46 @@ def _check_counts_agree(matrix: ChainMatrix, counts: ChainCounts) -> None:
 
 
 def dumps_matrix(matrix: ChainMatrix, counts: Optional[ChainCounts] = None) -> str:
-    """Serialize to the canonical on-disk JSON text (stable byte-for-byte)."""
-    return json.dumps(matrix_to_dict(matrix, counts), indent=2) + "\n"
+    """The canonical on-disk JSON text of a matrix, optionally with its
+    counts (stable byte-for-byte)."""
+    if not isinstance(matrix, ChainMatrix):
+        raise MarkovError(f"not a transition matrix: {type(matrix).__name__}")
+    out = {
+        "format": FILE_FORMAT,
+        "order": matrix.order,
+        "states": list(matrix.space.states),
+        "p": [[float(x) for x in row] for row in matrix.p],
+        "row_status": list(matrix.row_status),
+    }
+    if counts is not None:
+        if counts.order != matrix.order:
+            raise MarkovError("counts do not match the matrix order")
+        if counts.space != matrix.space:
+            raise MarkovError("counts and matrix use different state spaces")
+        out["counts"] = [[int(x) for x in row] for row in counts.matrix]
+    return json.dumps(out, indent=2) + "\n"
 
 
 def loads_matrix(text: str) -> tuple[ChainMatrix, Optional[ChainCounts]]:
+    """Rebuild a matrix, and the counts stored alongside it if the file
+    carries them, from the file text.
+
+    The row sum tolerance, LOADED_ROW_SUM_TOL, is loose enough for tables
+    published with three-decimal rounding.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MarkovError(f"matrix file is not valid JSON: {exc}") from None
-    matrix, counts = matrix_from_dict(data), counts_from_dict(data)
-    if counts is not None:
-        _check_counts_agree(matrix, counts)
+    if not isinstance(data, dict):
+        raise MarkovError("matrix file must contain a JSON object")
+    if data.get("format") != FILE_FORMAT:
+        raise MarkovError(f"unsupported matrix file format: {data.get('format')!r}")
+    space = StateSpace(_file_strings(data, "states"))
+    matrix = ChainMatrix(space, _file_table(data, "p"), data.get("order"),
+                         _file_strings(data, "row_status"), row_sum_tol=LOADED_ROW_SUM_TOL)
+    if "counts" not in data:
+        return matrix, None
+    counts = ChainCounts(space, _file_table(data, "counts"), matrix.order)
+    _check_counts_agree(matrix, counts)
     return matrix, counts

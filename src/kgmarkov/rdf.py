@@ -217,14 +217,6 @@ def term_to_ntriples(term: Term) -> str:
     return f"{body}^^<{DATATYPE_IRIS[term.datatype]}>"
 
 
-def triple_to_ntriples(triple: Triple) -> str:
-    return (
-        f"{term_to_ntriples(triple.subject)} "
-        f"{term_to_ntriples(triple.predicate)} "
-        f"{term_to_ntriples(triple.object)} ."
-    )
-
-
 class Graph:
     """A set of triples held as N-Triples keys in two permutation indexes.
 

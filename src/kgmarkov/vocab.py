@@ -109,55 +109,26 @@ class Vocab:
                  terms: Optional[Iterable[VocabTerm]] = None):
         self.prefixes = prefixes if prefixes is not None else PrefixTable()
         self.terms = tuple(terms) if terms is not None else _shipped().terms
-        self._by_name: dict[str, VocabTerm] = {}
         seen_locals: dict[str, str] = {}
         for term in self.terms:
-            if term.prefixed_name in self._by_name:
-                raise VocabularyError(f"duplicate term: {term.prefixed_name}")
             local = term.prefixed_name.split(":", 1)[1]
+            if seen_locals.get(local) == term.prefixed_name:
+                raise VocabularyError(f"duplicate term: {term.prefixed_name}")
             if local in seen_locals:
                 raise VocabularyError(
                     f"local name clash: {term.prefixed_name} vs {seen_locals[local]}")
-            self._by_name[term.prefixed_name] = term
             seen_locals[local] = term.prefixed_name
             setattr(self, local, term.iri)
 
-    def term(self, prefixed_name: str) -> VocabTerm:
-        try:
-            return self._by_name[prefixed_name]
-        except KeyError:
-            raise VocabularyError(f"term not in vocabulary: {prefixed_name}") from None
-
-    def __contains__(self, prefixed_name: str) -> bool:
-        return prefixed_name in self._by_name
-
-    def classes(self) -> tuple[VocabTerm, ...]:
-        return tuple(t for t in self.terms if t.kind == CLASS)
-
-    def properties(self) -> tuple[VocabTerm, ...]:
-        return tuple(t for t in self.terms if t.kind != CLASS)
-
     def property_iris(self) -> frozenset[Iri]:
-        return frozenset(t.iri for t in self.properties())
+        return frozenset(t.iri for t in self.terms if t.kind != CLASS)
 
     def class_iris(self) -> frozenset[Iri]:
-        return frozenset(t.iri for t in self.classes())
-
-
-def dump_manifest(vocab: Vocab) -> str:
-    """Serialize prefixes and terms to the tab-separated manifest format."""
-    lines = []
-    for prefix in sorted(vocab.prefixes.namespaces()):
-        lines.append(f"prefix\t{prefix}\t{vocab.prefixes.namespace(prefix)}")
-    for term in vocab.terms:
-        lines.append(
-            "term\t{0.prefixed_name}\t{0.kind}\t{0.label}\t{0.definition}\t{0.comment}".format(term)
-        )
-    return "\n".join(lines) + "\n"
+        return frozenset(t.iri for t in self.terms if t.kind == CLASS)
 
 
 def load_manifest(text: str) -> Vocab:
-    """Parse manifest text back into a Vocab; inverse of dump_manifest."""
+    """Parse manifest text into a Vocab."""
     namespaces: dict[str, str] = {}
     rows: list[tuple[str, str, str, str, str]] = []
     for line_no, raw in enumerate(text.split("\n"), start=1):

@@ -17,11 +17,10 @@ fraction stays recoverable from the graph.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ToolkitError
-from .ingest import IngestManifest, default_manifest, transition_pairs
+from .ingest import default_manifest, transition_pairs
 from .markov import ChainCounts, Distribution, StateSpace
 from .rdf import (
     Graph,
@@ -59,28 +58,6 @@ def _detokenize(token: str) -> str:
     if token.isdigit():
         return "location" + token
     return token
-
-
-@dataclass(frozen=True)
-class ProbabilityAssertion:
-    """One written-back probability, with the fraction that produced it."""
-
-    from_state: str
-    to_state: str
-    count: int
-    total: int
-    subject_iri: Iri
-    pmice_iri: Iri
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise WritebackError("count must be non-negative")
-        if self.total <= 0:
-            raise WritebackError("total must be positive")
-
-    @property
-    def value(self) -> float:
-        return self.count / self.total
 
 
 def _row_or_error(counts: ChainCounts, current: str) -> tuple[list[int], int]:
@@ -125,7 +102,7 @@ def writeback_profile_model(
     current: str,
     day_index: int,
     link_realizations: bool = False,
-) -> list[ProbabilityAssertion]:
+) -> None:
     """Attach the pattern-of-life structure for one from-state.
 
     Mints the pattern-of-life individual, a profile part and disposition per
@@ -157,7 +134,6 @@ def writeback_profile_model(
     add(Triple(total_ice, vocab.type, vocab.TransitionTotalICE))
     add(Triple(total_ice, vocab.has_integer_value, integer_literal(total)))
 
-    assertions = []
     dispositions: dict[str, Iri] = {}
     for j, to_state in enumerate(counts.space.states):
         j_tok = state_token(to_state)
@@ -180,9 +156,6 @@ def writeback_profile_model(
             add(Triple(pmice, vocab.type, vocab.MarkovPMICE))
             add(Triple(pmice, vocab.is_a_measurement_of, part))
             add(Triple(pmice, vocab.has_decimal_value, decimal_literal(row[j] / total)))
-            assertions.append(
-                ProbabilityAssertion(current, to_state, row[j], total, part, pmice)
-            )
 
     if link_realizations:
         current_iri = manifest.location(current)
@@ -193,7 +166,6 @@ def writeback_profile_model(
                     # the transition into day+1 happens during that day's part
                     add(Triple(manifest.trip_part(day + 1), vocab.realizes,
                                dispositions[end_label]))
-    return assertions
 
 
 def writeback_cco_model(
@@ -201,7 +173,7 @@ def writeback_cco_model(
     counts: ChainCounts,
     current: str,
     day_index: int,
-) -> list[ProbabilityAssertion]:
+) -> None:
     """Attach probabilities as PMICEs modally_about a future trip part.
 
     The future part is minted as day day_index + 1, typed Process, and
@@ -229,18 +201,12 @@ def writeback_cco_model(
     add(Triple(future, vocab.type, vocab.Process))
     add(Triple(future, vocab.predicted, string_literal(PREDICTED_FLAG)))
 
-    assertions = []
-    for j, to_state in enumerate(counts.space.states):
-        if row[j] == 0:
+    for pmice, count, value in zip(pmices, row, values):
+        if count == 0:
             continue
-        pmice = pmices[j]
         add(Triple(pmice, vocab.type, vocab.MarkovPMICE))
         add(Triple(pmice, vocab.modally_about, future))
-        add(Triple(pmice, vocab.has_decimal_value, values[j]))
-        assertions.append(
-            ProbabilityAssertion(current, to_state, row[j], total, future, pmice)
-        )
-    return assertions
+        add(Triple(pmice, vocab.has_decimal_value, value))
 
 
 def _decimal_value(graph: Graph, subject: Iri, vocab: Vocab) -> Optional[float]:
@@ -250,8 +216,9 @@ def _decimal_value(graph: Graph, subject: Iri, vocab: Vocab) -> Optional[float]:
     return None
 
 
-def _read_profile(graph: Graph, current: str, manifest: IngestManifest,
-                  vocab: Vocab) -> dict[str, float]:
+def _read_profile(graph: Graph, current: str) -> dict[str, float]:
+    manifest = default_manifest()
+    vocab = _shipped()
     s_tok = state_token(current)
     prefix = f"{s_tok}to"
     suffix = "_PoL_Part"
@@ -272,8 +239,8 @@ def _read_profile(graph: Graph, current: str, manifest: IngestManifest,
     return values
 
 
-def _read_cco(graph: Graph, current: str, manifest: IngestManifest,
-              vocab: Vocab) -> dict[str, float]:
+def _read_cco(graph: Graph, current: str) -> dict[str, float]:
+    vocab = _shipped()
     s_tok = state_token(current)
     prefix = f"markovPMICE_{s_tok}to"
     values: dict[str, float] = {}
@@ -307,12 +274,10 @@ def read_probabilities(graph: Graph, current: str, model: str) -> Distribution:
     the PMICE structure a previous writeback left in the graph."""
     if model not in MODELS:
         raise WritebackError(f"unknown model: {model!r}")
-    manifest = default_manifest()
-    vocab = _shipped()
     if model == MODEL_PROFILE:
-        values = _read_profile(graph, current, manifest, vocab)
+        values = _read_profile(graph, current)
     else:
-        values = _read_cco(graph, current, manifest, vocab)
+        values = _read_cco(graph, current)
     if not values:
         raise WritebackError(
             f"no {model} writeback for state {current!r} found in the graph"

@@ -250,6 +250,19 @@ class TestPredict:
         assert captured.err == "error: matrix file: counts must be a list of equal-length " \
                                "lists of numbers\n"
 
+    def test_counts_beyond_int64_exit_1_with_one_error_line(self, tmp_path, capsys):
+        """Counts in the ratio of p, but too large for int64, used to end in
+        an OverflowError traceback."""
+        m = write_example_matrix(tmp_path / "m.json", with_counts=True)
+        data = json.loads(m.read_text(encoding="utf-8"))
+        data["counts"][0] = [12 * 10**20, 9 * 10**20, 11 * 10**20]
+        m.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["predict", "--matrix", str(m), "--state", "location1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: order-1 count matrix: the total of row 0 " \
+                               "does not fit in int64\n"
+
     def test_prev_with_first_order_exits_1(self, tmp_path, capsys):
         m = write_example_matrix(tmp_path / "m.json")
         assert main(["predict", "--matrix", str(m), "--state", "location1",

@@ -17,15 +17,12 @@ from kgmarkov.markov import (
     StateSpace,
     count_pair_transitions,
     count_transitions,
-    counts_from_dict,
     dumps_matrix,
     estimate_first_order,
     estimate_second_order,
     format_probability,
     loads_matrix,
-    matrix_from_dict,
     matrix_power,
-    matrix_to_dict,
     predict,
     predict_second_order,
 )
@@ -120,6 +117,29 @@ class TestCounting:
             assert int(count_pair_transitions(labels, space).matrix.sum()) == len(labels) - 2
 
 
+    @pytest.mark.parametrize("row", [
+        [2**62, 2**62], [1200000000000000000000, 0], [2**63, 0], [10**400, 1],
+        [float(2**63), 0.0], [1e300, 1.0],
+    ], ids=["total-2**63", "entry-1.2e21", "entry-2**63", "entry-10**400",
+            "float-2**63", "float-1e300"])
+    def test_counts_beyond_int64_are_refused(self, row):
+        """[2**62, 2**62] used to construct, with a row total that wrapped to
+        -2**63; an entry past int64 died with an OverflowError."""
+        with pytest.raises(MarkovError, match="order-1 count matrix: the total of row 0 "
+                                              "does not fit in int64"):
+            ChainCounts(StateSpace(["a", "b"]), [row, [0, 0]], 1)
+
+    def test_counts_up_to_the_int64_limit_are_kept_exactly(self):
+        c = ChainCounts(StateSpace(["a", "b"]), [[2**62, 2**62 - 1], [2**63 - 1, 0]], 1)
+        assert c.row_total("a") == c.row_total("b") == 2**63 - 1
+        assert c.count("a", "b") == 2**62 - 1
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.5])
+    def test_non_integer_counts_are_refused(self, bad):
+        with pytest.raises(MarkovError, match="order-1 count matrix entries must be integers"):
+            ChainCounts(StateSpace(["a", "b"]), [[bad, 1], [0, 0]], 1)
+
+
 class TestEstimation:
     def test_worked_row(self):
         c = ChainCounts(SPACE3, [[12, 9, 11], [0, 0, 0], [0, 0, 0]], 1)
@@ -196,6 +216,16 @@ class TestMatrixValidation:
         p = np.eye(3)
         with pytest.raises(MarkovError):
             ChainMatrix(SPACE3, p, 1, ("observed", "guessed", "observed"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("status", [OBSERVED, UNOBSERVED])
+    def test_non_finite_entries_are_refused(self, bad, status):
+        """A NaN row passed every range and sum check, so each prediction
+        from it was NaN."""
+        p = [[bad, bad, bad] if status == OBSERVED else [bad, 0.0, 0.0],
+             [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(MarkovError, match="order-1 matrix entries must be finite"):
+            ChainMatrix(StateSpace(["a", "b", "c"]), p, 1, (status, OBSERVED, OBSERVED))
 
     def test_loose_tolerance_admits_published_rounding(self):
         m = ChainMatrix(SPACE3, EXAMPLE_P2[:3], 1, row_sum_tol=LOADED_ROW_SUM_TOL)
@@ -306,6 +336,12 @@ class TestPrediction:
         with pytest.raises(MarkovError):
             Distribution(SPACE3, [1.5, -0.25, -0.25])
 
+    @pytest.mark.parametrize("mass", [[float("nan")] * 2, [float("inf"), 0.0],
+                                      [float("nan"), 1.0]])
+    def test_distribution_refuses_non_finite_mass(self, mass):
+        with pytest.raises(MarkovError, match="distribution entries must be finite"):
+            Distribution(StateSpace(["a", "b"]), mass)
+
 
 class TestDisplay:
     @pytest.mark.parametrize(
@@ -337,6 +373,33 @@ class TestFileFormat:
         assert np.array_equal(loaded_m.p, m.p)
         assert loaded_c == pc
 
+    @given(st.lists(st.one_of(st.sampled_from(["open sea", "Ålesund", "港口", " a b ", "a"]),
+                              st.text(min_size=1, max_size=6)),
+                    min_size=1, max_size=5, unique=True),
+           st.data())
+    @settings(max_examples=100)
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_the_file_round_trips_every_chain(self, order, labels, data):
+        """The text codec is the only way into and out of a matrix file, so
+        what it writes must read back as the same chain and write again as
+        the same bytes."""
+        space = StateSpace(labels)
+        sequence = data.draw(st.lists(st.sampled_from(labels), max_size=40))
+        if order == 1:
+            c = count_transitions(sequence, space)
+            m = estimate_first_order(c)
+        else:
+            c = count_pair_transitions(sequence, space)
+            m = estimate_second_order(c)
+        text = dumps_matrix(m, c)
+        loaded_m, loaded_c = loads_matrix(text)
+        assert loaded_m.order == order
+        assert loaded_m.space == space
+        assert loaded_m.row_status == m.row_status
+        assert np.array_equal(loaded_m.p, m.p)
+        assert loaded_c == c
+        assert dumps_matrix(loaded_m, loaded_c) == text
+
     def test_counts_are_optional(self):
         text = dumps_matrix(example_matrix())
         m, c = loads_matrix(text)
@@ -348,37 +411,37 @@ class TestFileFormat:
         assert dumps_matrix(m, c) == dumps_matrix(m, c)
 
     def test_format_field_is_checked(self):
-        data = matrix_to_dict(example_matrix())
+        data = json.loads(dumps_matrix(example_matrix()))
         data["format"] = 2
         with pytest.raises(MarkovError, match="format"):
-            matrix_from_dict(data)
+            loads_matrix(json.dumps(data))
 
     @pytest.mark.parametrize("order", [3, True, 1.0, "1"])
     def test_order_field_is_checked(self, order):
-        data = matrix_to_dict(example_matrix())
+        data = json.loads(dumps_matrix(example_matrix()))
         data["order"] = order
         with pytest.raises(MarkovError, match="order"):
-            matrix_from_dict(data)
+            loads_matrix(json.dumps(data))
 
     def test_row_status_is_required(self):
-        data = matrix_to_dict(example_matrix())
+        data = json.loads(dumps_matrix(example_matrix()))
         del data["row_status"]
         with pytest.raises(MarkovError, match="row_status"):
-            matrix_from_dict(data)
+            loads_matrix(json.dumps(data))
 
     def test_counts_must_match_the_space(self):
         other = ChainCounts(StateSpace(("x", "y", "z")), np.ones((3, 3)), 1)
         with pytest.raises(MarkovError):
-            matrix_to_dict(example_matrix(), other)
+            dumps_matrix(example_matrix(), other)
 
     def test_counts_must_match_the_order(self):
         pc = ChainCounts(SPACE3, np.zeros((9, 3)), 2)
         with pytest.raises(MarkovError):
-            matrix_to_dict(example_matrix(), pc)
+            dumps_matrix(example_matrix(), pc)
 
     def test_counts_that_disagree_with_p_are_refused(self):
         c = ChainCounts(SPACE3, [[12, 9, 11], [5, 5, 0], [1, 2, 3]], 1)
-        data = matrix_to_dict(estimate_first_order(c), c)
+        data = json.loads(dumps_matrix(estimate_first_order(c), c))
         data["counts"][2] = [1, 2, 4]
         with pytest.raises(MarkovError, match="row 2 of p disagrees with its counts"):
             loads_matrix(json.dumps(data))
@@ -388,7 +451,7 @@ class TestFileFormat:
     ], ids=["observed-without-counts", "unobserved-with-counts"])
     def test_a_row_status_must_match_its_count_total(self, row, counts, status):
         c = ChainCounts(SPACE3, [[12, 9, 11], [5, 5, 0], [0, 0, 0]], 1)
-        data = matrix_to_dict(estimate_first_order(c), c)
+        data = json.loads(dumps_matrix(estimate_first_order(c), c))
         data["counts"][row] = counts
         with pytest.raises(MarkovError, match=f"row {row} is {status}, but its counts total"):
             loads_matrix(json.dumps(data))
@@ -410,7 +473,7 @@ class TestFileFormat:
             "p-ragged", "p-missing", "row_status-number", "counts-strings",
             "counts-boolean", "counts-ragged", "counts-string"])
     def test_field_types_are_checked(self, field, value):
-        data = matrix_to_dict(example_matrix())
+        data = json.loads(dumps_matrix(example_matrix()))
         data[field] = value
         with pytest.raises(MarkovError, match=f"matrix file: {field} must be a list"):
             loads_matrix(json.dumps(data))
@@ -426,5 +489,3 @@ class TestFileFormat:
         with pytest.raises(MarkovError, match="JSON"):
             loads_matrix("not json at all")
 
-    def test_counts_from_dict_without_counts(self):
-        assert counts_from_dict(matrix_to_dict(example_matrix())) is None

@@ -24,7 +24,6 @@ from kgmarkov.rdf import (
     serialize_ntriples,
     string_literal,
     term_to_ntriples,
-    triple_to_ntriples,
     unescape_lexical,
 )
 
@@ -33,6 +32,11 @@ EX = "http://example.org/data/"
 
 def iri(name):
     return Iri(EX + name)
+
+
+def nt_key(t: Triple) -> tuple[str, str, str]:
+    return (term_to_ntriples(t.subject), term_to_ntriples(t.predicate),
+            term_to_ntriples(t.object))
 
 
 class TestTerms:
@@ -220,14 +224,14 @@ class TestGraph:
                     and (p is None or t.predicate == p)
                     and (o is None or t.object == o)
                 ),
-                key=triple_to_ntriples,
+                key=nt_key,
             )
             assert g.match(s, p, o) == expected
 
     def test_match_returns_sorted_results(self):
         g = self._sample()
         results = g.match(None, None, None)
-        assert results == sorted(results, key=triple_to_ntriples)
+        assert results == sorted(results, key=nt_key)
 
 
 class TestSerialization:
@@ -487,6 +491,6 @@ class TestProperties:
                 and (p is None or t.predicate == p)
                 and (o is None or t.object == o)
             ),
-            key=triple_to_ntriples,
+            key=nt_key,
         )
         assert g.match(s, p, o) == expected

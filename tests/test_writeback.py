@@ -15,7 +15,6 @@ from kgmarkov.writeback import (
     MODEL_CCO,
     MODEL_PROFILE,
     PREDICTED_FLAG,
-    ProbabilityAssertion,
     WritebackError,
     read_probabilities,
     state_token,
@@ -32,6 +31,14 @@ def worked_counts():
     return ChainCounts(
         StateSpace(LOCATIONS3), [[12, 9, 11], [0, 0, 0], [0, 0, 0]], 1
     )
+
+
+def pmice_values(g, vocab):
+    """The local name and decimal value of each MarkovPMICE in the graph,
+    by name."""
+    return {t.subject.local_name():
+            float(g.match(t.subject, vocab.has_decimal_value, None)[0].object.lexical)
+            for t in g.match(None, vocab.type, vocab.MarkovPMICE)}
 
 
 class TestStateToken:
@@ -104,28 +111,15 @@ class TestStateToken:
             assert dict(read_probabilities(g, label, model).as_pairs()) == want
 
 
-class TestProbabilityAssertion:
-    def test_value_is_the_exact_quotient(self):
-        a = ProbabilityAssertion("location1", "location2", 9, 32,
-                                 Iri(EX + "s"), Iri(EX + "p"))
-        assert a.value == 9 / 32
-
-    def test_rejects_bad_fractions(self):
-        with pytest.raises(WritebackError):
-            ProbabilityAssertion("a", "b", -1, 32, Iri(EX + "s"), Iri(EX + "p"))
-        with pytest.raises(WritebackError):
-            ProbabilityAssertion("a", "b", 0, 0, Iri(EX + "s"), Iri(EX + "p"))
-
-
 class TestProfileModel:
-    def test_worked_row_produces_the_published_values(self):
+    def test_worked_row_produces_the_published_values(self, vocab):
         g = Graph()
-        assertions = writeback_profile_model(g, worked_counts(), "location1", 100)
-        by_state = {a.to_state: a for a in assertions}
-        assert by_state["location1"].value == 0.375
-        assert by_state["location2"].value == 0.28125
-        assert by_state["location3"].value == 0.34375
-        assert sum(a.value for a in assertions) == 1.0
+        writeback_profile_model(g, worked_counts(), "location1", 100)
+        values = pmice_values(g, vocab)
+        assert values["markovPMICE_1to1"] == 0.375
+        assert values["markovPMICE_1to2"] == 0.28125
+        assert values["markovPMICE_1to3"] == 0.34375
+        assert sum(values.values()) == 1.0
 
     def test_structure_of_the_pattern_of_life(self, vocab):
         g = Graph()
@@ -154,8 +148,8 @@ class TestProfileModel:
             StateSpace(LOCATIONS3), [[0, 0, 0], [0, 0, 0], [0, 0, 1]], 1
         )
         g = Graph()
-        assertions = writeback_profile_model(g, counts, "location3", 3)
-        assert [a.to_state for a in assertions] == ["location3"]
+        writeback_profile_model(g, counts, "location3", 3)
+        assert list(pmice_values(g, vocab)) == ["markovPMICE_3to3"]
         assert Triple(Iri(EX + "3to1TransitionCount"), vocab.has_integer_value,
                       integer_literal(0)) in g
         assert not g.match(Iri(EX + "markovPMICE_3to1"), None, None)
@@ -186,13 +180,13 @@ class TestProfileModel:
         assert d.probability("location2") == 0.28125
         assert d.probability("location3") == 0.34375
 
-    def test_round_trip_with_a_zero_entry(self):
+    def test_round_trip_with_a_zero_entry(self, vocab):
         counts = ChainCounts(
             StateSpace(LOCATIONS3), [[0, 0, 0], [0, 0, 0], [1, 0, 1]], 1
         )
         g = Graph()
-        writeback_cco_side = writeback_profile_model(g, counts, "location3", 2)
-        assert len(writeback_cco_side) == 2
+        writeback_profile_model(g, counts, "location3", 2)
+        assert len(g.match(None, vocab.type, vocab.MarkovPMICE)) == 2
         d = read_probabilities(g, "location3", MODEL_PROFILE)
         assert d.probability("location2") == 0.0
         assert d.probability("location1") == 0.5
@@ -266,14 +260,13 @@ class TestCcoModel:
 
     def test_pmices_point_at_the_future_part(self, vocab):
         g = Graph()
-        assertions = writeback_cco_model(g, worked_counts(), "location1", 100)
+        writeback_cco_model(g, worked_counts(), "location1", 100)
         future = Iri(EX + "fishingTripPart_101")
-        assert len(assertions) == 3
-        for a in assertions:
-            assert a.subject_iri == future
-            assert Triple(a.pmice_iri, vocab.type, vocab.MarkovPMICE) in g
-            assert Triple(a.pmice_iri, vocab.modally_about, future) in g
-        names = sorted(a.pmice_iri.local_name() for a in assertions)
+        pmices = [t.subject for t in g.match(None, vocab.type, vocab.MarkovPMICE)]
+        assert len(pmices) == 3
+        assert [t.subject for t in g.match(None, vocab.modally_about, future)] == pmices
+        assert [t.object for t in g.match(None, vocab.modally_about, None)] == [future] * 3
+        names = [pmice.local_name() for pmice in pmices]
         assert names == ["markovPMICE_1to1_d101", "markovPMICE_1to2_d101",
                          "markovPMICE_1to3_d101"]
 
@@ -282,8 +275,8 @@ class TestCcoModel:
             StateSpace(LOCATIONS3), [[0, 0, 0], [0, 0, 0], [2, 0, 1]], 1
         )
         g = Graph()
-        assertions = writeback_cco_model(g, counts, "location3", 3)
-        assert [a.to_state for a in assertions] == ["location1", "location3"]
+        writeback_cco_model(g, counts, "location3", 3)
+        assert list(pmice_values(g, vocab)) == ["markovPMICE_3to1_d4", "markovPMICE_3to3_d4"]
         assert not g.match(None, None, Iri(EX + "markovPMICE_3to2_d4"))
 
     def test_round_trip_through_the_graph(self):
