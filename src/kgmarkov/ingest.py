@@ -20,7 +20,7 @@ from typing import Sequence
 from .datagen import ObservationRow
 from .errors import ToolkitError
 from .query import Query, evaluate, parse_query
-from .rdf import Graph, Iri, Literal, Triple, datetime_literal
+from .rdf import DATETIME, Graph, Iri, Literal, Triple, datetime_literal, term_to_ntriples
 from .vocab import Vocab, _shipped
 
 log = logging.getLogger(__name__)
@@ -133,13 +133,18 @@ def _location_query(vocab: Vocab) -> Query:
 def location_sequence(graph: Graph) -> list[tuple[datetime, Iri]]:
     """All observed (time, location) pairs, chronologically.
 
-    A graph without the expected shape simply yields no rows.
+    A graph without the expected shape simply yields no rows; an ill-typed
+    location or time is refused.
     """
     table = evaluate(_location_query(_shipped()), graph)
     log.info("location query returned %d rows", len(table.rows))
     out = []
     for when, where in table.rows:
-        assert isinstance(when, Literal) and isinstance(where, Iri)
+        if not isinstance(where, Iri):
+            raise IngestError(f"a track point lies in {term_to_ntriples(where)}, not an IRI")
+        if not isinstance(when, Literal) or when.datatype != DATETIME:
+            raise IngestError(f"an observation time is {term_to_ntriples(when)}, "
+                              "not an xsd:dateTime literal")
         out.append((when.to_python(), where))
     return out
 

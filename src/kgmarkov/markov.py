@@ -254,8 +254,12 @@ def matrix_power(matrix: ChainMatrix, steps: int) -> ChainMatrix:
             result = result @ base
         base = base @ base
         exponent >>= 1
-    # row sums can drift by at most (1 + tol)^t - 1 when input rows are off by tol
-    tol = (1.0 + matrix.row_sum_tol) ** max(steps, 1) - 1.0 + 1e-12
+    # rows off by tol drift by at most (1 + tol)^t - 1, unbounded past the float range
+    try:
+        drift = (1.0 + matrix.row_sum_tol) ** max(steps, 1)
+    except OverflowError:
+        drift = math.inf
+    tol = drift - 1.0 + 1e-12
     return ChainMatrix(matrix.space, result, 1, row_sum_tol=max(tol, matrix.row_sum_tol))
 
 

@@ -12,7 +12,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import ToolkitError
 from .rdf import (
@@ -275,60 +275,84 @@ def parse_query(text: str, prefixes: Optional[PrefixTable] = None) -> Query:
     return Query(tuple(projection), tuple(patterns), order_by)
 
 
+# How a pattern position gets its key; fixed per query by the pattern order.
+CONSTANT, BOUND, FREE, REPEAT = "constant", "bound", "free", "repeat"
+
+
+def _plan(query: Query) -> tuple[tuple[str, ...], dict[Union[str, Var], int], list[tuple]]:
+    """The first row (the query's constant keys), the slot of each constant
+    key and variable, and per pattern a (kind, slot) pair for each position.
+    A REPEAT is a variable that a FREE position of the same pattern binds."""
+    terms = [(p.subject, p.predicate, p.object) for p in query.patterns]
+    first_row = tuple({term_to_ntriples(t): None for ts in terms for t in ts
+                       if not isinstance(t, Var)})
+    slots: dict[Union[str, Var], int] = {key: slot for slot, key in enumerate(first_row)}
+    shapes = []
+    for pattern_terms in terms:
+        bound = len(slots)
+        shape = []
+        for term in pattern_terms:
+            if not isinstance(term, Var):
+                shape.append((CONSTANT, slots[term_to_ntriples(term)]))
+            elif term in slots:
+                shape.append((BOUND if slots[term] < bound else REPEAT, slots[term]))
+            else:
+                slots[term] = len(slots)
+                shape.append((FREE, slots[term]))
+        shapes.append(tuple(shape))
+    return first_row, slots, shapes
+
+
+def _step(shape: tuple, graph: Graph) -> Callable[[list[tuple]], list[tuple]]:
+    """One pattern as a function from partial rows to all their extensions:
+    a direct index walk, or ``match_keys`` for the rare free predicate."""
+    (s_kind, s), (p_kind, p), (o_kind, o) = shape
+    spo, pos, empty = graph._spo, graph._pos, {}
+    if p_kind in (FREE, REPEAT):
+        known = [slot if kind in (CONSTANT, BOUND) else None for kind, slot in shape]
+        fresh = [i for i, (kind, _) in enumerate(shape) if kind == FREE]
+        same = [(i, j) for i, (kind, slot) in enumerate(shape) if kind == REPEAT
+                for j in fresh if shape[j][1] == slot]
+        return lambda rows: [
+            row + tuple(keys[i] for i in fresh) for row in rows
+            for keys in graph.match_keys(*(None if k is None else row[k] for k in known))
+            if all(keys[i] == keys[j] for i, j in same)]
+    if s_kind in (CONSTANT, BOUND):
+        if o_kind == FREE:
+            return lambda rows: [row + (obj,) for row in rows
+                                 for obj in spo.get(row[s], empty).get(row[p], ())]
+        return lambda rows: [row for row in rows
+                             if row[o] in spo.get(row[s], empty).get(row[p], ())]
+    if o_kind == FREE:
+        return lambda rows: [row + (subj, obj) for row in rows
+                             for obj, subjects in pos.get(row[p], empty).items()
+                             for subj in subjects]
+    if o_kind == REPEAT:
+        return lambda rows: [row + (obj,) for row in rows
+                             for obj, subjects in pos.get(row[p], empty).items()
+                             if obj in subjects]
+    return lambda rows: [row + (subj,) for row in rows
+                         for subj in pos.get(row[p], empty).get(row[o], ())]
+
+
 def evaluate(query: Query, graph: Graph) -> SolutionTable:
     """Join the patterns in written order against the graph and project.
 
-    Every variable owns a slot, and a partial solution is a list holding
-    one N-Triples key per slot.  Which slots are bound before each pattern
-    is fixed by the pattern order, so each pattern is compiled once into
-    index lookups; candidates come unsorted from the graph's indexes.
+    A row is a tuple of N-Triples keys: the query's constants, then each
+    variable in the order the patterns bind it (``_plan``).  Each pattern
+    compiles once, from which positions are constant, bound earlier, free or
+    repeated, into a step that walks the indexes and appends the keys it
+    binds to each row (``_step``).  Candidates come unsorted.
 
     Output order is deterministic and set only here, at projection, by
     sorting key strings (the terms' serializations): rows sort by the ORDER
     BY variable when one is given (remaining ties by the projected row),
     otherwise by the projected row itself.  Keys become terms at the end.
     """
-    slots: dict[Var, int] = {}
-    steps = []
-    for pattern in query.patterns:
-        lookups = []  # per position: (constant key, None) or (None, bound slot)
-        assign = []  # (position, slot) for variables this pattern binds
-        same = []  # (position, earlier position) for a variable repeated in it
-        first_seen: dict[Var, int] = {}
-        for position, term in enumerate((pattern.subject, pattern.predicate, pattern.object)):
-            if not isinstance(term, Var):
-                lookups.append((term_to_ntriples(term), None))
-            elif term in slots:
-                lookups.append((None, slots[term]))
-            elif term in first_seen:
-                lookups.append((None, None))
-                same.append((position, first_seen[term]))
-            else:
-                lookups.append((None, None))
-                first_seen[term] = position
-        for term, position in first_seen.items():
-            slots[term] = len(slots)
-            assign.append((position, slots[term]))
-        steps.append((lookups, assign, same))
-
-    match_keys = graph.match_keys
-    rows: list[list[Optional[str]]] = [[None] * len(slots)]
-    for ((s_key, s_slot), (p_key, p_slot), (o_key, o_slot)), assign, same in steps:
-        grown = []
-        for row in rows:
-            found = match_keys(
-                s_key if s_slot is None else row[s_slot],
-                p_key if p_slot is None else row[p_slot],
-                o_key if o_slot is None else row[o_slot],
-            )
-            for keys in found:
-                if same and any(keys[a] != keys[b] for a, b in same):
-                    continue
-                extended = row.copy()
-                for position, slot in assign:
-                    extended[slot] = keys[position]
-                grown.append(extended)
-        rows = grown
+    first_row, slots, shapes = _plan(query)
+    rows = [first_row]
+    for shape in shapes:
+        rows = _step(shape, graph)(rows)
         if not rows:
             break
 

@@ -225,7 +225,7 @@ class Graph:
     nested permutation indexes ``spo`` (subject -> predicate -> objects) and
     ``pos`` (predicate -> object -> subjects).  A pattern binding only the
     object walks ``pos`` over its predicates; one binding subject and object
-    walks ``spo[subject]``.
+    walks ``spo[subject]``.  Query evaluation walks both indexes directly.
 
     Nothing is kept sorted.  Sorting happens only where order is part of
     the contract: in ``match``, in ``serialize_ntriples`` and at query

@@ -110,11 +110,13 @@ def writeback_profile_model(
     a PMICE per nonzero target.  With link_realizations, each historical day
     whose transition matches an option also gains a realizes edge; that adds
     about one triple per observed day, hence the flag.  day_index names the
-    day being predicted; profile IRIs do not depend on it, the argument just
-    keeps both model calls interchangeable.
+    day being predicted; profile IRIs do not depend on it, but a negative one
+    is refused as in the cco model, so both model calls stay interchangeable.
     """
     manifest = default_manifest()
     vocab = _shipped()
+    if day_index < 0:
+        raise WritebackError("day_index must be non-negative")
     row, total = _row_or_error(counts, current)
     s_tok = state_token(current)
     ns = manifest.namespace

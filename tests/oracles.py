@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed: exhaustive enumeration for
 query evaluation, a plain multiplication loop for matrix powers, and exact
-rational arithmetic for probability estimation.
+rational arithmetic for probability estimation, and a term-level, sorted
+``Graph.match`` walk for the DOT day fragment.
 """
 
 import random
@@ -11,8 +12,10 @@ from itertools import product
 
 import numpy as np
 
+from kgmarkov.ingest import default_manifest
 from kgmarkov.query import Query, TriplePattern, Var
 from kgmarkov.rdf import Graph, Iri, Literal, Triple, integer_literal, string_literal
+from kgmarkov.vocab import _shipped
 
 
 def brute_force_rows(query: Query, graph: Graph) -> list[tuple]:
@@ -118,4 +121,32 @@ def rational_estimate(counts: np.ndarray) -> list[list[Fraction]]:
             out.append([Fraction(0)] * len(row))
         else:
             out.append([Fraction(int(c), total) for c in row])
+    return out
+
+
+def match_day_subgraph(graph: Graph, day: int) -> Graph:
+    """One day's DOT fragment, selected term by term through ``Graph.match``:
+    every triple about one of the day's nodes whose object is a literal, one
+    of those nodes, or a vocabulary class."""
+    manifest = default_manifest()
+    vocab = _shipped()
+    track_point = manifest.track_point(day)
+    nodes = {
+        manifest.trip_part(day),
+        manifest.observation(day),
+        manifest.st_instant(day),
+        manifest.t_instant(day),
+        track_point,
+        manifest.vessel,
+        manifest.trip,
+    }
+    for t in graph.match(track_point, vocab.spatial_part_of, None):
+        if isinstance(t.object, Iri):
+            nodes.add(t.object)
+    keep = nodes | vocab.class_iris()
+    out = Graph()
+    for node in nodes:
+        for t in graph.match(node, None, None):
+            if isinstance(t.object, Literal) or t.object in keep:
+                out.insert(t)
     return out

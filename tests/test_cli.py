@@ -193,6 +193,34 @@ class TestEstimate:
         assert all(part in err for part in named), err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old,new,named",
+        [('<http://example.org/data/location1> .',
+          '"location1" .',
+          'error: a track point lies in "location1"^^<http://www.w3.org/2001/XMLSchema#string>, '
+          'not an IRI\n'),
+         ('"2023-04-09T12:00:00"^^<http://www.w3.org/2001/XMLSchema#dateTime>',
+          '"7"^^<http://www.w3.org/2001/XMLSchema#integer>',
+          'error: an observation time is "7"^^<http://www.w3.org/2001/XMLSchema#integer>, '
+          'not an xsd:dateTime literal\n'),
+         ('"2023-04-09T12:00:00"^^<http://www.w3.org/2001/XMLSchema#dateTime>',
+          '<http://example.org/data/noon>',
+          'error: an observation time is <http://example.org/data/noon>, '
+          'not an xsd:dateTime literal\n')],
+        ids=["literal-location", "integer-time", "iri-time"],
+    )
+    def test_ill_typed_location_or_time_exits_1(self, graph_file, tmp_path, capsys,
+                                                 old, new, named):
+        """A literal location used to end in an AssertionError traceback."""
+        text = graph_file.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        graph_file.write_text(text.replace(old, new), encoding="utf-8")
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert main(["estimate", "--graph", str(graph_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == named
+        assert not out.exists()
+
 
 class TestPower:
     def test_step_5_distribution(self, tmp_path, capsys):
@@ -214,6 +242,37 @@ class TestPower:
         m2.write_text(dumps_matrix(estimate_second_order(pc)), encoding="utf-8")
         assert main(["power", "--matrix", str(m2), "--steps", "2"]) == 1
         assert "first-order" in capsys.readouterr().err
+
+
+class TestHugeStepCounts:
+    """A million steps used to end in an OverflowError traceback from the
+    row-sum drift bound; by then the chain has long reached its limit."""
+
+    @pytest.fixture
+    def m1(self, tmp_path):
+        csv_path, graph, m1 = (tmp_path / n for n in ("obs.csv", "graph.nt", "m1.json"))
+        assert main(["gen-data", "--days", "100", "--out", str(csv_path)]) == 0
+        assert main(["ingest", "--csv", str(csv_path), "--out", str(graph)]) == 0
+        assert main(["estimate", "--graph", str(graph), "--out", str(m1)]) == 0
+        return m1
+
+    def test_power(self, m1, capsys):
+        rows = {}
+        for steps in ("4096", "1000000"):
+            capsys.readouterr()
+            assert main(["power", "--matrix", str(m1), "--steps", steps]) == 0
+            rows[steps] = json.loads(capsys.readouterr().out)["p"]
+        for far, near in zip(rows["1000000"], rows["4096"]):
+            assert far == pytest.approx(near, abs=1e-9)
+
+    def test_predict(self, m1, capsys):
+        shown = {}
+        for steps in ("4096", "1000000"):
+            capsys.readouterr()
+            assert main(["predict", "--matrix", str(m1), "--state", "location1",
+                         "--steps", steps]) == 0
+            shown[steps] = capsys.readouterr().out
+        assert shown["1000000"] == shown["4096"]
 
 
 class TestPredict:
@@ -315,6 +374,18 @@ class TestWriteback:
                      "--state", "location3", "--day", "3", "--model", "profile",
                      "--out", str(out)]) == 1
         assert "counts" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["profile", "cco"])
+    def test_negative_day_exits_1_with_one_error_line(self, graph_file, tmp_path,
+                                                      capsys, model):
+        """The profile model used to accept --day -3 and exit 0."""
+        m = write_example_matrix(tmp_path / "m.json", with_counts=True)
+        out = tmp_path / "wb.nt"
+        assert main(["writeback", "--graph", str(graph_file), "--matrix", str(m),
+                     "--state", "location3", "--day", "-3", "--model", model,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: day_index must be non-negative\n"
         assert not out.exists()
 
     def test_counts_that_disagree_with_p_exit_1(self, graph_file, tmp_path, capsys):

@@ -1,12 +1,14 @@
 import pytest
 
+from kgmarkov.datagen import GenConfig, generate
 from kgmarkov.dot import DotError, day_subgraph, graph_to_dot, writeback_subgraph
 from kgmarkov.ingest import ingest_rows
-from kgmarkov.markov import ChainCounts, StateSpace
+from kgmarkov.markov import ChainCounts, StateSpace, count_transitions
 from kgmarkov.rdf import Graph, Iri, Triple, string_literal
 from kgmarkov.writeback import writeback_cco_model, writeback_profile_model
 
 from conftest import LOCATIONS3, THREE_DAY_ROWS
+from oracles import match_day_subgraph
 
 
 def worked_counts():
@@ -35,6 +37,17 @@ class TestDaySubgraph:
         for day in (1, 2, 3):
             sub = day_subgraph(three_day_graph, day)
             assert len(sub) == 17
+
+    def test_middle_day_matches_the_term_level_selection(self):
+        """Linked realizations give the day's trip part an edge that the
+        fragment must drop, next to the vessel's and trip's 30-day fans."""
+        rows = generate(GenConfig(days=30))
+        graph = ingest_rows(rows)
+        counts = count_transitions([row.location for row in rows])
+        writeback_profile_model(graph, counts, rows[13].location, 30, link_realizations=True)
+        fragment = day_subgraph(graph, 15)
+        assert fragment == match_day_subgraph(graph, 15)
+        assert graph_to_dot(fragment) == graph_to_dot(match_day_subgraph(graph, 15))
 
     def test_missing_day_is_an_error(self, three_day_graph):
         with pytest.raises(DotError, match="day 9"):

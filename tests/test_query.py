@@ -6,10 +6,15 @@ import pytest
 
 from kgmarkov.ingest import load_bundled_query
 from kgmarkov.query import (
+    BOUND,
+    CONSTANT,
+    FREE,
+    REPEAT,
     Query,
     QueryError,
     TriplePattern,
     Var,
+    _plan,
     display_value,
     evaluate,
     parse_query,
@@ -244,8 +249,25 @@ class TestTableRendering:
 class TestOracle:
     def test_matches_brute_force_on_random_cases(self):
         rng = random.Random(8675309)
+        kinds, steps = set(), set()
         for _ in range(40):
             graph, query = random_graph_and_query(rng)
+            for shape in _plan(query)[2]:
+                kinds.update(enumerate(kind for kind, _ in shape))
+                steps.add(tuple("known" if kind in (CONSTANT, BOUND) else kind
+                                for kind, _ in shape))
             fast = Counter(evaluate(query, graph).rows)
             slow = Counter(brute_force_rows(query, graph))
             assert fast == slow
+        # every kind in every position, except a repeat in the subject: a
+        # repeat names a variable bound earlier in the same pattern
+        assert kinds == {(position, kind) for position in range(3)
+                         for kind in (CONSTANT, BOUND, FREE, REPEAT)} - {(0, REPEAT)}
+        # every shape evaluate tells apart when it picks a pattern's step
+        assert steps == {
+            (s, p, o)
+            for s in ("known", FREE)
+            for p in ("known", FREE, REPEAT)
+            for o in ("known", FREE, REPEAT)
+            if (p != REPEAT or s == FREE) and (o != REPEAT or FREE in (s, p))
+        }
