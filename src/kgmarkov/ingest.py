@@ -20,7 +20,7 @@ from typing import Sequence
 from .datagen import ObservationRow
 from .errors import ToolkitError
 from .query import Query, evaluate, parse_query
-from .rdf import DATETIME, Graph, Iri, Literal, Triple, datetime_literal, term_to_ntriples
+from .rdf import DATETIME, Graph, Iri, Literal, Term, datetime_literal, term_to_ntriples
 from .vocab import Vocab, _shipped
 
 log = logging.getLogger(__name__)
@@ -77,11 +77,55 @@ def default_manifest() -> IngestManifest:
     return IngestManifest(Iri(ns + "fishingVessel"), Iri(ns + "fishingTrip"), ns)
 
 
+# The slots of a day's key row that follow the template's constant keys, in
+# the order ingest_rows fills them.
+_DAY_SLOTS = ("part", "observation", "st_instant", "t_instant", "track_point", "time", "location")
+
+
+@functools.cache
+def _day_template(vocab: Vocab) -> tuple[dict[str, Term], tuple[tuple[int, str, int], ...]]:
+    """The 13 triples of one observed day, built once per loaded vocabulary.
+
+    Returns the template's constant terms by key, and each triple as
+    (subject slot, predicate key, object slot).  A slot indexes a day's key
+    row: the constant keys in the order of that dict, then one key per
+    ``_DAY_SLOTS`` name.
+    """
+    m, v = default_manifest(), vocab
+    shape = (
+        ("part", v.type, v.Process),
+        (m.trip, v.has_occurrent_part, "part"),
+        ("part", v.has_occurrent_part, "observation"),
+        ("observation", v.type, v.ProcessBoundary),
+        ("observation", v.occupies_spatiotemporal_region, "st_instant"),
+        ("st_instant", v.type, v.SpatiotemporalInstant),
+        ("st_instant", v.spatially_projects_onto, "track_point"),
+        ("st_instant", v.temporally_projects_onto, "t_instant"),
+        ("t_instant", v.type, v.TemporalInstant),
+        ("t_instant", v.has_datetime_value, "time"),
+        ("track_point", v.type, v.VehicleTrackPoint),
+        ("track_point", v.spatial_part_of, "location"),
+        (m.vessel, v.occupies_spatial_region, "track_point"),
+    )
+    constants = {term_to_ntriples(t): t for triple in shape for t in triple
+                 if not isinstance(t, str)}
+    slots = {name: i for i, name in enumerate([*constants, *_DAY_SLOTS])}
+
+    def slot(t):
+        return slots[t if isinstance(t, str) else term_to_ntriples(t)]
+
+    return constants, tuple((slot(s), term_to_ntriples(p), slot(o)) for s, p, o in shape)
+
+
 def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
     """Build the full activity graph for a sequence of daily observations.
 
     For n rows over L distinct locations the result holds exactly
-    13n + (n - 1) + 3 + L triples.
+    13n + (n - 1) + 3 + L triples.  Each day's 13 come from one template,
+    ``_day_template``: it is the one place in the code that states a day's
+    shape, and the bundled ``.rq`` queries read that shape back.  Every
+    term is built by its validating constructor and keyed once; triples are
+    written as keys.
     """
     if not rows:
         raise IngestError("cannot ingest an empty row sequence")
@@ -92,35 +136,40 @@ def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
             )
     manifest = default_manifest()
     vocab = _shipped()
+    constants, template = _day_template(vocab)
     graph = Graph()
-    add = graph.insert
-    add(Triple(manifest.vessel, vocab.type, vocab.Watercraft))
-    add(Triple(manifest.vessel, vocab.participates_in, manifest.trip))
-    add(Triple(manifest.trip, vocab.type, vocab.Process))
+    terms, write = graph._terms, graph._add
+    terms.update(constants)
+
+    def key(term: Term) -> str:
+        k = term_to_ntriples(term)
+        terms[k] = term
+        return k
+
+    vessel, trip, rdf_type = key(manifest.vessel), key(manifest.trip), key(vocab.type)
+    write(vessel, rdf_type, key(vocab.Watercraft))
+    write(vessel, key(vocab.participates_in), trip)
+    write(trip, rdf_type, key(vocab.Process))
+    locations = {label: key(manifest.location(label))
+                 for label in sorted({row.location for row in rows})}
+    first = tuple(constants)
+    parts = []
     for day, row in enumerate(rows, start=1):
-        part = manifest.trip_part(day)
-        observation = manifest.observation(day)
-        st_instant = manifest.st_instant(day)
-        t_instant = manifest.t_instant(day)
-        track_point = manifest.track_point(day)
-        location = manifest.location(row.location)
-        add(Triple(part, vocab.type, vocab.Process))
-        add(Triple(manifest.trip, vocab.has_occurrent_part, part))
-        add(Triple(part, vocab.has_occurrent_part, observation))
-        add(Triple(observation, vocab.type, vocab.ProcessBoundary))
-        add(Triple(observation, vocab.occupies_spatiotemporal_region, st_instant))
-        add(Triple(st_instant, vocab.type, vocab.SpatiotemporalInstant))
-        add(Triple(st_instant, vocab.spatially_projects_onto, track_point))
-        add(Triple(st_instant, vocab.temporally_projects_onto, t_instant))
-        add(Triple(t_instant, vocab.type, vocab.TemporalInstant))
-        add(Triple(t_instant, vocab.has_datetime_value, datetime_literal(row.time)))
-        add(Triple(track_point, vocab.type, vocab.VehicleTrackPoint))
-        add(Triple(track_point, vocab.spatial_part_of, location))
-        add(Triple(manifest.vessel, vocab.occupies_spatial_region, track_point))
-    for day in range(1, len(rows)):
-        add(Triple(manifest.trip_part(day), vocab.precedes, manifest.trip_part(day + 1)))
-    for label in sorted({row.location for row in rows}):
-        add(Triple(manifest.location(label), vocab.type, vocab.SpatialRegion))
+        day_terms = (manifest.trip_part(day), manifest.observation(day),
+                     manifest.st_instant(day), manifest.t_instant(day),
+                     manifest.track_point(day), datetime_literal(row.time))
+        day_keys = tuple(map(term_to_ntriples, day_terms))
+        terms.update(zip(day_keys, day_terms))
+        parts.append(day_keys[0])
+        keys = first + day_keys + (locations[row.location],)
+        for s, p, o in template:
+            write(keys[s], p, keys[o])
+    precedes = key(vocab.precedes)
+    for part, next_part in zip(parts, parts[1:]):
+        write(part, precedes, next_part)
+    region = key(vocab.SpatialRegion)
+    for location in locations.values():
+        write(location, rdf_type, region)
     return graph
 
 
@@ -134,18 +183,25 @@ def location_sequence(graph: Graph) -> list[tuple[datetime, Iri]]:
     """All observed (time, location) pairs, chronologically.
 
     A graph without the expected shape simply yields no rows; an ill-typed
-    location or time is refused.
+    location or time is refused, and so are two rows at one time, which
+    would make up a transition inside one observed instant.
     """
     table = evaluate(_location_query(_shipped()), graph)
     log.info("location query returned %d rows", len(table.rows))
     out = []
+    previous = None
     for when, where in table.rows:
         if not isinstance(where, Iri):
             raise IngestError(f"a track point lies in {term_to_ntriples(where)}, not an IRI")
         if not isinstance(when, Literal) or when.datatype != DATETIME:
             raise IngestError(f"an observation time is {term_to_ntriples(when)}, "
                               "not an xsd:dateTime literal")
+        # rows come sorted on the time key, so equal times are neighbours
+        if when == previous:
+            raise IngestError(f"two observations at one instant, {when.lexical}: "
+                              f"in {out[-1][1].value} and in {where.value}")
         out.append((when.to_python(), where))
+        previous = when
     return out
 
 

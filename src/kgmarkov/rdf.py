@@ -227,6 +227,17 @@ class Graph:
     object walks ``pos`` over its predicates; one binding subject and object
     walks ``spo[subject]``.  Query evaluation walks both indexes directly.
 
+    An innermost bucket (the objects of ``spo[s][p]``, the subjects of
+    ``pos[p][o]``) is a 1-tuple exactly when it holds one key, and a set
+    when it holds more; ``_add`` replaces a 1-tuple by a set on the second
+    distinct key.  Nearly every bucket of an ingested graph holds one key,
+    and a 1-tuple of strings is a quarter of an empty set's size and drops
+    out of the garbage collector's passes.  Readers only iterate a bucket
+    and test ``in``, which both shapes answer alike.  ``__eq__`` compares
+    the indexes and so relies on the invariant; a mutator that shrinks a
+    bucket (a future ``remove``) must turn a set left with one key back
+    into a 1-tuple.
+
     Nothing is kept sorted.  Sorting happens only where order is part of
     the contract: in ``match``, in ``serialize_ntriples`` and at query
     projection.  Sorting key tuples gives the N-Triples order, because the
@@ -236,12 +247,15 @@ class Graph:
     write path, and on a graph that may share it first copies what it is
     about to write; any future mutator, such as a ``remove``, must go
     through the same unshare step before it touches an inner container.
+    A 1-tuple bucket is never written, only replaced, so copies may go on
+    sharing it.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._terms: dict[str, Term] = {}
-        self._spo: dict[str, dict[str, set[str]]] = {}
-        self._pos: dict[str, dict[str, set[str]]] = {}
+        # innermost buckets: a 1-tuple for one key, a set for more
+        self._spo: dict[str, dict[str, Union[tuple[str], set[str]]]] = {}
+        self._pos: dict[str, dict[str, Union[tuple[str], set[str]]]] = {}
         self._size = 0
         # None until a copy(); then the containers made its own since, as
         # ("spo", s), ("pos", p) and (p, o) for pos[p][o] (no key is a tag)
@@ -268,24 +282,45 @@ class Graph:
         """Index a key triple whose terms are (or will be) in ``_terms``."""
         if self._owned is not None:
             self._unshare(s, p, o)
-        objects = self._spo.setdefault(s, {}).setdefault(p, set())
-        if o in objects:
-            return False
-        objects.add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
+        by_p = self._spo.get(s)
+        if by_p is None:
+            self._spo[s] = {p: (o,)}
+        else:
+            objects = by_p.get(p)
+            if objects is None:
+                by_p[p] = (o,)
+            elif o in objects:
+                return False
+            elif type(objects) is tuple:
+                by_p[p] = {objects[0], o}
+            else:
+                objects.add(o)
+        by_o = self._pos.get(p)
+        if by_o is None:
+            self._pos[p] = {o: (s,)}
+        else:
+            subjects = by_o.get(o)
+            if subjects is None:
+                by_o[o] = (s,)
+            elif type(subjects) is tuple:
+                by_o[o] = {subjects[0], s}
+            else:
+                subjects.add(s)
         self._size += 1
         return True
 
     def _unshare(self, s: str, p: str, o: str) -> None:
         """Copy each container ``_add(s, p, o)`` writes that a copy may share:
-        ``spo[s]`` with its object sets, ``pos[p]`` and ``pos[p][o]``.  Each
-        is copied at most once per graph between copies."""
+        ``spo[s]`` with its set buckets, ``pos[p]`` and a set ``pos[p][o]``.
+        Each is copied at most once per graph between copies; a 1-tuple
+        bucket is replaced, never written, so it stays shared."""
         owned = self._owned
         if ("spo", s) not in owned:
             owned.add(("spo", s))
             by_p = self._spo.get(s)
             if by_p is not None:
-                self._spo[s] = {pred: objs.copy() for pred, objs in by_p.items()}
+                self._spo[s] = {pred: objs if type(objs) is tuple else objs.copy()
+                                for pred, objs in by_p.items()}
         if ("pos", p) not in owned:
             owned.add(("pos", p))
             by_o = self._pos.get(p)
@@ -294,8 +329,9 @@ class Graph:
         if (p, o) not in owned:
             owned.add((p, o))
             by_o = self._pos.get(p, {})
-            if o in by_o:
-                by_o[o] = by_o[o].copy()
+            subjects = by_o.get(o)
+            if type(subjects) is set:
+                by_o[o] = subjects.copy()
 
     def term(self, key: str) -> Term:
         """The term whose N-Triples text is ``key``."""

@@ -2,8 +2,9 @@
 
 Everything here favors obviousness over speed: exhaustive enumeration for
 query evaluation, a plain multiplication loop for matrix powers, and exact
-rational arithmetic for probability estimation, and a term-level, sorted
-``Graph.match`` walk for the DOT day fragment.
+rational arithmetic for probability estimation, a term-level, sorted
+``Graph.match`` walk for the DOT day fragment, and an ingest that inserts
+one ``Triple`` at a time.
 """
 
 import random
@@ -14,7 +15,15 @@ import numpy as np
 
 from kgmarkov.ingest import default_manifest
 from kgmarkov.query import Query, TriplePattern, Var
-from kgmarkov.rdf import Graph, Iri, Literal, Triple, integer_literal, string_literal
+from kgmarkov.rdf import (
+    Graph,
+    Iri,
+    Literal,
+    Triple,
+    datetime_literal,
+    integer_literal,
+    string_literal,
+)
 from kgmarkov.vocab import _shipped
 
 
@@ -150,3 +159,40 @@ def match_day_subgraph(graph: Graph, day: int) -> Graph:
             if isinstance(t.object, Literal) or t.object in keep:
                 out.insert(t)
     return out
+
+
+def triple_ingest(rows) -> Graph:
+    """The activity graph of ``ingest_rows``, built one ``Graph.insert`` of
+    one ``Triple`` at a time, each day's triples written out longhand."""
+    manifest = default_manifest()
+    vocab = _shipped()
+    graph = Graph()
+    add = graph.insert
+    add(Triple(manifest.vessel, vocab.type, vocab.Watercraft))
+    add(Triple(manifest.vessel, vocab.participates_in, manifest.trip))
+    add(Triple(manifest.trip, vocab.type, vocab.Process))
+    for day, row in enumerate(rows, start=1):
+        part = manifest.trip_part(day)
+        observation = manifest.observation(day)
+        st_instant = manifest.st_instant(day)
+        t_instant = manifest.t_instant(day)
+        track_point = manifest.track_point(day)
+        location = manifest.location(row.location)
+        add(Triple(part, vocab.type, vocab.Process))
+        add(Triple(manifest.trip, vocab.has_occurrent_part, part))
+        add(Triple(part, vocab.has_occurrent_part, observation))
+        add(Triple(observation, vocab.type, vocab.ProcessBoundary))
+        add(Triple(observation, vocab.occupies_spatiotemporal_region, st_instant))
+        add(Triple(st_instant, vocab.type, vocab.SpatiotemporalInstant))
+        add(Triple(st_instant, vocab.spatially_projects_onto, track_point))
+        add(Triple(st_instant, vocab.temporally_projects_onto, t_instant))
+        add(Triple(t_instant, vocab.type, vocab.TemporalInstant))
+        add(Triple(t_instant, vocab.has_datetime_value, datetime_literal(row.time)))
+        add(Triple(track_point, vocab.type, vocab.VehicleTrackPoint))
+        add(Triple(track_point, vocab.spatial_part_of, location))
+        add(Triple(manifest.vessel, vocab.occupies_spatial_region, track_point))
+    for day in range(1, len(rows)):
+        add(Triple(manifest.trip_part(day), vocab.precedes, manifest.trip_part(day + 1)))
+    for label in sorted({row.location for row in rows}):
+        add(Triple(manifest.location(label), vocab.type, vocab.SpatialRegion))
+    return graph

@@ -221,6 +221,20 @@ class TestEstimate:
         assert capsys.readouterr().err == named
         assert not out.exists()
 
+    def test_two_locations_at_one_instant_exit_1(self, graph_file, tmp_path, capsys):
+        """A track point in two locations used to add a transition inside day 2."""
+        with graph_file.open("a", encoding="utf-8") as f:
+            f.write("<http://example.org/data/trackPoint_d2> "
+                    "<http://example.org/ontology/bfo/spatial_part_of> "
+                    "<http://example.org/data/location2> .\n")
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert main(["estimate", "--graph", str(graph_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: two observations at one instant, 2023-04-09T12:00:00: "
+            "in http://example.org/data/location1 and in http://example.org/data/location2\n")
+        assert not out.exists()
+
 
 class TestPower:
     def test_step_5_distribution(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kgmarkov.datagen import GenConfig, ObservationRow, generate
 from kgmarkov.ingest import (
+    BUNDLED_QUERIES,
     IngestError,
     default_manifest,
     ingest_rows,
@@ -14,16 +15,31 @@ from kgmarkov.ingest import (
     location_sequence,
     transition_pairs,
 )
-from kgmarkov.query import evaluate, parse_query
-from kgmarkov.rdf import Iri, serialize_ntriples
+from kgmarkov.query import Var, evaluate, parse_query
+from kgmarkov.rdf import Iri, Triple, serialize_ntriples
 
 from conftest import THREE_DAY_ROWS
+from oracles import triple_ingest
 
 E = "http://example.org/data/"
 B = "http://example.org/ontology/bfo/"
 C = "http://example.org/ontology/cco/"
 R = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 X = "http://www.w3.org/2001/XMLSchema#"
+
+
+# Up to 30 days over four location labels, and the hours between them.
+_labels = st.lists(st.sampled_from(("location1", "location2", "location3", "harbor")),
+                   min_size=1, max_size=30)
+_gaps_hours = st.lists(st.integers(1, 72), min_size=29, max_size=29)
+
+
+def _rows(labels, gaps_hours):
+    times = [datetime(2023, 4, 8, 12)]
+    for gap in gaps_hours[:len(labels) - 1]:
+        times.append(times[-1] + timedelta(hours=gap))
+    return [ObservationRow(t, f"Day{i + 1}", label)
+            for i, (t, label) in enumerate(zip(times, labels))]
 
 
 def _line(s, p, o):
@@ -96,6 +112,24 @@ class TestIngest:
         assert len(EXPECTED_THREE_DAY_LINES) == 46
         expected = "\n".join(sorted(EXPECTED_THREE_DAY_LINES)) + "\n"
         assert serialize_ntriples(three_day_graph) == expected
+
+    @given(_labels, _gaps_hours)
+    @settings(max_examples=40)
+    def test_matches_the_triple_by_triple_reference(self, labels, gaps_hours):
+        rows = _rows(labels, gaps_hours)
+        g, reference = ingest_rows(rows), triple_ingest(rows)
+        assert g == reference
+        assert serialize_ntriples(g) == serialize_ntriples(reference)
+
+    def test_every_bundled_query_pattern_matches_a_two_day_ingest(self):
+        """The day template and the .rq files state one shape; a one-day
+        ingest has no precedes edge, so two days are the least that can
+        match every pattern."""
+        g = ingest_rows(list(THREE_DAY_ROWS[:2]))
+        for name in BUNDLED_QUERIES:
+            for pattern in parse_query(load_bundled_query(name)).patterns:
+                terms = (pattern.subject, pattern.predicate, pattern.object)
+                assert g.match(*(None if isinstance(t, Var) else t for t in terms)), pattern
 
     def test_single_day_has_no_precedes_edge(self, vocab):
         g = ingest_rows([THREE_DAY_ROWS[0]])
@@ -178,6 +212,12 @@ class TestReadback:
         transition_pairs(three_day_graph)
         assert calls == []
 
+    def test_two_locations_at_one_instant_are_refused(self, three_day_graph, vocab):
+        three_day_graph.insert(Triple(Iri(E + "trackPoint_d2"), vocab.spatial_part_of,
+                                      Iri(E + "location2")))
+        with pytest.raises(IngestError, match="2023-04-09T12:00:00: in .*location1 and in .*location2"):
+            transition_pairs(three_day_graph)
+
     def test_transition_pairs_for_three_days(self, three_day_graph):
         assert transition_pairs(three_day_graph) == [
             (Iri(E + "location3"), Iri(E + "location1")),
@@ -191,18 +231,10 @@ class TestReadback:
         shipped = evaluate(parse_query(load_bundled_query("transitions")), g)
         assert Counter(tuple(row) for row in shipped.rows) == ordered
 
-    @given(
-        st.lists(st.sampled_from(("location1", "location2", "location3", "harbor")),
-                 min_size=1, max_size=30),
-        st.lists(st.integers(1, 72), min_size=29, max_size=29),
-    )
+    @given(_labels, _gaps_hours)
     @settings(max_examples=40)
     def test_transition_pairs_are_consecutive_row_locations(self, labels, gaps_hours):
-        times = [datetime(2023, 4, 8, 12)]
-        for gap in gaps_hours[:len(labels) - 1]:
-            times.append(times[-1] + timedelta(hours=gap))
-        rows = [ObservationRow(t, f"Day{i + 1}", label)
-                for i, (t, label) in enumerate(zip(times, labels))]
+        rows = _rows(labels, gaps_hours)
         manifest = default_manifest()
         expected = [manifest.location(row.location) for row in rows]
         assert transition_pairs(ingest_rows(rows)) == list(zip(expected, expected[1:]))

@@ -383,8 +383,19 @@ _SMALL_IRIS = _POOL_IRIS[:3]
 _SMALL_OBJECTS = [*_SMALL_IRIS, integer_literal(1)]
 _small_triples = st.builds(Triple, st.sampled_from(_SMALL_IRIS), st.sampled_from(_POOL_PREDS),
                            st.sampled_from(_SMALL_OBJECTS))
-_SMALL_PATTERNS = [(s, p, o) for s in [None, *_SMALL_IRIS] for p in [None, *_POOL_PREDS]
-                   for o in [None, *_SMALL_OBJECTS]]
+_SMALL_KEY_PATTERNS = [(s, p, o) for s in [None, *map(term_to_ntriples, _SMALL_IRIS)]
+                       for p in [None, *map(term_to_ntriples, _POOL_PREDS)]
+                       for o in [None, *map(term_to_ntriples, _SMALL_OBJECTS)]]
+_SMALL_ALL_TRIPLES = [Triple(s, p, o) for s in _SMALL_IRIS for p in _POOL_PREDS
+                      for o in _SMALL_OBJECTS]
+
+
+def _one_key_buckets_are_1_tuples(g: Graph) -> bool:
+    """The store's invariant: an innermost index bucket is a 1-tuple when it
+    holds one key, and a set of two or more keys otherwise."""
+    return all(type(bucket) is (tuple if len(bucket) == 1 else set) and bucket
+               for index in (g._spo, g._pos) for by_key in index.values()
+               for bucket in by_key.values())
 
 
 def _respelled_line(draw, triple: Triple) -> str:
@@ -449,26 +460,36 @@ class TestProperties:
     @given(st.lists(_small_triples, max_size=10), st.data())
     @settings(max_examples=100, deadline=None)
     def test_copies_and_inserts_in_any_order_match_a_fresh_graph(self, triples, data):
-        def seen(graph):
-            return (serialize_ntriples(graph), len(graph),
-                    [graph.match(*pattern) for pattern in _SMALL_PATTERNS])
+        """Each graph against its model, a plain set of triples: inserts,
+        duplicates included, interleave with copies of copies, and any live
+        graph may be written next, so every other graph must stay as it was."""
+        def check(graph, model):
+            keys = {nt_key(t) for t in model}
+            assert len(graph) == len(keys)
+            for pattern in _SMALL_KEY_PATTERNS:
+                assert sorted(graph.match_keys(*pattern)) == sorted(
+                    k for k in keys if all(x is None or x == y for x, y in zip(pattern, k)))
+            assert [t in graph for t in _SMALL_ALL_TRIPLES] == [
+                t in model for t in _SMALL_ALL_TRIPLES]
+            assert graph.match() == sorted(model, key=nt_key)
+            assert serialize_ntriples(graph) == "".join(
+                sorted(f"{s} {p} {o} .\n" for s, p, o in keys))
+            assert graph == Graph(model)
+            assert _one_key_buckets_are_1_tuples(graph)
 
-        # graphs[i] must always look like a fresh Graph of held[i]; copies of
-        # copies are taken, and any live graph may be written next
-        graphs, held = [Graph(triples)], [list(triples)]
-        expected = [seen(Graph(triples))]
+        graphs, models = [Graph(triples)], [set(triples)]
+        check(graphs[0], models[0])
         for _ in range(data.draw(st.integers(1, 16))):
             i = data.draw(st.integers(0, len(graphs) - 1))
             if data.draw(st.booleans()):
                 graphs.append(graphs[i].copy())
-                held.append(list(held[i]))
-                expected.append(expected[i])
+                models.append(set(models[i]))
             else:
                 t = data.draw(_small_triples)
-                graphs[i].insert(t)
-                held[i].append(t)
-                expected[i] = seen(Graph(held[i]))
-            assert [seen(graph) for graph in graphs] == expected
+                assert graphs[i].insert(t) is (t not in models[i])
+                models[i].add(t)
+            for graph, model in zip(graphs, models):
+                check(graph, model)
 
     @given(_prefix_graphs)
     @settings(max_examples=100)
