@@ -35,7 +35,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -59,9 +62,8 @@ def _load_graph(path: str):
 
 
 def _load_query_text(name: str) -> str:
-    path = Path(name)
-    if path.exists():
-        return path.read_text(encoding="utf-8")
+    if Path(name).exists():
+        return _read_text(name)
     return ingest.load_bundled_query(name)
 
 

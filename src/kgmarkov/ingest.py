@@ -20,7 +20,7 @@ from typing import Sequence
 from .datagen import ObservationRow
 from .errors import ToolkitError
 from .query import Query, evaluate, parse_query
-from .rdf import DATETIME, Graph, Iri, Literal, Term, datetime_literal, term_to_ntriples
+from .rdf import DATETIME, Graph, Iri, Literal, datetime_literal, term_to_ntriples
 from .vocab import Vocab, _shipped
 
 log = logging.getLogger(__name__)
@@ -77,54 +77,14 @@ def default_manifest() -> IngestManifest:
     return IngestManifest(Iri(ns + "fishingVessel"), Iri(ns + "fishingTrip"), ns)
 
 
-# The slots of a day's key row that follow the template's constant keys, in
-# the order ingest_rows fills them.
-_DAY_SLOTS = ("part", "observation", "st_instant", "t_instant", "track_point", "time", "location")
-
-
-@functools.cache
-def _day_template(vocab: Vocab) -> tuple[dict[str, Term], tuple[tuple[int, str, int], ...]]:
-    """The 13 triples of one observed day, built once per loaded vocabulary.
-
-    Returns the template's constant terms by key, and each triple as
-    (subject slot, predicate key, object slot).  A slot indexes a day's key
-    row: the constant keys in the order of that dict, then one key per
-    ``_DAY_SLOTS`` name.
-    """
-    m, v = default_manifest(), vocab
-    shape = (
-        ("part", v.type, v.Process),
-        (m.trip, v.has_occurrent_part, "part"),
-        ("part", v.has_occurrent_part, "observation"),
-        ("observation", v.type, v.ProcessBoundary),
-        ("observation", v.occupies_spatiotemporal_region, "st_instant"),
-        ("st_instant", v.type, v.SpatiotemporalInstant),
-        ("st_instant", v.spatially_projects_onto, "track_point"),
-        ("st_instant", v.temporally_projects_onto, "t_instant"),
-        ("t_instant", v.type, v.TemporalInstant),
-        ("t_instant", v.has_datetime_value, "time"),
-        ("track_point", v.type, v.VehicleTrackPoint),
-        ("track_point", v.spatial_part_of, "location"),
-        (m.vessel, v.occupies_spatial_region, "track_point"),
-    )
-    constants = {term_to_ntriples(t): t for triple in shape for t in triple
-                 if not isinstance(t, str)}
-    slots = {name: i for i, name in enumerate([*constants, *_DAY_SLOTS])}
-
-    def slot(t):
-        return slots[t if isinstance(t, str) else term_to_ntriples(t)]
-
-    return constants, tuple((slot(s), term_to_ntriples(p), slot(o)) for s, p, o in shape)
-
-
 def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
     """Build the full activity graph for a sequence of daily observations.
 
     For n rows over L distinct locations the result holds exactly
-    13n + (n - 1) + 3 + L triples.  Each day's 13 come from one template,
-    ``_day_template``: it is the one place in the code that states a day's
-    shape, and the bundled ``.rq`` queries read that shape back.  Every
-    term is built by its validating constructor and keyed once; triples are
+    13n + (n - 1) + 3 + L triples.  The 13 writes in the day loop are the
+    one place in the code that states a day's shape, and the bundled
+    ``.rq`` queries read that shape back.  Every term is built by its
+    validating constructor and keyed once, by ``Graph._key``; triples are
     written as keys.
     """
     if not rows:
@@ -134,40 +94,44 @@ def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
             raise IngestError(
                 f"observation times must strictly increase ({cur.day_label})"
             )
-    manifest = default_manifest()
-    vocab = _shipped()
-    constants, template = _day_template(vocab)
+    m, v = default_manifest(), _shipped()
     graph = Graph()
-    terms, write = graph._terms, graph._add
-    terms.update(constants)
-
-    def key(term: Term) -> str:
-        k = term_to_ntriples(term)
-        terms[k] = term
-        return k
-
-    vessel, trip, rdf_type = key(manifest.vessel), key(manifest.trip), key(vocab.type)
-    write(vessel, rdf_type, key(vocab.Watercraft))
-    write(vessel, key(vocab.participates_in), trip)
-    write(trip, rdf_type, key(vocab.Process))
-    locations = {label: key(manifest.location(label))
-                 for label in sorted({row.location for row in rows})}
-    first = tuple(constants)
+    key, write = graph._key, graph._add
+    vessel, trip, rdf_type, process = key(m.vessel), key(m.trip), key(v.type), key(v.Process)
+    write(vessel, rdf_type, key(v.Watercraft))
+    write(vessel, key(v.participates_in), trip)
+    write(trip, rdf_type, process)
+    locations = {label: key(m.location(label)) for label in sorted({row.location for row in rows})}
+    has_part, occupies_st = key(v.has_occurrent_part), key(v.occupies_spatiotemporal_region)
+    boundary, st_class = key(v.ProcessBoundary), key(v.SpatiotemporalInstant)
+    projects_s, projects_t = key(v.spatially_projects_onto), key(v.temporally_projects_onto)
+    t_class, has_time = key(v.TemporalInstant), key(v.has_datetime_value)
+    point_class, part_of = key(v.VehicleTrackPoint), key(v.spatial_part_of)
+    occupies = key(v.occupies_spatial_region)
     parts = []
     for day, row in enumerate(rows, start=1):
-        day_terms = (manifest.trip_part(day), manifest.observation(day),
-                     manifest.st_instant(day), manifest.t_instant(day),
-                     manifest.track_point(day), datetime_literal(row.time))
-        day_keys = tuple(map(term_to_ntriples, day_terms))
-        terms.update(zip(day_keys, day_terms))
-        parts.append(day_keys[0])
-        keys = first + day_keys + (locations[row.location],)
-        for s, p, o in template:
-            write(keys[s], p, keys[o])
-    precedes = key(vocab.precedes)
-    for part, next_part in zip(parts, parts[1:]):
-        write(part, precedes, next_part)
-    region = key(vocab.SpatialRegion)
+        part, observation = key(m.trip_part(day)), key(m.observation(day))
+        st_instant, t_instant = key(m.st_instant(day)), key(m.t_instant(day))
+        point = key(m.track_point(day))
+        parts.append(part)
+        write(part, rdf_type, process)
+        write(trip, has_part, part)
+        write(part, has_part, observation)
+        write(observation, rdf_type, boundary)
+        write(observation, occupies_st, st_instant)
+        write(st_instant, rdf_type, st_class)
+        write(st_instant, projects_s, point)
+        write(st_instant, projects_t, t_instant)
+        write(t_instant, rdf_type, t_class)
+        write(t_instant, has_time, key(datetime_literal(row.time)))
+        write(point, rdf_type, point_class)
+        write(point, part_of, locations[row.location])
+        write(vessel, occupies, point)
+    if len(parts) > 1:  # a one-day graph has no precedes edge, so no such key
+        precedes = key(v.precedes)
+        for part, next_part in zip(parts, parts[1:]):
+            write(part, precedes, next_part)
+    region = key(v.SpatialRegion)
     for location in locations.values():
         write(location, rdf_type, region)
     return graph

@@ -105,6 +105,8 @@ def display_value(term: Term) -> str:
     return term.lexical
 
 
+# A prefixed name's local part may hold '.' but not end with one (SPARQL's
+# PN_LOCAL), so the '.' that closes a pattern is never part of the name.
 _TOKEN_RE = re.compile(
     rf"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
@@ -115,7 +117,7 @@ _TOKEN_RE = re.compile(
       | (?P<iriref>{IRIREF_PATTERN})
       | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
       | (?P<literal>{LITERAL_PATTERN})
-      | (?P<pname>[A-Za-z_][A-Za-z0-9_.\-]*:[A-Za-z_][A-Za-z0-9_.\-]*)
+      | (?P<pname>[A-Za-z_][A-Za-z0-9_.\-]*:[A-Za-z_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)
       | (?P<word>[A-Za-z]+)
     """,
     re.VERBOSE,

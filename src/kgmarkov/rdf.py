@@ -220,9 +220,10 @@ def term_to_ntriples(term: Term) -> str:
 class Graph:
     """A set of triples held as N-Triples keys in two permutation indexes.
 
-    Every term is keyed by its N-Triples text (``term_to_ntriples``) and
-    stored once, in a key -> term dict.  Triples live only as keys, in the
-    nested permutation indexes ``spo`` (subject -> predicate -> objects) and
+    Every term is keyed by its N-Triples text and stored once, in a key ->
+    term dict; ``_key`` is how a built term gets its key (``parse_ntriples``
+    keys the text it read).  Triples live only as keys, in the nested
+    permutation indexes ``spo`` (subject -> predicate -> objects) and
     ``pos`` (predicate -> object -> subjects).  A pattern binding only the
     object walks ``pos`` over its predicates; one binding subject and object
     walks ``spo[subject]``.  Query evaluation walks both indexes directly.
@@ -267,19 +268,17 @@ class Graph:
         """Add a triple.  Returns False if it was already present."""
         if not isinstance(triple, Triple):
             raise TermError("can only insert Triple instances")
-        s = term_to_ntriples(triple.subject)
-        p = term_to_ntriples(triple.predicate)
-        o = term_to_ntriples(triple.object)
-        if not self._add(s, p, o):
-            return False
-        terms = self._terms
-        terms.setdefault(s, triple.subject)
-        terms.setdefault(p, triple.predicate)
-        terms.setdefault(o, triple.object)
-        return True
+        key = self._key
+        return self._add(key(triple.subject), key(triple.predicate), key(triple.object))
+
+    def _key(self, term: Term) -> str:
+        """Store ``term`` under its N-Triples text and return that key."""
+        k = term_to_ntriples(term)
+        self._terms[k] = term
+        return k
 
     def _add(self, s: str, p: str, o: str) -> bool:
-        """Index a key triple whose terms are (or will be) in ``_terms``."""
+        """Index a key triple whose terms are already in ``_terms``."""
         if self._owned is not None:
             self._unshare(s, p, o)
         by_p = self._spo.get(s)

@@ -532,6 +532,44 @@ def _writing_commands(tmp_path, graph_file):
     }
 
 
+def _reading_commands(tmp_path, graph_file):
+    """Each subcommand that reads a file, minus --out, with inputs in place."""
+    commands = _writing_commands(tmp_path, graph_file)
+    del commands["gen-data"]
+    m = tmp_path / "m.json"  # written by _writing_commands
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT ?s WHERE { ?s bfo:precedes ?o . }", encoding="utf-8")
+    return {**commands,
+            "query": ["query", "--graph", str(graph_file), "--query", str(query)],
+            "power": ["power", "--matrix", str(m), "--steps", "2"],
+            "predict": ["predict", "--matrix", str(m), "--state", "location1"]}
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("command,flag", [
+        ("ingest", "--csv"), ("query", "--graph"), ("query", "--query"),
+        ("estimate", "--graph"), ("power", "--matrix"), ("predict", "--matrix"),
+        ("writeback", "--graph"), ("writeback", "--matrix"), ("export-dot", "--graph"),
+    ])
+    def test_a_file_that_is_not_utf8_exits_1_with_one_error_line(
+            self, graph_file, tmp_path, capsys, command, flag):
+        args = _reading_commands(tmp_path, graph_file)[command]
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"caf\xe9 \xff\n")
+        args[args.index(flag) + 1] = str(bad)
+        out = tmp_path / "result"
+        if command not in ("query", "power", "predict"):
+            args += ["--out", str(out)]
+        capsys.readouterr()
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and str(bad) in lines[0]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestAtomicOutput:
     @pytest.mark.parametrize("command", ["gen-data", "ingest", "estimate", "writeback",
                                          "export-dot"])

@@ -120,9 +120,10 @@ class TestIngest:
         g, reference = ingest_rows(rows), triple_ingest(rows)
         assert g == reference
         assert serialize_ntriples(g) == serialize_ntriples(reference)
+        assert set(g._terms) == {k for key in reference.match_keys() for k in key}
 
     def test_every_bundled_query_pattern_matches_a_two_day_ingest(self):
-        """The day template and the .rq files state one shape; a one-day
+        """ingest_rows's day loop and the .rq files state one shape; a one-day
         ingest has no precedes edge, so two days are the least that can
         match every pattern."""
         g = ingest_rows(list(THREE_DAY_ROWS[:2]))

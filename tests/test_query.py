@@ -80,6 +80,17 @@ class TestParsing:
         q = parse_query("SELECT ?s WHERE { ?s bfo:precedes ?o }")
         assert len(q.patterns) == 1
 
+    @pytest.mark.parametrize("body", ["?t rdf:type bfo:Process.",
+                                      "?t rdf:type bfo:Process. ?t bfo:precedes ?u"])
+    def test_a_dot_right_after_a_prefixed_name_ends_the_pattern(self, body):
+        spaced = body.replace("Process.", "Process .")
+        assert parse_query(f"SELECT ?t WHERE {{ {body} }}") == parse_query(
+            f"SELECT ?t WHERE {{ {spaced} }}")
+
+    def test_a_dot_inside_a_local_name_stays_in_the_name(self):
+        q = parse_query("SELECT ?s WHERE { ?s ex:a.b ?o . }")
+        assert q.patterns[0].predicate == Iri(EX_NS + "a.b")
+
     def test_full_iri_terms(self):
         q = parse_query(f"SELECT ?s WHERE {{ ?s <{BFO_NS}precedes> <{EX}o> . }}")
         assert q.patterns[0].predicate == Iri(BFO_NS + "precedes")
@@ -147,6 +158,14 @@ class TestEvaluation:
         rendered = {tuple(display_value(t) for t in row) for row in table.rows}
         assert len(table.rows) == 2
         assert rendered == {("location3", "location1"), ("location1", "location3")}
+
+    def test_a_dot_right_after_a_prefixed_name_gives_the_spaced_rows(self, three_day_graph):
+        tight = evaluate(parse_query("SELECT ?t WHERE { ?t rdf:type bfo:Process. }"),
+                         three_day_graph)
+        spaced = evaluate(parse_query("SELECT ?t WHERE { ?t rdf:type bfo:Process . }"),
+                          three_day_graph)
+        assert len(tight.rows) == 4
+        assert tight.rows == spaced.rows
 
     def test_empty_graph_gives_empty_table(self):
         q = parse_query("SELECT ?s WHERE { ?s bfo:precedes ?o . }")

@@ -462,10 +462,12 @@ class TestProperties:
     def test_copies_and_inserts_in_any_order_match_a_fresh_graph(self, triples, data):
         """Each graph against its model, a plain set of triples: inserts,
         duplicates included, interleave with copies of copies, and any live
-        graph may be written next, so every other graph must stay as it was."""
+        graph may be written next, so every other graph must stay as it was.
+        A graph's term dict holds exactly the keys of its own triples."""
         def check(graph, model):
             keys = {nt_key(t) for t in model}
             assert len(graph) == len(keys)
+            assert set(graph._terms) == {k for key in keys for k in key}
             for pattern in _SMALL_KEY_PATTERNS:
                 assert sorted(graph.match_keys(*pattern)) == sorted(
                     k for k in keys if all(x is None or x == y for x, y in zip(pattern, k)))
