@@ -136,7 +136,7 @@ def rows_from_csv(text: str) -> list[ObservationRow]:
     """Parse and validate observation CSV; inverse of rows_to_csv.
 
     Rows must carry sequential day labels starting at Day1, strictly
-    increasing times, and known location names.
+    increasing times, and known location names.  Blank lines are skipped.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -156,7 +156,7 @@ def rows_from_csv(text: str) -> list[ObservationRow]:
             time = datetime.strptime(time_text, TIME_FORMAT)
         except ValueError:
             raise DatagenError(f"row {record_no}: bad time: {time_text!r}") from None
-        expected_label = f"Day{record_no}"
+        expected_label = f"Day{len(rows) + 1}"
         if day_label != expected_label:
             raise DatagenError(
                 f"row {record_no}: expected label {expected_label!r}, got {day_label!r}"

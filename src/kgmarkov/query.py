@@ -12,7 +12,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import ToolkitError
 from .rdf import (
@@ -107,9 +107,9 @@ def display_value(term: Term) -> str:
 
 # A prefixed name's local part may hold '.' but not end with one (SPARQL's
 # PN_LOCAL), so the '.' that closes a pattern is never part of the name.
+# Space and comments match no named group; any other character is "bad".
 _TOKEN_RE = re.compile(
-    rf"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
+    rf"""\s+ | \#[^\n]*
       | (?P<lbrace>\{{)
       | (?P<rbrace>\}})
       | (?P<dot>\.)
@@ -119,49 +119,40 @@ _TOKEN_RE = re.compile(
       | (?P<literal>{LITERAL_PATTERN})
       | (?P<pname>[A-Za-z_][A-Za-z0-9_.\-]*:[A-Za-z_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)
       | (?P<word>[A-Za-z]+)
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
+    """A token: its kind (a word's kind is the word in upper case, so that
+    keywords ignore case), its text, and its offset in the query text."""
+
     kind: str
     text: str
-    line: int
-    col: int
-
-    def place(self) -> str:
-        return f"line {self.line}:{self.col}"
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            col = pos - line_start + 1
-            raise QueryError(f"line {line}:{col}: unexpected character {text[pos]!r}")
-        kind = m.lastgroup
-        tok_text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, tok_text, line, pos - line_start + 1))
-        newlines = tok_text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + tok_text.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
-    return tokens
+    offset: int
 
 
 class _Stream:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
+    """The tokens of a query text, read front to back."""
+
+    def __init__(self, text: str):
+        self._text = text
+        self._tokens = [_Token(m.group().upper() if m.lastgroup == "word" else m.lastgroup,
+                               m.group(), m.start())
+                        for m in _TOKEN_RE.finditer(text) if m.lastgroup]
+        self._tokens.append(_Token("eof", "", len(text)))
         self._pos = 0
+        for tok in self._tokens:
+            if tok.kind == "bad":
+                raise self.error(tok, f"unexpected character {tok.text!r}")
+
+    def error(self, tok: _Token, message: str) -> QueryError:
+        """A QueryError placing ``message`` at the token's line and column."""
+        line_start = self._text.rfind("\n", 0, tok.offset) + 1
+        line = self._text.count("\n", 0, line_start) + 1
+        return QueryError(f"line {line}:{tok.offset - line_start + 1}: {message}")
 
     def peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -175,20 +166,15 @@ class _Stream:
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.next()
         if tok.kind != kind:
-            raise QueryError(f"{tok.place()}: expected {what}, found {tok.text!r}")
+            raise self.error(tok, f"expected {what}, found {tok.text!r}")
         return tok
 
-    def expect_word(self, word: str) -> None:
-        tok = self.next()
-        if tok.kind != "word" or tok.text.upper() != word:
-            raise QueryError(f"{tok.place()}: expected {word}, found {tok.text!r}")
 
-
-def _resolve_pname(tok: _Token, prefixes: PrefixTable) -> Iri:
+def _resolve_pname(stream: _Stream, tok: _Token, prefixes: PrefixTable) -> Iri:
     try:
         return prefixes.resolve(tok.text)
     except PrefixError as exc:
-        raise QueryError(f"{tok.place()}: {exc}") from None
+        raise stream.error(tok, str(exc)) from None
 
 
 def _parse_literal(stream: _Stream, tok: _Token, prefixes: PrefixTable) -> Literal:
@@ -199,17 +185,16 @@ def _parse_literal(stream: _Stream, tok: _Token, prefixes: PrefixTable) -> Liter
         if dt_tok.kind == "iriref":
             datatype_iri = dt_tok.text[1:-1]
         elif dt_tok.kind == "pname":
-            datatype_iri = _resolve_pname(dt_tok, prefixes).value
+            datatype_iri = _resolve_pname(stream, dt_tok, prefixes).value
         else:
-            raise QueryError(f"{dt_tok.place()}: expected a datatype after ^^")
+            raise stream.error(dt_tok, "expected a datatype after ^^")
     try:
         return decode_literal(tok.text[1:-1], datatype_iri)
     except TermError as exc:
-        raise QueryError(f"{tok.place()}: {exc}") from None
+        raise stream.error(tok, str(exc)) from None
 
 
-def _parse_pattern_term(stream: _Stream, prefixes: PrefixTable,
-                        position: str) -> PatternTerm:
+def _parse_pattern_term(stream: _Stream, prefixes: PrefixTable, position: str) -> PatternTerm:
     tok = stream.next()
     if tok.kind == "var":
         return Var(tok.text[1:])
@@ -217,34 +202,33 @@ def _parse_pattern_term(stream: _Stream, prefixes: PrefixTable,
         try:
             return Iri(tok.text[1:-1])
         except TermError as exc:
-            raise QueryError(f"{tok.place()}: {exc}") from None
+            raise stream.error(tok, str(exc)) from None
     if tok.kind == "pname":
-        return _resolve_pname(tok, prefixes)
+        return _resolve_pname(stream, tok, prefixes)
     if tok.kind == "literal":
         if position != "object":
-            raise QueryError(f"{tok.place()}: literals may only appear in object position")
+            raise stream.error(tok, "literals may only appear in object position")
         return _parse_literal(stream, tok, prefixes)
-    raise QueryError(f"{tok.place()}: expected a {position} term, found {tok.text!r}")
+    raise stream.error(tok, f"expected a {position} term, found {tok.text!r}")
 
 
 def parse_query(text: str, prefixes: Optional[PrefixTable] = None) -> Query:
     """Parse query text into an AST, resolving prefixed names as it goes."""
     if prefixes is None:
         prefixes = PrefixTable()
-    stream = _Stream(_tokenize(text))
-    stream.expect_word("SELECT")
+    stream = _Stream(text)
+    stream.expect("SELECT", "SELECT")
     projection: list[Var] = []
     while stream.peek().kind == "var":
         projection.append(Var(stream.next().text[1:]))
     if not projection:
-        tok = stream.peek()
-        raise QueryError(f"{tok.place()}: SELECT requires at least one variable")
-    stream.expect_word("WHERE")
+        raise stream.error(stream.peek(), "SELECT requires at least one variable")
+    stream.expect("WHERE", "WHERE")
     stream.expect("lbrace", "'{'")
     patterns: list[TriplePattern] = []
     while stream.peek().kind != "rbrace":
         if stream.peek().kind == "eof":
-            raise QueryError(f"{stream.peek().place()}: unterminated pattern block")
+            raise stream.error(stream.peek(), "unterminated pattern block")
         subject = _parse_pattern_term(stream, prefixes, "subject")
         predicate = _parse_pattern_term(stream, prefixes, "predicate")
         obj = _parse_pattern_term(stream, prefixes, "object")
@@ -252,20 +236,18 @@ def parse_query(text: str, prefixes: Optional[PrefixTable] = None) -> Query:
         if stream.peek().kind == "dot":
             stream.next()
         elif stream.peek().kind != "rbrace":
-            tok = stream.peek()
-            raise QueryError(f"{tok.place()}: expected '.' between patterns")
+            raise stream.error(stream.peek(), "expected '.' between patterns")
     brace = stream.next()
     if not patterns:
-        raise QueryError(f"{brace.place()}: pattern block must not be empty")
+        raise stream.error(brace, "pattern block must not be empty")
     order_by = None
-    if stream.peek().kind == "word" and stream.peek().text.upper() == "ORDER":
+    if stream.peek().kind == "ORDER":
         stream.next()
-        stream.expect_word("BY")
-        order_tok = stream.expect("var", "a variable after ORDER BY")
-        order_by = Var(order_tok.text[1:])
+        stream.expect("BY", "BY")
+        order_by = Var(stream.expect("var", "a variable after ORDER BY").text[1:])
     trailing = stream.peek()
     if trailing.kind != "eof":
-        raise QueryError(f"{trailing.place()}: unexpected content after query: {trailing.text!r}")
+        raise stream.error(trailing, f"unexpected content after query: {trailing.text!r}")
     pattern_vars = set()
     for p in patterns:
         pattern_vars |= p.variables()
@@ -278,13 +260,14 @@ def parse_query(text: str, prefixes: Optional[PrefixTable] = None) -> Query:
 
 
 # How a pattern position gets its key; fixed per query by the pattern order.
-CONSTANT, BOUND, FREE, REPEAT = "constant", "bound", "free", "repeat"
+BOUND, FREE, REPEAT = "bound", "free", "repeat"
 
 
 def _plan(query: Query) -> tuple[tuple[str, ...], dict[Union[str, Var], int], list[tuple]]:
     """The first row (the query's constant keys), the slot of each constant
     key and variable, and per pattern a (kind, slot) pair for each position.
-    A REPEAT is a variable that a FREE position of the same pattern binds."""
+    A constant is BOUND to its first-row slot; a REPEAT is a variable that a
+    FREE position of the same pattern binds."""
     terms = [(p.subject, p.predicate, p.object) for p in query.patterns]
     first_row = tuple({term_to_ntriples(t): None for ts in terms for t in ts
                        if not isinstance(t, Var)})
@@ -295,7 +278,7 @@ def _plan(query: Query) -> tuple[tuple[str, ...], dict[Union[str, Var], int], li
         shape = []
         for term in pattern_terms:
             if not isinstance(term, Var):
-                shape.append((CONSTANT, slots[term_to_ntriples(term)]))
+                shape.append((BOUND, slots[term_to_ntriples(term)]))
             elif term in slots:
                 shape.append((BOUND if slots[term] < bound else REPEAT, slots[term]))
             else:
@@ -311,7 +294,7 @@ def _step(shape: tuple, graph: Graph) -> Callable[[list[tuple]], list[tuple]]:
     (s_kind, s), (p_kind, p), (o_kind, o) = shape
     spo, pos, empty = graph._spo, graph._pos, {}
     if p_kind in (FREE, REPEAT):
-        known = [slot if kind in (CONSTANT, BOUND) else None for kind, slot in shape]
+        known = [slot if kind == BOUND else None for kind, slot in shape]
         fresh = [i for i, (kind, _) in enumerate(shape) if kind == FREE]
         same = [(i, j) for i, (kind, slot) in enumerate(shape) if kind == REPEAT
                 for j in fresh if shape[j][1] == slot]
@@ -319,7 +302,7 @@ def _step(shape: tuple, graph: Graph) -> Callable[[list[tuple]], list[tuple]]:
             row + tuple(keys[i] for i in fresh) for row in rows
             for keys in graph.match_keys(*(None if k is None else row[k] for k in known))
             if all(keys[i] == keys[j] for i, j in same)]
-    if s_kind in (CONSTANT, BOUND):
+    if s_kind == BOUND:
         if o_kind == FREE:
             return lambda rows: [row + (obj,) for row in rows
                                  for obj in spo.get(row[s], empty).get(row[p], ())]
@@ -342,8 +325,8 @@ def evaluate(query: Query, graph: Graph) -> SolutionTable:
 
     A row is a tuple of N-Triples keys: the query's constants, then each
     variable in the order the patterns bind it (``_plan``).  Each pattern
-    compiles once, from which positions are constant, bound earlier, free or
-    repeated, into a step that walks the indexes and appends the keys it
+    compiles once, from which positions are bound (constants included), free
+    or repeated, into a step that walks the indexes and appends the keys it
     binds to each row (``_step``).  Candidates come unsorted.
 
     Output order is deterministic and set only here, at projection, by

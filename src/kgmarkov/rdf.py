@@ -155,49 +155,38 @@ def datetime_literal(value: datetime) -> Literal:
     return Literal(value.strftime("%Y-%m-%dT%H:%M:%S"), DATETIME)
 
 
-_ESCAPE_TABLE = str.maketrans(
-    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-)
-_UNESCAPE_MAP = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-# hex digits after the N-Triples UCHAR escapes \uXXXX and \UXXXXXXXX
-_UCHAR_WIDTHS = {"u": 4, "U": 8}
-_HEX_RE = re.compile(r"[0-9A-Fa-f]+")
+# The ECHAR escapes read and written here: the letter after the backslash,
+# and the character it stands for (the grammar's \b, \f and \' are refused
+# as unknown).  The writer escapes exactly these characters.
+_ECHAR = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_ESCAPE_TABLE = str.maketrans({ch: "\\" + letter for letter, ch in _ECHAR.items()})
+# One escape: a UCHAR's hex digits (\uXXXX or \UXXXXXXXX), or else the text
+# after the backslash that a refusal quotes (a UCHAR's width, one character,
+# or none at the end of the text).
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(u.{0,4}|U.{0,8}|.?))", re.S)
 
 
 def escape_lexical(text: str) -> str:
     return text.translate(_ESCAPE_TABLE)
 
 
+def _decode_escape(m: re.Match) -> str:
+    digits, other = m.group(1) or m.group(2), m.group(3)
+    if digits:
+        code = int(digits, 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise TermError(f"escape is not a Unicode scalar value: {m.group()}")
+        return chr(code)
+    if other in _ECHAR:
+        return _ECHAR[other]
+    if not other:
+        raise TermError("dangling backslash in literal")
+    kind = "bad" if other[0] in "uU" else "unknown"
+    raise TermError(f"{kind} escape sequence: {m.group()}")
+
+
 def unescape_lexical(text: str) -> str:
-    if "\\" not in text:
-        return text
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text):
-                raise TermError("dangling backslash in literal")
-            nxt = text[i + 1]
-            if nxt in _UCHAR_WIDTHS:
-                width = _UCHAR_WIDTHS[nxt]
-                digits = text[i + 2 : i + 2 + width]
-                if len(digits) != width or not _HEX_RE.fullmatch(digits):
-                    raise TermError(f"bad escape sequence: \\{nxt}{digits}")
-                code = int(digits, 16)
-                if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-                    raise TermError(f"escape is not a Unicode scalar value: \\{nxt}{digits}")
-                out.append(chr(code))
-                i += 2 + width
-                continue
-            if nxt not in _UNESCAPE_MAP:
-                raise TermError(f"unknown escape sequence: \\{nxt}")
-            out.append(_UNESCAPE_MAP[nxt])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(_decode_escape, text) if "\\" in text else text
 
 
 def decode_literal(escaped: str, datatype_iri: Optional[str] = None) -> Literal:
@@ -458,20 +447,22 @@ def serialize_ntriples(graph: Graph) -> str:
 
 
 # One N-Triples line, matched whole: subject IRI, predicate IRI, an IRI or a
-# literal with an optional ^^datatype, then '.', with spaces or tabs between.
+# literal with an optional ^^datatype, then '.' and an optional '#' comment,
+# with spaces or tabs between.
 _LINE_RE = re.compile(
     rf"({IRIREF_PATTERN})[ \t]*({IRIREF_PATTERN})[ \t]*"
-    rf"({IRIREF_PATTERN}|({LITERAL_PATTERN})(?:\^\^({IRIREF_PATTERN}))?)[ \t]*\."
+    rf"({IRIREF_PATTERN}|({LITERAL_PATTERN})(?:\^\^({IRIREF_PATTERN}))?)[ \t]*\.[ \t]*(?:#.*)?"
 )
 
 
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples text into a Graph.
 
-    Accepts blank lines and '#' comment lines.  The first malformed line
-    aborts the parse with an NTriplesError naming that line.  A term is
-    built only when its text is not yet a key of the graph, so each
-    distinct term in canonical form is built and validated once.
+    Accepts blank lines, '#' comment lines and a comment after a triple's
+    '.'.  The first malformed line aborts the parse with an NTriplesError
+    naming that line.  A term is built only when its text is not yet a key
+    of the graph, so each distinct term in canonical form is built and
+    validated once.
     """
     graph = Graph()
     terms = graph._terms

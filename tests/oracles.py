@@ -3,22 +3,27 @@
 Everything here favors obviousness over speed: exhaustive enumeration for
 query evaluation, a plain multiplication loop for matrix powers, and exact
 rational arithmetic for probability estimation, a term-level, sorted
-``Graph.match`` walk for the DOT day fragment, and an ingest that inserts
-one ``Triple`` at a time.
+``Graph.match`` walk for the DOT day fragment, an ingest that inserts
+one ``Triple`` at a time, and front-to-back index loops that decode
+N-Triples escapes and split a query into tokens.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from kgmarkov.ingest import default_manifest
-from kgmarkov.query import Query, TriplePattern, Var
+from kgmarkov.query import Query, QueryError, TriplePattern, Var
 from kgmarkov.rdf import (
+    IRIREF_PATTERN,
+    LITERAL_PATTERN,
     Graph,
     Iri,
     Literal,
+    TermError,
     Triple,
     datetime_literal,
     integer_literal,
@@ -196,3 +201,80 @@ def triple_ingest(rows) -> Graph:
     for label in sorted({row.location for row in rows}):
         add(Triple(manifest.location(label), vocab.type, vocab.SpatialRegion))
     return graph
+
+
+def scan_escapes(text: str) -> str:
+    """The N-Triples ECHAR and UCHAR escapes of a literal's text decoded by an
+    index loop, refusing a bad escape with the same ``TermError`` message as
+    ``unescape_lexical``."""
+    echar = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+    uchar_widths = {"u": 4, "U": 8}
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch != "\\":
+            out.append(ch)
+            i += 1
+            continue
+        if i + 1 >= len(text):
+            raise TermError("dangling backslash in literal")
+        nxt = text[i + 1]
+        if nxt in uchar_widths:
+            width = uchar_widths[nxt]
+            digits = text[i + 2 : i + 2 + width]
+            if len(digits) != width or not re.fullmatch(r"[0-9A-Fa-f]+", digits):
+                raise TermError(f"bad escape sequence: \\{nxt}{digits}")
+            code = int(digits, 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise TermError(f"escape is not a Unicode scalar value: \\{nxt}{digits}")
+            out.append(chr(code))
+            i += 2 + width
+            continue
+        if nxt not in echar:
+            raise TermError(f"unknown escape sequence: \\{nxt}")
+        out.append(echar[nxt])
+        i += 2
+    return "".join(out)
+
+
+_SCAN_TOKEN_RE = re.compile(
+    rf"""(?P<ws>\s+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<lbrace>\{{)
+      | (?P<rbrace>\}})
+      | (?P<dot>\.)
+      | (?P<dtsep>\^\^)
+      | (?P<iriref>{IRIREF_PATTERN})
+      | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<literal>{LITERAL_PATTERN})
+      | (?P<pname>[A-Za-z_][A-Za-z0-9_.\-]*:[A-Za-z_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)
+      | (?P<word>[A-Za-z]+)
+    """,
+    re.VERBOSE,
+)
+
+
+def scan_tokens(text: str) -> list[tuple[str, str, int, int]]:
+    """A query's tokens as (kind, text, line, column), found by matching one
+    token at a time from the front while counting lines; the last is
+    ("eof", "", line, column).  A character no token starts with raises
+    ``QueryError`` with its line and column."""
+    tokens = []
+    pos = 0
+    line = 1
+    line_start = 0
+    while pos < len(text):
+        m = _SCAN_TOKEN_RE.match(text, pos)
+        if m is None:
+            col = pos - line_start + 1
+            raise QueryError(f"line {line}:{col}: unexpected character {text[pos]!r}")
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append((m.lastgroup, m.group(), line, pos - line_start + 1))
+        newlines = m.group().count("\n")
+        if newlines:
+            line += newlines
+            line_start = pos + m.group().rfind("\n") + 1
+        pos = m.end()
+    tokens.append(("eof", "", line, pos - line_start + 1))
+    return tokens

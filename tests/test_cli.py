@@ -87,6 +87,14 @@ class TestIngest:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
+    def test_a_blank_line_changes_nothing(self, tmp_path, graph_file):
+        csv_path = tmp_path / "blank.csv"
+        csv_path.write_text(THREE_DAY_CSV.replace(",Day1,location3\n", ",Day1,location3\n\n"),
+                            encoding="utf-8")
+        out = tmp_path / "blank.nt"
+        assert main(["ingest", "--csv", str(csv_path), "--out", str(out)]) == 0
+        assert out.read_bytes() == graph_file.read_bytes()
+
     def test_missing_csv_exits_2(self, tmp_path, capsys):
         out = tmp_path / "graph.nt"
         code = main(["ingest", "--csv", str(tmp_path / "no.csv"), "--out", str(out)])
@@ -400,6 +408,17 @@ class TestWriteback:
                      "--state", "location3", "--day", "-3", "--model", model,
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: day_index must be non-negative\n"
+        assert not out.exists()
+
+    def test_second_order_matrix_exits_1(self, graph_file, tmp_path, capsys):
+        pc = count_pair_transitions(["location1", "location3", "location1", "location3"])
+        m2 = tmp_path / "m2.json"
+        m2.write_text(dumps_matrix(estimate_second_order(pc), pc), encoding="utf-8")
+        out = tmp_path / "wb.nt"
+        assert main(["writeback", "--graph", str(graph_file), "--matrix", str(m2),
+                     "--state", "location3", "--day", "3", "--model", "profile",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: writeback consumes first-order matrices only\n"
         assert not out.exists()
 
     def test_counts_that_disagree_with_p_exit_1(self, graph_file, tmp_path, capsys):

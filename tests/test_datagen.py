@@ -172,12 +172,24 @@ class TestCsv:
                 "does not increase",
             ),
             ("Time,Day,Location\n2023-04-08 12:00:00,Day1\n", "3 fields"),
+            (
+                "Time,Day,Location\n2023-04-08 12:00:00,Day1,location1\n\n"
+                "2023-04-09 12:00:00,Day3,location1\n",
+                "row 3: expected label 'Day2', got 'Day3'",
+            ),
         ],
     )
     def test_rejects_malformed_csv(self, text, fragment):
         with pytest.raises(DatagenError) as err:
             rows_from_csv(text)
         assert fragment in str(err.value)
+
+    def test_blank_lines_are_skipped(self):
+        rows = generate(GenConfig(days=4, seed=42))
+        lines = rows_to_csv(rows).split("\n")
+        lines.insert(2, "")
+        lines.insert(4, "")
+        assert rows_from_csv("\n".join(lines)) == rows
 
     def test_reference_csv_matches_the_default_run(self):
         text = resources.files("kgmarkov").joinpath(

@@ -485,7 +485,11 @@ class TestFileFormat:
         assert np.array_equal(loaded_m.p, m.p)
         assert loaded_c == c
 
-    def test_bad_json_text(self):
-        with pytest.raises(MarkovError, match="JSON"):
-            loads_matrix("not json at all")
+    @pytest.mark.parametrize("text,message", [
+        ("not json at all", "matrix file is not valid JSON"),
+        ("[[1.0, 0.0], [0.0, 1.0]]", "matrix file must contain a JSON object"),
+    ])
+    def test_bad_json_text(self, text, message):
+        with pytest.raises(MarkovError, match=message):
+            loads_matrix(text)
 

@@ -1,13 +1,15 @@
 import random
+import re
 from collections import Counter
 from datetime import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgmarkov.ingest import load_bundled_query
 from kgmarkov.query import (
     BOUND,
-    CONSTANT,
     FREE,
     REPEAT,
     Query,
@@ -15,6 +17,7 @@ from kgmarkov.query import (
     TriplePattern,
     Var,
     _plan,
+    _Stream,
     display_value,
     evaluate,
     parse_query,
@@ -30,7 +33,7 @@ from kgmarkov.rdf import (
 )
 from kgmarkov.vocab import PrefixTable
 
-from oracles import brute_force_rows, random_graph_and_query
+from oracles import brute_force_rows, random_graph_and_query, scan_tokens
 
 BFO_NS = PrefixTable().namespace("bfo")
 EX_NS = PrefixTable().namespace("ex")
@@ -128,6 +131,9 @@ class TestParsing:
             ("SELECT ?s WHERE { ?s bfo:precedes ?o } @", "unexpected character"),
             ('SELECT ?s WHERE { ?s ?p "x"^^cco:made_up . }', "unsupported datatype"),
             ("SELECT ?s WHERE { ?s ?p ?o ?extra . }", "'.'"),
+            ("SELECT ?s WHERE ?s ?p ?o }", "expected '{'"),
+            ('SELECT ?s WHERE { ?s ?p "x"^^?v . }', "expected a datatype after ^^"),
+            ("SELECT ?s WHERE { ?s <nocolon> ?o . }", "scheme separator"),
         ],
     )
     def test_parse_errors(self, text, fragment):
@@ -139,6 +145,89 @@ class TestParsing:
         with pytest.raises(QueryError) as err:
             parse_query("SELECT ?s\nWHERE { ?s mystery:p ?o . }")
         assert "line 2:" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("SELECT ?s\r\nWHERE { ?s mystery:p ?o . }",
+             "line 2:12: unknown prefix: 'mystery'"),
+            ("# q\nselect ?s # ?t\n  where { ?s ?p ?o } @",
+             "line 3:22: unexpected character '@'"),
+            ("SELECT ?s WHERE {\r\n ?s ?p ?o ?x }", "line 2:11: expected '.' between patterns"),
+            ("SELECT ?s WHERE { ?s ?p ?o .\n# end", "line 2:6: unterminated pattern block"),
+            ("SELECT ?s WHERE { ?s ?p ?o } ORDER\n\tby x",
+             "line 2:5: expected a variable after ORDER BY, found 'x'"),
+            ("\n\nSELECT ?s WHERE { ?s ?p \"\\q\" }",
+             "line 3:25: unknown escape sequence: \\q"),
+            ("SELECT ?s WHERE { ?s ?p ?o . } limit",
+             "line 1:32: unexpected content after query: 'limit'"),
+            ("SELECT ?s WHERE ?s ?p ?o }", "line 1:17: expected '{', found '?s'"),
+        ],
+    )
+    def test_error_messages_name_line_and_column(self, text, message):
+        with pytest.raises(QueryError) as err:
+            parse_query(text)
+        assert str(err.value) == message
+
+
+_FRAGMENTS = ["SELECT", "select", "WHERE", "where", "ORDER", "BY", "?s", "?o", "{", "}", ".",
+              "ex:a", "ex:a.b", "bfo:Process.", "mystery:p", "<http://example.org/a>",
+              "<nocolon>", "<bad", '"x"', '"a\\"b"', '"\\q"', '"x', "^^", "xsd:integer",
+              "#", "# c", "@", " ", " ", "\t", "\n", "\r\n", "\n\n"]
+_BUNDLED = [load_bundled_query(name) for name in ("location_by_time", "transitions")]
+
+
+@st.composite
+def _query_texts(draw):
+    """Query text built from token fragments, or a bundled query with one
+    span replaced by fragments and its line ends maybe turned into CRLF."""
+    pieces = st.lists(st.sampled_from(_FRAGMENTS), max_size=30)
+    if draw(st.booleans()):
+        return "".join(draw(pieces))
+    text = draw(st.sampled_from(_BUNDLED))
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    start = draw(st.integers(0, len(text)))
+    end = draw(st.integers(start, min(len(text), start + 12)))
+    return text[:start] + "".join(draw(pieces)) + text[end:]
+
+
+class TestPositions:
+    @given(_query_texts())
+    @settings(max_examples=300)
+    def test_tokens_sit_where_the_reference_tokenizer_puts_them(self, text):
+        """Each token's kind, text and line:column, or the refusal of a
+        character, agree with the line-counting reference tokenizer."""
+        try:
+            expected = scan_tokens(text)
+        except QueryError as exc:
+            with pytest.raises(QueryError) as err:
+                _Stream(text)
+            assert str(err.value) == str(exc)
+            return
+        stream = _Stream(text)
+        found = stream._tokens
+        assert len(found) == len(expected)
+        for tok, (kind, tok_text, line, col) in zip(found, expected):
+            assert tok.kind == (tok_text.upper() if kind == "word" else kind)
+            assert tok.text == tok_text
+            assert str(stream.error(tok, "m")) == f"line {line}:{col}: m"
+
+    @given(_query_texts())
+    @settings(max_examples=300)
+    def test_a_refusal_names_the_place_of_a_token(self, text):
+        """Past the tokenizer, every positioned QueryError is placed at the
+        line:column of a token the reference tokenizer found."""
+        try:
+            places = {(line, col) for _, _, line, col in scan_tokens(text)}
+        except QueryError:
+            return
+        try:
+            parse_query(text)
+        except QueryError as exc:
+            place = re.match(r"line (\d+):(\d+): ", str(exc))
+            assert place is not None or "never occurs in a pattern" in str(exc)
+            assert place is None or (int(place[1]), int(place[2])) in places
 
 
 class TestEvaluation:
@@ -271,22 +360,24 @@ class TestOracle:
         kinds, steps = set(), set()
         for _ in range(40):
             graph, query = random_graph_and_query(rng)
-            for shape in _plan(query)[2]:
-                kinds.update(enumerate(kind for kind, _ in shape))
-                steps.add(tuple("known" if kind in (CONSTANT, BOUND) else kind
-                                for kind, _ in shape))
+            first_row, _, shapes = _plan(query)
+            for shape in shapes:
+                # a constant is the BOUND slot of a first-row key
+                kinds.update(enumerate("constant" if slot < len(first_row) else kind
+                                       for kind, slot in shape))
+                steps.add(tuple(kind for kind, _ in shape))
             fast = Counter(evaluate(query, graph).rows)
             slow = Counter(brute_force_rows(query, graph))
             assert fast == slow
         # every kind in every position, except a repeat in the subject: a
         # repeat names a variable bound earlier in the same pattern
         assert kinds == {(position, kind) for position in range(3)
-                         for kind in (CONSTANT, BOUND, FREE, REPEAT)} - {(0, REPEAT)}
+                         for kind in ("constant", BOUND, FREE, REPEAT)} - {(0, REPEAT)}
         # every shape evaluate tells apart when it picks a pattern's step
         assert steps == {
             (s, p, o)
-            for s in ("known", FREE)
-            for p in ("known", FREE, REPEAT)
-            for o in ("known", FREE, REPEAT)
+            for s in (BOUND, FREE)
+            for p in (BOUND, FREE, REPEAT)
+            for o in (BOUND, FREE, REPEAT)
             if (p != REPEAT or s == FREE) and (o != REPEAT or FREE in (s, p))
         }

@@ -27,6 +27,8 @@ from kgmarkov.rdf import (
     unescape_lexical,
 )
 
+from oracles import scan_escapes
+
 EX = "http://example.org/data/"
 
 
@@ -141,13 +143,35 @@ class TestEscaping:
         assert unescape_lexical(escaped) == raw
 
     @pytest.mark.parametrize(
-        "bad",
-        ["trailing\\", "bad\\q", "\\u12G4", "\\u00", "\\U0001F60", "\\u+123",
-         "\\uD800", "\\U00110000"],
+        "bad,message",
+        [("trailing\\", "dangling backslash in literal"),
+         ("bad\\q", "unknown escape sequence: \\q"),
+         ("\\u12G4", "bad escape sequence: \\u12G4"),
+         ("\\u00", "bad escape sequence: \\u00"),
+         ("\\U0001F60", "bad escape sequence: \\U0001F60"),
+         ("\\u+123", "bad escape sequence: \\u+123"),
+         ("\\u\n12\\t", "bad escape sequence: \\u\n12\\"),
+         ("a\\uD800", "escape is not a Unicode scalar value: \\uD800"),
+         ("\\U00110000", "escape is not a Unicode scalar value: \\U00110000")],
     )
-    def test_unescape_rejects_bad_sequences(self, bad):
-        with pytest.raises(TermError):
+    def test_unescape_rejects_bad_sequences(self, bad, message):
+        with pytest.raises(TermError) as err:
             unescape_lexical(bad)
+        assert str(err.value) == message
+
+    @given(st.text(alphabet=["\\", "u", "U", "0", "1", "a", "F", "D", "8", "g", "+", "n", "t",
+                             "r", '"', "b", "\n", "\r", "\u00e9", "\U0001F600"], max_size=14))
+    @settings(max_examples=300)
+    def test_unescape_agrees_with_the_reference_scanner(self, text):
+        """The same decoded string, or a TermError with the same message."""
+        try:
+            expected = scan_escapes(text)
+        except TermError as exc:
+            with pytest.raises(TermError) as err:
+                unescape_lexical(text)
+            assert str(err.value) == str(exc)
+        else:
+            assert unescape_lexical(text) == expected
 
 
 class TestGraph:
@@ -277,9 +301,12 @@ class TestSerialization:
             "\n"
             f"<{EX}s> <{EX}p> <{EX}o> .\n"
             f'<{EX}s> <{EX}p> "5"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
+            f"<{EX}s> <{EX}p> <{EX}o2> . # a comment after the dot\n"
+            f'<{EX}s> <{EX}p> "x # y" .#\n'
         )
         g = parse_ntriples(text)
-        assert len(g) == 2
+        assert len(g) == 4
+        assert Triple(iri("s"), iri("p"), string_literal("x # y")) in g
 
     def test_parse_plain_literal_is_string(self):
         g = parse_ntriples(f'<{EX}s> <{EX}p> "plain" .')
@@ -348,6 +375,8 @@ _triples = st.builds(
 )
 _graphs = st.lists(_triples, max_size=40).map(Graph)
 _gaps = st.sampled_from(["", " ", "\t", " \t "])
+# what may follow a triple's '.': nothing, or a comment
+_comments = st.sampled_from(["", "", " # note", "\t#<a> <b> <c> .", "#"])
 
 # IRIs that prefix one another, and lexical forms that prefix one another
 # and hold every character the writer escapes or passes through raw: key
@@ -400,8 +429,8 @@ def _one_key_buckets_are_1_tuples(g: Graph) -> bool:
 
 def _respelled_line(draw, triple: Triple) -> str:
     """The triple as a valid but non-canonical N-Triples line: any spacing,
-    characters of a literal written as \\u or \\U escapes, and a string
-    literal's datatype left off."""
+    characters of a literal written as \\u or \\U escapes, a string
+    literal's datatype left off, and a comment after the '.'."""
     obj = triple.object
     if isinstance(obj, Literal):
         body = "".join(
@@ -414,7 +443,8 @@ def _respelled_line(draw, triple: Triple) -> str:
     else:
         obj_text = term_to_ntriples(obj)
     return (f"{draw(_gaps)}{term_to_ntriples(triple.subject)}{draw(_gaps)}"
-            f"{term_to_ntriples(triple.predicate)}{draw(_gaps)}{obj_text}{draw(_gaps)}.")
+            f"{term_to_ntriples(triple.predicate)}{draw(_gaps)}{obj_text}{draw(_gaps)}."
+            f"{draw(_comments)}")
 
 
 class TestProperties:

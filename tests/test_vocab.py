@@ -125,19 +125,25 @@ class TestManifest:
         assert loaded.prefixes.namespaces() == vocab.prefixes.namespaces()
 
     @pytest.mark.parametrize(
-        "line",
+        "line,message",
         [
-            "prefix\tonly-two",
-            "term\tbfo:Process\tclass\tProcess",
-            "term\tbfo:Process\tnoun\tProcess\tdef",
-            "term\tmystery:Process\tclass\tProcess\tdef",
-            "widget\tbfo:Process",
+            ("prefix\tonly-two", "line 2: prefix rows need 3 fields"),
+            ("term\tbfo:Process\tclass\tProcess", "line 2: term rows need 5 or 6 fields"),
+            ("term\tbfo:Process\tnoun\tProcess\tdef", "unknown term kind: 'noun'"),
+            ("term\tmystery:Process\tclass\tProcess\tdef",
+             "term 'mystery:Process': unknown prefix: 'mystery'"),
+            ("widget\tbfo:Process", "line 2: unknown row kind 'widget'"),
+            ("prefix\tBFO\thttp://example.org/other/", "line 2: duplicate prefix 'BFO'"),
+            ("prefix\tcco\thttp://example.org/cco/\nterm\tbfo:Process\tclass\tProcess\tdef\n"
+             "term\tcco:Process\tclass\tProcess\tdef",
+             "local name clash: cco:Process vs bfo:Process"),
         ],
     )
-    def test_load_rejects_malformed_rows(self, line):
+    def test_load_rejects_malformed_rows(self, line, message):
         base = "prefix\tbfo\t" + BFO_NS + "\n"
-        with pytest.raises(VocabularyError):
+        with pytest.raises(VocabularyError) as err:
             load_manifest(base + line + "\n")
+        assert str(err.value) == message
 
     def test_vocabs_share_terms_but_not_prefix_tables(self):
         first = Vocab()
