@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,6 +35,18 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 class MarkovError(ToolkitError):
     """Invalid chain data or an operation the data cannot support."""
+
+
+def _check_mass(rows: np.ndarray, tol: float, what: str, numbers=None) -> None:
+    """Refuse the first of ``rows`` not finite, in [0, 1] and summing to 1 within ``tol``."""
+    if not np.all(np.isfinite(rows)):
+        raise MarkovError(f"{what} entries must be finite")
+    outside = np.any((rows < -_ENTRY_SLACK) | (rows > 1.0 + tol + _ENTRY_SLACK), axis=1)
+    sums = rows.sum(axis=1)
+    for i in np.flatnonzero(outside | (np.abs(sums - 1.0) > tol))[:1]:
+        where = what if numbers is None else f"{what}: row {numbers[i]}"
+        raise MarkovError(f"{where} has an entry outside [0, 1]" if outside[i]
+                          else f"{where} sums to {sums[i]}, not 1")
 
 
 class StateSpace:
@@ -85,6 +98,13 @@ class _HistoryRows:
         self.space = space
         self.order = order
 
+    def _table(self, values, kind: str, dtype=None) -> np.ndarray:
+        arr = np.asarray(values, dtype=dtype)
+        shape = (len(self.space) ** self.order, len(self.space))
+        if arr.shape != shape:
+            raise MarkovError(f"order-{self.order} {kind} must have shape {shape}, got {arr.shape}")
+        return arr
+
     def row_index(self, *history: str) -> int:
         """The row of a history, oldest state first, read as base-n digits."""
         if len(history) != self.order:
@@ -102,14 +122,9 @@ class ChainCounts(_HistoryRows):
 
     def __init__(self, space: StateSpace, matrix, order: int):
         super().__init__(space, order)
-        n = len(space)
-        rows = n ** self.order
         what = f"order-{self.order} count matrix"
-        arr = np.asarray(matrix)
-        if arr.shape != (rows, n):
-            raise MarkovError(f"{what} must have shape {(rows, n)}, got {arr.shape}")
         # checked as Python numbers, which neither overflow nor wrap as int64 does
-        values = arr.tolist()
+        values = self._table(matrix, "count matrix").tolist()
         if not all(x % 1 == 0 for row in values for x in row):
             raise MarkovError(f"{what} entries must be integers")
         if any(x < 0 for row in values for x in row):
@@ -163,37 +178,18 @@ def count_pair_transitions(labels: Sequence[str], space: Optional[StateSpace] = 
 
 
 class ChainMatrix(_HistoryRows):
-    """A row-stochastic matrix with one row per history of ``order`` states
-    and per-row observation status."""
+    """A matrix with one row per history of ``order`` states.  Every row is stochastic, or all
+    zero for a history never observed leaving, which ``row_status`` marks unobserved."""
 
     def __init__(self, space: StateSpace, p, order: int,
-                 row_status: Optional[Sequence[str]] = None,
                  row_sum_tol: float = DEFAULT_ROW_SUM_TOL):
         super().__init__(space, order)
-        n = len(space)
-        rows = n ** self.order
-        what = f"order-{self.order} matrix"
-        self.p = np.asarray(p, dtype=np.float64)
-        if self.p.shape != (rows, n):
-            raise MarkovError(f"{what} must be {rows}x{n}, got {self.p.shape}")
-        if not np.all(np.isfinite(self.p)):
-            raise MarkovError(f"{what} entries must be finite")
-        self.row_status = tuple(row_status) if row_status is not None else (OBSERVED,) * rows
-        if len(self.row_status) != rows:
-            raise MarkovError(f"row_status length must match the {rows} rows of the {what}")
-        self.row_sum_tol = tol = float(row_sum_tol)
-        for i, status in enumerate(self.row_status):
-            if status not in (OBSERVED, UNOBSERVED):
-                raise MarkovError(f"bad row status: {status!r}")
-            row = self.p[i]
-            if status == UNOBSERVED:
-                if np.any(row != 0.0):
-                    raise MarkovError(f"{what}: unobserved row {i} must be all zero")
-                continue
-            if np.any(row < -_ENTRY_SLACK) or np.any(row > 1.0 + tol + _ENTRY_SLACK):
-                raise MarkovError(f"{what}: row {i} has an entry outside [0, 1]")
-            if abs(float(row.sum()) - 1.0) > tol:
-                raise MarkovError(f"{what}: row {i} sums to {row.sum()}, not 1")
+        self.p = self._table(p, "matrix", np.float64)
+        self.row_sum_tol = float(row_sum_tol)
+        observed = self.p.any(axis=1)
+        self.row_status = tuple(OBSERVED if seen else UNOBSERVED for seen in observed)
+        numbers = np.flatnonzero(observed)
+        _check_mass(self.p[numbers], self.row_sum_tol, f"order-{self.order} matrix", numbers)
 
     def probability(self, *states: str) -> float:
         """The probability that the last state follows the history the others form."""
@@ -210,17 +206,9 @@ def _estimate(counts: ChainCounts, order: int) -> ChainMatrix:
     if counts.order != order:
         raise MarkovError(f"order-{order} estimation needs order-{order} counts, "
                           f"got order {counts.order}")
-    rows, cols = counts.matrix.shape
-    p = np.zeros((rows, cols), dtype=np.float64)
-    status = []
-    for i in range(rows):
-        total = counts.matrix[i].sum()
-        if total == 0:
-            status.append(UNOBSERVED)
-            continue
-        p[i] = counts.matrix[i] / total
-        status.append(OBSERVED)
-    return ChainMatrix(counts.space, p, order, status)
+    totals = counts.matrix.sum(axis=1, keepdims=True)
+    p = np.divide(counts.matrix, totals, out=np.zeros(counts.matrix.shape), where=totals > 0)
+    return ChainMatrix(counts.space, p, order)
 
 
 def estimate_first_order(counts: ChainCounts) -> ChainMatrix:
@@ -245,8 +233,7 @@ def matrix_power(matrix: ChainMatrix, steps: int) -> ChainMatrix:
     if not matrix.fully_observed():
         bad = [matrix.space.states[i] for i, s in enumerate(matrix.row_status) if s == UNOBSERVED]
         raise MarkovError(f"cannot power a matrix with unobserved rows: {', '.join(bad)}")
-    n = len(matrix.space)
-    result = np.eye(n)
+    result = np.eye(len(matrix.space))
     base = matrix.p.copy()
     exponent = steps
     while exponent:
@@ -268,17 +255,11 @@ class Distribution:
 
     def __init__(self, space: StateSpace, mass, tol: float = DEFAULT_ROW_SUM_TOL):
         self.space = space
-        arr = np.asarray(mass, dtype=np.float64)
-        if arr.shape != (len(space),):
-            raise MarkovError(f"mass must have shape ({len(space)},), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise MarkovError("distribution entries must be finite")
-        self.mass = arr
+        self.mass = np.asarray(mass, dtype=np.float64)
         self.tol = float(tol)
-        if np.any(arr < -_ENTRY_SLACK) or np.any(arr > 1.0 + self.tol + _ENTRY_SLACK):
-            raise MarkovError("distribution entry outside [0, 1]")
-        if abs(float(arr.sum()) - 1.0) > self.tol:
-            raise MarkovError(f"distribution sums to {arr.sum()}, not 1")
+        if self.mass.shape != (len(space),):
+            raise MarkovError(f"mass must have shape ({len(space)},), got {self.mass.shape}")
+        _check_mass(self.mass[None], self.tol, "distribution")
 
     def probability(self, state: str) -> float:
         return float(self.mass[self.space.index(state)])
@@ -386,8 +367,12 @@ def loads_matrix(text: str) -> tuple[ChainMatrix, Optional[ChainCounts]]:
     if data.get("format") != FILE_FORMAT:
         raise MarkovError(f"unsupported matrix file format: {data.get('format')!r}")
     space = StateSpace(_file_strings(data, "states"))
+    listed = _file_strings(data, "row_status")
     matrix = ChainMatrix(space, _file_table(data, "p"), data.get("order"),
-                         _file_strings(data, "row_status"), row_sum_tol=LOADED_ROW_SUM_TOL)
+                         row_sum_tol=LOADED_ROW_SUM_TOL)
+    for i, (got, want) in enumerate(zip_longest(listed, matrix.row_status)):
+        if got != want:
+            raise MarkovError(f"matrix file: row_status[{i}] is {got!r}, but p makes it {want!r}")
     if "counts" not in data:
         return matrix, None
     counts = ChainCounts(space, _file_table(data, "counts"), matrix.order)

@@ -155,11 +155,11 @@ def datetime_literal(value: datetime) -> Literal:
     return Literal(value.strftime("%Y-%m-%dT%H:%M:%S"), DATETIME)
 
 
-# The ECHAR escapes read and written here: the letter after the backslash,
-# and the character it stands for (the grammar's \b, \f and \' are refused
-# as unknown).  The writer escapes exactly these characters.
-_ECHAR = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-_ESCAPE_TABLE = str.maketrans({ch: "\\" + letter for letter, ch in _ECHAR.items()})
+# The grammar's eight ECHAR escapes: the letter after the backslash, and the
+# character it stands for.  The writer escapes only backslash, quote, LF, CR
+# and tab, so it never writes \b, \f or \'.
+_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_ESCAPE_TABLE = str.maketrans({_ECHAR[letter]: "\\" + letter for letter in '\\"nrt'})
 # One escape: a UCHAR's hex digits (\uXXXX or \UXXXXXXXX), or else the text
 # after the backslash that a refusal quotes (a UCHAR's width, one character,
 # or none at the end of the text).
@@ -458,15 +458,17 @@ _LINE_RE = re.compile(
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples text into a Graph.
 
-    Accepts blank lines, '#' comment lines and a comment after a triple's
-    '.'.  The first malformed line aborts the parse with an NTriplesError
-    naming that line.  A term is built only when its text is not yet a key
-    of the graph, so each distinct term in canonical form is built and
-    validated once.
+    Lines end with LF, CRLF or a lone CR.  Accepts blank lines, '#' comment
+    lines and a comment after a triple's '.'.  The first malformed line
+    aborts the parse with an NTriplesError naming that line.  A term is
+    built only when its text is not yet a key of the graph, so each distinct
+    term in canonical form is built and validated once.
     """
     graph = Graph()
     terms = graph._terms
     match_line = _LINE_RE.fullmatch
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     for line_no, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
         if not line or line[0] == "#":

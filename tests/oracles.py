@@ -1,11 +1,12 @@
 """Independent reference implementations the optimized code is tested against.
 
 Everything here favors obviousness over speed: exhaustive enumeration for
-query evaluation, a plain multiplication loop for matrix powers, and exact
-rational arithmetic for probability estimation, a term-level, sorted
-``Graph.match`` walk for the DOT day fragment, an ingest that inserts
-one ``Triple`` at a time, and front-to-back index loops that decode
-N-Triples escapes and split a query into tokens.
+query evaluation, a plain multiplication loop for matrix powers, exact
+rational arithmetic and a row-at-a-time division loop for probability
+estimation, a term-level, sorted ``Graph.match`` walk for the DOT day
+fragment, an ingest that inserts one ``Triple`` at a time, and
+front-to-back index loops that decode N-Triples escapes and split a query
+into tokens.
 """
 
 import random
@@ -138,6 +139,21 @@ def rational_estimate(counts: np.ndarray) -> list[list[Fraction]]:
     return out
 
 
+def row_loop_estimate(counts: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Each int64 count row divided by its total one row at a time, and each
+    row's status: a row with no counts stays zero and is unobserved."""
+    p = np.zeros(counts.shape, dtype=np.float64)
+    status = []
+    for i, row in enumerate(counts):
+        total = row.sum()
+        if total == 0:
+            status.append("unobserved")
+            continue
+        p[i] = row / total
+        status.append("observed")
+    return p, status
+
+
 def match_day_subgraph(graph: Graph, day: int) -> Graph:
     """One day's DOT fragment, selected term by term through ``Graph.match``:
     every triple about one of the day's nodes whose object is a literal, one
@@ -207,7 +223,8 @@ def scan_escapes(text: str) -> str:
     """The N-Triples ECHAR and UCHAR escapes of a literal's text decoded by an
     index loop, refusing a bad escape with the same ``TermError`` message as
     ``unescape_lexical``."""
-    echar = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+    echar = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'",
+             "\\": "\\"}
     uchar_widths = {"u": 4, "U": 8}
     out = []
     i = 0

@@ -11,6 +11,7 @@ from kgmarkov.datagen import DEFAULT_SEED
 from kgmarkov.markov import (
     ChainCounts,
     ChainMatrix,
+    MarkovError,
     StateSpace,
     count_pair_transitions,
     dumps_matrix,
@@ -343,6 +344,34 @@ class TestPredict:
         assert captured.out == ""
         assert captured.err == "error: order-1 count matrix: the total of row 0 " \
                                "does not fit in int64\n"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda status: status[:2] + ["observed"],
+         "row_status[2] is 'observed', but p makes it 'unobserved'"),
+        (lambda status: ["unobserved"] + status[1:],
+         "row_status[0] is 'unobserved', but p makes it 'observed'"),
+        (lambda status: status[:2], "row_status[2] is None, but p makes it 'unobserved'"),
+        (lambda status: status + ["unobserved"],
+         "row_status[3] is 'unobserved', but p makes it None"),
+        (lambda status: status[:1] + ["guessed"] + status[2:],
+         "row_status[1] is 'guessed', but p makes it 'observed'"),
+    ], ids=["zero-row-observed", "nonzero-row-unobserved", "short", "long", "unknown-word"])
+    def test_a_row_status_that_p_does_not_give_exits_1(self, tmp_path, capsys, edit, message):
+        """row_status must mark exactly the all-zero rows of p unobserved."""
+        counts = ChainCounts(StateSpace(LOCATIONS3), [[12, 9, 11], [5, 5, 0], [0, 0, 0]], 1)
+        data = json.loads(dumps_matrix(estimate_first_order(counts)))
+        assert data["row_status"] == ["observed", "observed", "unobserved"]
+        data["row_status"] = edit(data["row_status"])
+        text = json.dumps(data)
+        with pytest.raises(MarkovError) as err:
+            loads_matrix(text)
+        assert str(err.value) == f"matrix file: {message}"
+        m = tmp_path / "m.json"
+        m.write_text(text, encoding="utf-8")
+        assert main(["predict", "--matrix", str(m), "--state", "location1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: matrix file: {message}\n"
 
     def test_prev_with_first_order_exits_1(self, tmp_path, capsys):
         m = write_example_matrix(tmp_path / "m.json")

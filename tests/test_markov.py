@@ -28,7 +28,7 @@ from kgmarkov.markov import (
 )
 
 from conftest import EXAMPLE_P, EXAMPLE_P2, LOCATIONS3
-from oracles import naive_power, rational_estimate
+from oracles import naive_power, rational_estimate, row_loop_estimate
 
 SPACE3 = StateSpace(LOCATIONS3)
 
@@ -182,6 +182,25 @@ class TestEstimation:
         assert m.probability("a", "b", "b") == pytest.approx(1 / 3)
         assert m.row_status[m.row_index("a", "a")] == UNOBSERVED
 
+    @given(st.sampled_from([1, 2]), st.integers(1, 4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_row_loop_reference_bit_for_bit(self, order, n, data):
+        """The masked division gives the row-at-a-time loop's floats, its row
+        statuses and its file text, for zero rows and for counts near 2**59."""
+        cells = st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 2**59))
+        row = st.one_of(st.just([0] * n), st.lists(cells, min_size=n, max_size=n))
+        counts = np.array(data.draw(st.lists(row, min_size=n ** order, max_size=n ** order)),
+                          dtype=np.int64)
+        space = StateSpace([f"s{i}" for i in range(n)])
+        m = (estimate_first_order if order == 1 else estimate_second_order)(
+            ChainCounts(space, counts, order))
+        p, status = row_loop_estimate(counts)
+        assert m.p.tobytes() == p.tobytes()
+        assert m.row_status == tuple(status)
+        assert dumps_matrix(m) == json.dumps({
+            "format": 1, "order": order, "states": list(space.states),
+            "p": p.tolist(), "row_status": status}, indent=2) + "\n"
+
     @pytest.mark.parametrize("labels", [["a", "b", "a", "b"], ["a", "a", "a"]],
                              ids=["two-states", "one-state"])
     def test_counts_of_another_order_are_refused(self, labels):
@@ -207,25 +226,22 @@ class TestMatrixValidation:
         with pytest.raises(MarkovError):
             ChainMatrix(SPACE3, bad, 1)
 
-    def test_unobserved_row_must_be_zero(self):
-        p = [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
-        with pytest.raises(MarkovError):
-            ChainMatrix(SPACE3, p, 1, (OBSERVED, UNOBSERVED, OBSERVED))
-
-    def test_bad_status_value(self):
-        p = np.eye(3)
-        with pytest.raises(MarkovError):
-            ChainMatrix(SPACE3, p, 1, ("observed", "guessed", "observed"))
+    def test_row_status_is_worked_out_from_p(self):
+        p = [[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [-0.0, 0.0, 0.0]]
+        assert ChainMatrix(SPACE3, p, 1).row_status == (UNOBSERVED, OBSERVED, UNOBSERVED)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("status", [OBSERVED, UNOBSERVED])
-    def test_non_finite_entries_are_refused(self, bad, status):
+    @pytest.mark.parametrize("shape", ["all", "among-zeros", "among-mass"])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_non_finite_entries_are_refused(self, bad, shape, row):
         """A NaN row passed every range and sum check, so each prediction
-        from it was NaN."""
-        p = [[bad, bad, bad] if status == OBSERVED else [bad, 0.0, 0.0],
-             [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        from it was NaN.  A row of a non-finite entry and zeros is not an
+        all-zero row either."""
+        p = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+        p[row] = {"all": [bad] * 3, "among-zeros": [bad, 0.0, 0.0],
+                  "among-mass": [0.5, bad, 0.5]}[shape]
         with pytest.raises(MarkovError, match="order-1 matrix entries must be finite"):
-            ChainMatrix(StateSpace(["a", "b", "c"]), p, 1, (status, OBSERVED, OBSERVED))
+            ChainMatrix(StateSpace(["a", "b", "c"]), p, 1)
 
     def test_loose_tolerance_admits_published_rounding(self):
         m = ChainMatrix(SPACE3, EXAMPLE_P2[:3], 1, row_sum_tol=LOADED_ROW_SUM_TOL)

@@ -130,6 +130,13 @@ class TestEscaping:
         assert escape_lexical(raw) == escaped
         assert unescape_lexical(escaped) == raw
 
+    def test_every_echar_is_read_and_the_writer_keeps_five(self):
+        """The grammar's \\b, \\f and \\' were refused as unknown escapes."""
+        assert unescape_lexical("a\\bb\\fc\\'d") == "a\bb\fc'd"
+        assert escape_lexical("a\bb\fc'd") == "a\bb\fc'd"
+        g = parse_ntriples(f"<{EX}s> <{EX}p> \"a\\bc\\f\\'\" .")
+        assert list(g) == [Triple(iri("s"), iri("p"), string_literal("a\bc\f'"))]
+
     @given(st.text(max_size=50))
     def test_escape_round_trips(self, text):
         assert unescape_lexical(escape_lexical(text)) == text
@@ -160,7 +167,8 @@ class TestEscaping:
         assert str(err.value) == message
 
     @given(st.text(alphabet=["\\", "u", "U", "0", "1", "a", "F", "D", "8", "g", "+", "n", "t",
-                             "r", '"', "b", "\n", "\r", "\u00e9", "\U0001F600"], max_size=14))
+                             "r", '"', "b", "f", "'", "\n", "\r", "\u00e9", "\U0001F600"],
+                   max_size=14))
     @settings(max_examples=300)
     def test_unescape_agrees_with_the_reference_scanner(self, text):
         """The same decoded string, or a TermError with the same message."""
@@ -355,6 +363,28 @@ class TestSerialization:
             parse_ntriples(text)
         assert err.value.line_no == 2
 
+    def test_a_lone_cr_ends_a_line(self):
+        """Lines were split on LF only, so this was refused at line 1."""
+        g = parse_ntriples(f"<{EX}s> <{EX}p> <{EX}o> .\r<{EX}s> <{EX}p> <{EX}o2> .")
+        assert len(g) == 2
+
+    def test_line_numbers_count_cr_crlf_and_lf_line_ends(self):
+        good = f"<{EX}s> <{EX}p> <{EX}o> ."
+        text = f"{good}\r{good}\r\n\r\n{good}\n\r<{EX}s> <{EX}p> broken .\r\n{good}"
+        with pytest.raises(NTriplesError) as err:
+            parse_ntriples(text)
+        assert err.value.line_no == 6
+
+    def test_a_raw_cr_inside_a_literal_is_refused(self):
+        with pytest.raises(NTriplesError) as err:
+            parse_ntriples(f'<{EX}s> <{EX}p> "a\rb" .')
+        assert err.value.line_no == 1
+
+    def test_nel_and_line_separator_stay_inside_a_literal(self):
+        """str.splitlines() would break the line at both."""
+        g = parse_ntriples(f'<{EX}s> <{EX}p> "a\x85b\u2028c" .\n')
+        assert list(g) == [Triple(iri("s"), iri("p"), string_literal("a\x85b\u2028c"))]
+
 
 _POOL_IRIS = [Iri(EX + name) for name in "abcdef"]
 _POOL_PREDS = [Iri(EX + name) for name in ("p", "q", "r")]
@@ -466,7 +496,7 @@ class TestProperties:
         for _ in range(data.draw(st.integers(0, 3))):
             at = data.draw(st.integers(0, len(lines)))
             lines.insert(at, data.draw(st.sampled_from(["", "# comment", " \t# <a> <b> <c> ."])))
-        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
         parsed = parse_ntriples(newline.join(lines))
         assert parsed == g
         assert parsed.match() == g.match()
