@@ -140,13 +140,15 @@ def rows_from_csv(text: str) -> list[ObservationRow]:
     """
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DatagenError("empty CSV: missing header") from None
-    if tuple(header) != CSV_HEADER:
-        raise DatagenError(f"bad CSV header: {header!r}")
+        records = list(reader)
+    except csv.Error as exc:
+        raise DatagenError(f"CSV line {reader.line_num}: {exc}") from None
+    if not records:
+        raise DatagenError("empty CSV: missing header")
+    if tuple(records[0]) != CSV_HEADER:
+        raise DatagenError(f"bad CSV header: {records[0]!r}")
     rows: list[ObservationRow] = []
-    for record_no, record in enumerate(reader, start=1):
+    for record_no, record in enumerate(records[1:], start=1):
         if not record:
             continue
         if len(record) != 3:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from itertools import zip_longest
 from typing import Optional, Sequence
 
@@ -233,7 +234,14 @@ def matrix_power(matrix: ChainMatrix, steps: int) -> ChainMatrix:
     if not matrix.fully_observed():
         bad = [matrix.space.states[i] for i, s in enumerate(matrix.row_status) if s == UNOBSERVED]
         raise MarkovError(f"cannot power a matrix with unobserved rows: {', '.join(bad)}")
-    result = np.eye(len(matrix.space))
+    # rows off 1 by e (plus each float product's rounding) drift by up to
+    # (1 + e)^t - 1 in t steps; from 1 on, a row drained to zero would pass
+    off = float(np.abs(matrix.p.sum(axis=1) - 1.0).max()) + len(matrix.p) * np.finfo(float).eps
+    growth = steps * math.log1p(off)
+    if growth >= math.log(2):
+        raise MarkovError(f"cannot power this matrix {steps} steps: its row sums are off 1 "
+                          f"by up to {off:.3g}, so a row could drain to zero")
+    result = np.eye(len(matrix.p))
     base = matrix.p.copy()
     exponent = steps
     while exponent:
@@ -241,13 +249,7 @@ def matrix_power(matrix: ChainMatrix, steps: int) -> ChainMatrix:
             result = result @ base
         base = base @ base
         exponent >>= 1
-    # rows off by tol drift by at most (1 + tol)^t - 1, unbounded past the float range
-    try:
-        drift = (1.0 + matrix.row_sum_tol) ** max(steps, 1)
-    except OverflowError:
-        drift = math.inf
-    tol = drift - 1.0 + 1e-12
-    return ChainMatrix(matrix.space, result, 1, row_sum_tol=max(tol, matrix.row_sum_tol))
+    return ChainMatrix(matrix.space, result, 1, row_sum_tol=math.expm1(growth) + 1e-12)
 
 
 class Distribution:
@@ -303,8 +305,9 @@ def _file_strings(data: dict, field: str) -> list:
 
 
 def _is_number(x) -> bool:
-    # bool is a subclass of int, and json reads NaN and Infinity as floats
-    return type(x) in (int, float) and math.isfinite(x)
+    # bool is a subclass of int, json reads NaN and Infinity as floats, and an
+    # int past the float range would overflow (compared exactly, not converted)
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 def _file_table(data: dict, field: str) -> list:
@@ -360,7 +363,7 @@ def loads_matrix(text: str) -> tuple[ChainMatrix, Optional[ChainCounts]]:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MarkovError(f"matrix file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise MarkovError("matrix file must contain a JSON object")

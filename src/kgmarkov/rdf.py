@@ -74,7 +74,7 @@ class Iri:
 
     def local_name(self) -> str:
         """Text after the last '#' or '/', used for display and state labels."""
-        return re.split(r"[#/]", self.value)[-1]
+        return self.value[max(self.value.rfind("#"), self.value.rfind("/")) + 1:]
 
     def __repr__(self):
         return f"Iri({self.value!r})"
@@ -234,11 +234,11 @@ class Graph:
     keys are the serialized terms.
 
     Copies share inner containers (see ``copy``).  ``_add`` is the only
-    write path, and on a graph that may share it first copies what it is
-    about to write; any future mutator, such as a ``remove``, must go
-    through the same unshare step before it touches an inner container.
-    A 1-tuple bucket is never written, only replaced, so copies may go on
-    sharing it.
+    write path, and on a graph that may share it first calls ``_unshare``,
+    which applies one rule to both indexes: copy the inner dict the write
+    lands in, then the bucket there if it is a set.  A 1-tuple bucket is
+    never written, only replaced, so copies go on sharing it.  Any future
+    mutator, such as a ``remove``, must go through the same step.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -247,9 +247,9 @@ class Graph:
         self._spo: dict[str, dict[str, Union[tuple[str], set[str]]]] = {}
         self._pos: dict[str, dict[str, Union[tuple[str], set[str]]]] = {}
         self._size = 0
-        # None until a copy(); then the containers made its own since, as
-        # ("spo", s), ("pos", p) and (p, o) for pos[p][o] (no key is a tag)
-        self._owned: Optional[set[tuple[str, str]]] = None
+        # None until a copy(); then, for spo and for pos, what it made its own
+        # since: an inner dict by its key, a bucket by its pair of keys
+        self._owned: Optional[tuple[set, set]] = None
         for t in triples:
             self.insert(t)
 
@@ -298,28 +298,20 @@ class Graph:
         return True
 
     def _unshare(self, s: str, p: str, o: str) -> None:
-        """Copy each container ``_add(s, p, o)`` writes that a copy may share:
-        ``spo[s]`` with its set buckets, ``pos[p]`` and a set ``pos[p][o]``.
-        Each is copied at most once per graph between copies; a 1-tuple
-        bucket is replaced, never written, so it stays shared."""
-        owned = self._owned
-        if ("spo", s) not in owned:
-            owned.add(("spo", s))
-            by_p = self._spo.get(s)
-            if by_p is not None:
-                self._spo[s] = {pred: objs if type(objs) is tuple else objs.copy()
-                                for pred, objs in by_p.items()}
-        if ("pos", p) not in owned:
-            owned.add(("pos", p))
-            by_o = self._pos.get(p)
-            if by_o is not None:
-                self._pos[p] = by_o.copy()
-        if (p, o) not in owned:
-            owned.add((p, o))
-            by_o = self._pos.get(p, {})
-            subjects = by_o.get(o)
-            if type(subjects) is set:
-                by_o[o] = subjects.copy()
+        """In each index, copy the inner dict ``_add(s, p, o)`` writes, then its
+        bucket if that is a set (``spo[s]`` and ``spo[s][p]``, ``pos[p]`` and
+        ``pos[p][o]``), each at most once between copies.  1-tuples stay shared."""
+        for index, owned, outer, inner in ((self._spo, self._owned[0], s, p),
+                                           (self._pos, self._owned[1], p, o)):
+            if (outer, inner) not in owned:
+                by_inner = index.get(outer)
+                if by_inner is not None:
+                    if outer not in owned:
+                        by_inner = index[outer] = by_inner.copy()
+                    if type(by_inner.get(inner)) is set:
+                        by_inner[inner] = by_inner[inner].copy()
+                owned.add(outer)
+                owned.add((outer, inner))
 
     def term(self, key: str) -> Term:
         """The term whose N-Triples text is ``key``."""
@@ -410,18 +402,19 @@ class Graph:
         """An independent graph with the same triples; no term is revalidated.
 
         Only the term dict and the top-level ``spo``/``pos`` dicts are
-        copied; both graphs then share every inner dict and set, and both
-        are marked as sharing, so that a later write to either one copies
-        the containers it touches first (``_unshare``).  What either graph
-        owned before is shared from now on, so both start owning nothing.
+        copied.  Both graphs then share every inner dict and bucket, and a
+        later write to either one first copies, in each index, the inner
+        dict it lands in and then the bucket if it is a set (``_unshare``).
+        What either graph owned before is shared from now on, so both start
+        owning nothing.
         """
         new = Graph()
         new._terms = self._terms.copy()
         new._spo = self._spo.copy()
         new._pos = self._pos.copy()
         new._size = self._size
-        new._owned = set()
-        self._owned = set()
+        new._owned = (set(), set())
+        self._owned = (set(), set())
         return new
 
 

@@ -30,6 +30,7 @@ from .rdf import (
     decimal_literal,
     integer_literal,
     string_literal,
+    term_to_ntriples,
 )
 from .vocab import Vocab, _shipped
 
@@ -60,7 +61,10 @@ def _detokenize(token: str) -> str:
     return token
 
 
-def _row_or_error(counts: ChainCounts, current: str) -> tuple[list[int], int]:
+def _row_or_error(counts: ChainCounts, current: str, day_index: int) -> tuple[list[int], int, str]:
+    """The checks both models open with; the from-state's count row, total and IRI token."""
+    if day_index < 0:
+        raise WritebackError("day_index must be non-negative")
     # read_probabilities would rename a label whose minted IRIs read back as
     # another label, or merge it with that label
     tokens = {label: state_token(label) for label in counts.space.states}
@@ -82,7 +86,7 @@ def _row_or_error(counts: ChainCounts, current: str) -> tuple[list[int], int]:
         raise WritebackError(
             f"no observed transitions leave {current!r}; nothing to normalize"
         )
-    return row, total
+    return row, total, tokens[current]
 
 
 def _refuse_a_different_rewrite(graph: Graph, model: str, current: str, predicate: Iri,
@@ -109,16 +113,16 @@ def writeback_profile_model(
     target state, count and total ICEs (counts always, zeros included), and
     a PMICE per nonzero target.  With link_realizations, each historical day
     whose transition matches an option also gains a realizes edge; that adds
-    about one triple per observed day, hence the flag.  day_index names the
-    day being predicted; profile IRIs do not depend on it, but a negative one
-    is refused as in the cco model, so both model calls stay interchangeable.
+    about one triple per observed day, hence the flag.  Locations match by
+    local name, the labels ``estimate`` uses; a matching transition whose
+    arriving trip part is not in the graph is refused before any write.
+    day_index names the day being predicted; profile IRIs do not depend on
+    it, but a negative one is refused as in the cco model, so both model
+    calls stay interchangeable.
     """
     manifest = default_manifest()
     vocab = _shipped()
-    if day_index < 0:
-        raise WritebackError("day_index must be non-negative")
-    row, total = _row_or_error(counts, current)
-    s_tok = state_token(current)
+    row, total, s_tok = _row_or_error(counts, current, day_index)
     ns = manifest.namespace
     add = graph.insert
 
@@ -127,6 +131,16 @@ def writeback_profile_model(
                   for to_state in counts.space.states]
     _refuse_a_different_rewrite(graph, MODEL_PROFILE, current, vocab.has_integer_value, {
         ice: integer_literal(value) for ice, value in zip([total_ice, *count_ices], [total, *row])})
+    realized: dict[str, list[Iri]] = {}  # to-state -> trip parts that realize it
+    pairs = transition_pairs(graph) if link_realizations else []
+    for day, (start, end) in enumerate(pairs, start=1):
+        if start.local_name() == current and end.local_name() in counts.space.states:
+            # the transition into day+1 happens during that day's part
+            day_part = manifest.trip_part(day + 1)
+            if not graph.match_keys(term_to_ntriples(day_part)):
+                raise WritebackError(f"cannot link a realization: the graph has no trip part "
+                                     f"{day_part.local_name()!r}")
+            realized.setdefault(end.local_name(), []).append(day_part)
 
     pol = Iri(f"{ns}{manifest.vessel.local_name()}_PoL")
     add(Triple(pol, vocab.type, vocab.PatternOfLife))
@@ -136,7 +150,6 @@ def writeback_profile_model(
     add(Triple(total_ice, vocab.type, vocab.TransitionTotalICE))
     add(Triple(total_ice, vocab.has_integer_value, integer_literal(total)))
 
-    dispositions: dict[str, Iri] = {}
     for j, to_state in enumerate(counts.space.states):
         j_tok = state_token(to_state)
         part = Iri(f"{ns}{s_tok}to{j_tok}_PoL_Part")
@@ -146,7 +159,8 @@ def writeback_profile_model(
         disposition = Iri(f"{ns}{s_tok}to{j_tok}_Disposition")
         add(Triple(disposition, vocab.type, vocab.Disposition))
         add(Triple(disposition, vocab.inheres_in, manifest.vessel))
-        dispositions[to_state] = disposition
+        for day_part in realized.get(to_state, ()):
+            add(Triple(day_part, vocab.realizes, disposition))
 
         count_ice = count_ices[j]
         add(Triple(count_ice, vocab.type, vocab.TransitionCountICE))
@@ -158,16 +172,6 @@ def writeback_profile_model(
             add(Triple(pmice, vocab.type, vocab.MarkovPMICE))
             add(Triple(pmice, vocab.is_a_measurement_of, part))
             add(Triple(pmice, vocab.has_decimal_value, decimal_literal(row[j] / total)))
-
-    if link_realizations:
-        current_iri = manifest.location(current)
-        for day, (start, end) in enumerate(transition_pairs(graph), start=1):
-            if start == current_iri:
-                end_label = end.local_name()
-                if end_label in dispositions:
-                    # the transition into day+1 happens during that day's part
-                    add(Triple(manifest.trip_part(day + 1), vocab.realizes,
-                               dispositions[end_label]))
 
 
 def writeback_cco_model(
@@ -185,10 +189,7 @@ def writeback_cco_model(
     """
     manifest = default_manifest()
     vocab = _shipped()
-    if day_index < 0:
-        raise WritebackError("day_index must be non-negative")
-    row, total = _row_or_error(counts, current)
-    s_tok = state_token(current)
+    row, total, s_tok = _row_or_error(counts, current, day_index)
     ns = manifest.namespace
     add = graph.insert
 

@@ -298,6 +298,48 @@ class TestHugeStepCounts:
         assert shown["1000000"] == shown["4096"]
 
 
+def _example_file_with(field: str, value) -> str:
+    """The example matrix file with counts, the first entry of ``field`` set to ``value``."""
+    counts = ChainCounts(StateSpace(LOCATIONS3), [[12, 9, 11], [5, 9, 4], [11, 9, 11]], 1)
+    data = json.loads(dumps_matrix(estimate_first_order(counts), counts))
+    data[field][0][0] = value
+    return json.dumps(data)
+
+
+# rows that sum to 0.9982, inside the loaded-file tolerance
+DRAINING_MATRIX = json.dumps({"format": 1, "order": 1, "states": ["a", "b"],
+                              "p": [[0.4991, 0.4991]] * 2, "row_status": ["observed"] * 2})
+
+
+class TestMalformedInputs:
+    """Each file used to end in a traceback or in a wrong answer with exit 0;
+    each must exit 1 with nothing on stdout and one ``error:`` line."""
+
+    @pytest.mark.parametrize("text,argv", [
+        (_example_file_with("p", 10**400), ["predict", "--matrix", "IN", "--state", "location1"]),
+        (_example_file_with("counts", 10**400),
+         ["predict", "--matrix", "IN", "--state", "location1"]),
+        ("[" * 200_000, ["predict", "--matrix", "IN", "--state", "location1"]),
+        (DRAINING_MATRIX, ["predict", "--matrix", "IN", "--state", "a", "--steps", "5000"]),
+        (DRAINING_MATRIX, ["predict", "--matrix", "IN", "--state", "a", "--steps", "1000000"]),
+        (DRAINING_MATRIX, ["power", "--matrix", "IN", "--steps", "1000000"]),
+        (THREE_DAY_CSV + "2023-04-11 12:00:00,Day4," + "x" * 200_000 + "\n",
+         ["ingest", "--csv", "IN", "--out", "OUT"]),
+        (THREE_DAY_CSV.replace("location1", "loc\x00ation1"),
+         ["ingest", "--csv", "IN", "--out", "OUT"]),
+    ], ids=["p-past-float-range", "counts-past-float-range", "nested-too-deep",
+            "drains-5000-steps", "drains-1000000-steps", "power-drains", "csv-long-field",
+            "csv-nul-byte"])
+    def test_exits_1_with_one_error_line(self, tmp_path, capsys, text, argv):
+        given, out = tmp_path / "input", tmp_path / "out"
+        given.write_text(text, encoding="utf-8")
+        assert main([{"IN": str(given), "OUT": str(out)}.get(a, a) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestPredict:
     def test_published_row_lookup(self, tmp_path, capsys):
         m = write_example_matrix(tmp_path / "m.json")

@@ -1,3 +1,4 @@
+import sys
 from datetime import datetime, timedelta
 from importlib import resources
 
@@ -183,6 +184,18 @@ class TestCsv:
         with pytest.raises(DatagenError) as err:
             rows_from_csv(text)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("field,message", [
+        ("x" * 200_000, "CSV line 2: field larger than field limit"),
+        ("loc\x00ation1", "CSV line 2: line contains NUL" if sys.version_info < (3, 11)
+         else "row 1: unknown location"),
+    ], ids=["long", "nul"])
+    def test_a_field_the_csv_reader_refuses_is_a_datagen_error(self, field, message):
+        """The csv module refuses a field past its 131,072-character limit,
+        and before Python 3.11 a NUL byte (3.11 reads it, and the location
+        check refuses it)."""
+        with pytest.raises(DatagenError, match=message):
+            rows_from_csv(f"Time,Day,Location\n2023-04-08 12:00:00,Day1,{field}\n")
 
     def test_blank_lines_are_skipped(self):
         rows = generate(GenConfig(days=4, seed=42))

@@ -33,6 +33,21 @@ from oracles import naive_power, rational_estimate, row_loop_estimate
 SPACE3 = StateSpace(LOCATIONS3)
 
 
+# JSON text for any value: what json.dumps writes (integers past the float
+# range, NaN, Infinity and nested containers included), an exponent past the
+# float range, and nesting deeper than the decoder's recursion limit
+_ANY_JSON_TEXT = st.one_of(
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400)
+        | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                   max_size=3),
+        max_leaves=10,
+    ).map(json.dumps),
+    st.sampled_from(["1e999", "-1e999", "[" * 200_000]),
+)
+
+
 def example_matrix():
     return ChainMatrix(SPACE3, EXAMPLE_P, 1)
 
@@ -278,6 +293,29 @@ class TestPower:
         with pytest.raises(MarkovError, match="unobserved"):
             matrix_power(m, 2)
 
+    def test_rows_that_could_drain_to_zero_are_refused_by_step_count(self):
+        """Rows that sum to 0.9982 pass the file tolerance, but powered they
+        drain: (1 + 0.0018)^t - 1 reaches 1 at 386 steps, and from there a
+        row of zeros would pass, so those step counts are refused.  Slower
+        drift still prints."""
+        m = ChainMatrix(StateSpace(("a", "b")), [[0.4991, 0.4991]] * 2, 1,
+                        row_sum_tol=LOADED_ROW_SUM_TOL)
+        assert matrix_power(m, 300).p.sum(axis=1) == pytest.approx([0.5825] * 2, abs=1e-4)
+        matrix_power(m, 385)
+        for steps in (386, 5000, 10**6):
+            with pytest.raises(MarkovError, match=f"cannot power this matrix {steps} steps: its "
+                                                  "row sums are off 1 by up to 0.0018"):
+                matrix_power(m, steps)
+
+    def test_the_rounding_of_float_products_counts_toward_the_drift(self):
+        """These rows sum to exactly 1.0, yet after a million steps of float
+        products the powered rows are about 7e-11 off 1."""
+        m = ChainMatrix(StateSpace(("a", "b")), [[0.2, 0.8], [0.9, 0.1]], 1)
+        assert np.all(m.p.sum(axis=1) == 1.0)
+        powered = matrix_power(m, 10**6)
+        assert np.abs(powered.p.sum(axis=1) - 1.0).max() > 1e-12
+        assert powered.p == pytest.approx(np.array([[9, 8], [9, 8]]) / 17, abs=1e-9)
+
     @given(st.integers(0, 12), st.integers(0, 2**32 - 1), st.sampled_from((3, 5)))
     @settings(max_examples=60, deadline=None)
     def test_matches_the_naive_oracle(self, steps, seed, size):
@@ -351,6 +389,8 @@ class TestPrediction:
             Distribution(SPACE3, [0.5, 0.1, 0.1])
         with pytest.raises(MarkovError):
             Distribution(SPACE3, [1.5, -0.25, -0.25])
+        with pytest.raises(MarkovError, match=r"mass must have shape \(3,\), got \(2,\)"):
+            Distribution(SPACE3, [0.5, 0.5])
 
     @pytest.mark.parametrize("mass", [[float("nan")] * 2, [float("inf"), 0.0],
                                       [float("nan"), 1.0]])
@@ -461,6 +501,9 @@ class TestFileFormat:
         data["counts"][2] = [1, 2, 4]
         with pytest.raises(MarkovError, match="row 2 of p disagrees with its counts"):
             loads_matrix(json.dumps(data))
+        data["counts"][2] = [1, -2, 3]
+        with pytest.raises(MarkovError, match="order-1 count matrix entries must be non-negative"):
+            loads_matrix(json.dumps(data))
 
     @pytest.mark.parametrize("row,counts,status", [
         (1, [0, 0, 0], "observed"), (2, [0, 1, 0], "unobserved"),
@@ -485,9 +528,12 @@ class TestFileFormat:
         ("counts", [[12, 9, 11], [5, 5, 0], [True, 2, 3]]),
         ("counts", [[12, 9, 11], [5, 5], [1, 2, 3]]),
         ("counts", "counts"),
+        ("p", [[10**400, 0, 0], *EXAMPLE_P[1:]]),
+        ("counts", [[12 * 10**400, 9, 11], [5, 5, 0], [1, 2, 3]]),
     ], ids=["states-string", "states-number", "p-strings", "p-booleans", "p-nan",
             "p-ragged", "p-missing", "row_status-number", "counts-strings",
-            "counts-boolean", "counts-ragged", "counts-string"])
+            "counts-boolean", "counts-ragged", "counts-string", "p-past-float-range",
+            "counts-past-float-range"])
     def test_field_types_are_checked(self, field, value):
         data = json.loads(dumps_matrix(example_matrix()))
         data[field] = value
@@ -504,8 +550,32 @@ class TestFileFormat:
     @pytest.mark.parametrize("text,message", [
         ("not json at all", "matrix file is not valid JSON"),
         ("[[1.0, 0.0], [0.0, 1.0]]", "matrix file must contain a JSON object"),
+        pytest.param("[" * 200_000, "matrix file is not valid JSON", id="nested-too-deep"),
     ])
     def test_bad_json_text(self, text, message):
         with pytest.raises(MarkovError, match=message):
             loads_matrix(text)
+
+    @given(st.sampled_from([1, 2]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value_anywhere_is_loaded_or_refused(self, order, data):
+        """Put a JSON value into any field of an order-1 or order-2 file, or
+        into any entry of a field or of a row: loading it raises nothing but
+        MarkovError."""
+        c = (ChainCounts(SPACE3, [[12, 9, 11], [5, 5, 0], [0, 0, 0]], 1) if order == 1
+             else count_pair_transitions(["location1", "location2", "location1", "location3"]))
+        doc = json.loads(dumps_matrix(estimate_first_order(c) if order == 1
+                                      else estimate_second_order(c), c))
+        places = [(doc, field) for field in [*doc, "extra"]]
+        places += [(doc[field], i) for field in ("states", "p", "row_status", "counts")
+                   for i in range(len(doc[field]))]
+        places += [(row, j) for field in ("p", "counts") for row in doc[field]
+                   for j in range(len(row))]
+        where, key = data.draw(st.sampled_from(places))
+        where[key] = "\x00hole"
+        text = json.dumps(doc).replace('"\\u0000hole"', data.draw(_ANY_JSON_TEXT))
+        try:
+            loads_matrix(text)
+        except MarkovError:
+            pass
 

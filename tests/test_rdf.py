@@ -1,3 +1,4 @@
+import re
 from datetime import datetime
 
 import pytest
@@ -53,6 +54,11 @@ class TestTerms:
     def test_local_name_splits_on_hash_and_slash(self):
         assert Iri("http://example.org/a/b").local_name() == "b"
         assert Iri("http://example.org/a#frag").local_name() == "frag"
+
+    @given(st.text(alphabet=["#", "/", "a", ":", "."], max_size=8))
+    def test_local_name_is_the_text_after_the_last_hash_or_slash(self, tail):
+        iri = Iri("x:" + tail)
+        assert iri.local_name() == re.split(r"[#/]", iri.value)[-1]
 
     def test_literal_defaults_to_string(self):
         assert Literal("hello").datatype == STRING
@@ -118,6 +124,8 @@ class TestTerms:
             Triple(iri("s"), lit, iri("o"))
         with pytest.raises(TermError):
             Triple(iri("s"), iri("p"), "bare string")
+        with pytest.raises(TermError, match="can only insert Triple instances"):
+            Graph().insert((iri("s"), iri("p"), iri("o")))
 
 
 class TestEscaping:
@@ -212,6 +220,32 @@ class TestGraph:
         assert h._spo[key] is g._spo[key]
         assert len(g.match(iri("s1"))) == 2 and len(h.match(iri("s1"))) == 1
         assert len(g.match(iri("s2"))) == 1 and len(h.match(iri("s2"))) == 2
+
+    @pytest.mark.parametrize("written", ["copy", "source"])
+    def test_a_write_after_a_copy_into_shared_sets_stays_in_its_graph(self, written):
+        """The first write lands in a set bucket of spo (s1 p -> o1, o2) and
+        one of pos (p o3 -> s2, s3) that the copy shares; the second adds a
+        key to the inner dict spo[s1] and lands in the set pos[q][o1]."""
+        g = Graph(Triple(iri(s), iri(p), iri(o)) for s, p, o in [
+            ("s1", "p", "o1"), ("s1", "p", "o2"), ("s2", "p", "o3"), ("s3", "p", "o3"),
+            ("s2", "q", "o1"), ("s3", "q", "o1")])
+        h = g.copy()
+        target, other = (h, g) if written == "copy" else (g, h)
+
+        def key(name):
+            return term_to_ntriples(iri(name))
+
+        patterns = [(s, p, o) for s in (None, key("s1")) for p in (None, key("p"), key("q"))
+                    for o in (None, key("o1"), key("o3"))]
+        before = [sorted(other.match_keys(*pattern)) for pattern in patterns]
+        assert target.insert(Triple(iri("s1"), iri("p"), iri("o3")))
+        assert target.insert(Triple(iri("s1"), iri("q"), iri("o1")))
+        assert [sorted(other.match_keys(*pattern)) for pattern in patterns] == before
+        assert sorted(target.match_keys(key("s1"), key("p"))) == [
+            (key("s1"), key("p"), key(o)) for o in ("o1", "o2", "o3")]
+        assert sorted(target.match_keys(None, key("p"), key("o3"))) == [
+            (key(s), key("p"), key("o3")) for s in ("s1", "s2", "s3")]
+        assert len(target) == 8 and len(other) == 6
 
     def test_copying_again_shares_what_the_original_had_made_its_own(self):
         g = Graph([Triple(iri("s"), iri("p"), iri("o"))])

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgmarkov.datagen import GenConfig, generate
 from kgmarkov.ingest import default_manifest, ingest_rows
 from kgmarkov.markov import (
     ChainCounts,
@@ -25,6 +28,13 @@ from kgmarkov.writeback import (
 from conftest import LOCATIONS3, THREE_DAY_ROWS
 
 EX = "http://example.org/data/"
+
+
+def _renamed(graph, pattern, replacement):
+    """The graph with ``re.sub(pattern, replacement)`` applied to every IRI."""
+    def term(t):
+        return Iri(re.sub(pattern, replacement, t.value)) if isinstance(t, Iri) else t
+    return Graph(Triple(term(t.subject), term(t.predicate), term(t.object)) for t in graph)
 
 
 def worked_counts():
@@ -204,6 +214,30 @@ class TestProfileModel:
         assert realized[0].subject == Iri(EX + "fishingTripPart_d2")
         assert realized[0].object == Iri(EX + "3to1_Disposition")
         assert len(g) > before
+
+    def test_realizations_match_locations_by_local_name(self, vocab):
+        """Locations in another namespace than the manifest's still match
+        the labels estimate gives them: one edge per transition leaving
+        location2 appears, as with the manifest's namespace."""
+        rows = generate(GenConfig(days=30))
+        counts = count_transitions([row.location for row in rows])
+        edges = {}
+        for name, graph in [("ex", ingest_rows(rows)), ("other", _renamed(
+                ingest_rows(rows), r"example\.org/data/(location[0-9]+)", r"other.org/loc/\1"))]:
+            writeback_profile_model(graph, counts, "location2", 30, link_realizations=True)
+            edges[name] = graph.match(None, vocab.realizes, None)
+        assert len(edges["ex"]) == counts.row_total("location2") > 0
+        assert edges["other"] == edges["ex"]
+
+    def test_a_realization_without_its_trip_part_is_refused_before_any_write(self):
+        rows = generate(GenConfig(days=30))
+        counts = count_transitions([row.location for row in rows])
+        graph = _renamed(ingest_rows(rows), r"fishingTripPart_d", "fishingTripPart_day")
+        text = serialize_ntriples(graph)
+        with pytest.raises(WritebackError,
+                           match="the graph has no trip part 'fishingTripPart_d[0-9]+'"):
+            writeback_profile_model(graph, counts, "location2", 30, link_realizations=True)
+        assert serialize_ntriples(graph) == text
 
     def test_without_the_flag_no_realizes_edges_appear(self, vocab):
         g = ingest_rows(THREE_DAY_ROWS)
