@@ -367,8 +367,9 @@ def loads_matrix(text: str) -> tuple[ChainMatrix, Optional[ChainCounts]]:
         raise MarkovError(f"matrix file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise MarkovError("matrix file must contain a JSON object")
-    if data.get("format") != FILE_FORMAT:
-        raise MarkovError(f"unsupported matrix file format: {data.get('format')!r}")
+    if type(data.get("format")) is not int or data["format"] != FILE_FORMAT:
+        raise MarkovError(f"matrix file: format must be the integer {FILE_FORMAT}, "
+                          f"not {data.get('format')!r}")
     space = StateSpace(_file_strings(data, "states"))
     listed = _file_strings(data, "row_status")
     matrix = ChainMatrix(space, _file_table(data, "p"), data.get("order"),

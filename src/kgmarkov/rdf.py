@@ -210,8 +210,8 @@ class Graph:
     """A set of triples held as N-Triples keys in two permutation indexes.
 
     Every term is keyed by its N-Triples text and stored once, in a key ->
-    term dict; ``_key`` is how a built term gets its key (``parse_ntriples``
-    keys the text it read).  Triples live only as keys, in the nested
+    term dict; ``_key`` is the one place that keys a built term and writes
+    that dict.  Triples live only as keys, in the nested
     permutation indexes ``spo`` (subject -> predicate -> objects) and
     ``pos`` (predicate -> object -> subjects).  A pattern binding only the
     object walks ``pos`` over its predicates; one binding subject and object
@@ -453,12 +453,14 @@ def parse_ntriples(text: str) -> Graph:
 
     Lines end with LF, CRLF or a lone CR.  Accepts blank lines, '#' comment
     lines and a comment after a triple's '.'.  The first malformed line
-    aborts the parse with an NTriplesError naming that line.  A term is
-    built only when its text is not yet a key of the graph, so each distinct
-    term in canonical form is built and validated once.
+    aborts the parse with an NTriplesError naming that line.  Each distinct
+    text read is built and validated once and keyed by ``Graph._key``; every
+    spelling of a term then maps to the one key string the graph keeps.
     """
     graph = Graph()
-    terms = graph._terms
+    key = graph._key
+    # each text read, and each literal's canonical key -> the key the graph keeps
+    keys: dict[str, str] = {}
     match_line = _LINE_RE.fullmatch
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -471,18 +473,17 @@ def parse_ntriples(text: str) -> Graph:
             raise NTriplesError(line_no, "expected <subject> <predicate> <object-or-literal> .")
         s, p, o, literal, datatype = m.groups()
         try:
-            if s not in terms:
-                terms[s] = Iri(s[1:-1])
-            if p not in terms:
-                terms[p] = Iri(p[1:-1])
-            if o not in terms:
+            if s not in keys:
+                keys[s] = key(Iri(s[1:-1]))
+            if p not in keys:
+                keys[p] = key(Iri(p[1:-1]))
+            if o not in keys:
                 if literal is None:
-                    terms[o] = Iri(o[1:-1])
+                    keys[o] = key(Iri(o[1:-1]))
                 else:
-                    term = decode_literal(literal[1:-1], datatype and datatype[1:-1])
-                    o = term_to_ntriples(term)
-                    terms.setdefault(o, term)
+                    k = key(decode_literal(literal[1:-1], datatype and datatype[1:-1]))
+                    keys[o] = keys.setdefault(k, k)
         except TermError as exc:
             raise NTriplesError(line_no, str(exc)) from None
-        graph._add(s, p, o)
+        graph._add(keys[s], keys[p], keys[o])
     return graph

@@ -17,12 +17,12 @@ fraction stays recoverable from the graph.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .errors import ToolkitError
 from .ingest import default_manifest, transition_pairs
 from .markov import ChainCounts, Distribution, StateSpace
 from .rdf import (
+    DECIMAL,
     Graph,
     Iri,
     Literal,
@@ -212,11 +212,13 @@ def writeback_cco_model(
         add(Triple(pmice, vocab.has_decimal_value, value))
 
 
-def _decimal_value(graph: Graph, subject: Iri, vocab: Vocab) -> Optional[float]:
-    for t in graph.match(subject, vocab.has_decimal_value, None):
-        if isinstance(t.object, Literal):
-            return float(t.object.lexical)
-    return None
+def _decimal_value(graph: Graph, pmice: Iri, vocab: Vocab) -> float:
+    """A PMICE's value, refused unless it has exactly one xsd:decimal value."""
+    values = [t.object for t in graph.match(pmice, vocab.has_decimal_value, None)]
+    if len(values) != 1 or not isinstance(values[0], Literal) or values[0].datatype != DECIMAL:
+        raise WritebackError(f"{pmice.local_name()} must have exactly one xsd:decimal value, "
+                             f"not {', '.join(map(term_to_ntriples, values)) or 'none'}")
+    return float(values[0].lexical)
 
 
 def _read_profile(graph: Graph, current: str) -> dict[str, float]:
@@ -236,9 +238,7 @@ def _read_profile(graph: Graph, current: str) -> dict[str, float]:
         for m in graph.match(None, vocab.is_a_measurement_of, t.subject):
             if Triple(m.subject, vocab.type, vocab.MarkovPMICE) not in graph:
                 continue
-            value = _decimal_value(graph, m.subject, vocab)
-            if value is not None:
-                values[to_state] = value
+            values[to_state] = _decimal_value(graph, m.subject, vocab)
     return values
 
 
@@ -255,11 +255,9 @@ def _read_cco(graph: Graph, current: str) -> dict[str, float]:
                 continue
             token = local[len(prefix):]
             token = re.sub(r"_d[0-9]+$", "", token)
-            value = _decimal_value(graph, m.subject, vocab)
-            if value is not None:
-                values[_detokenize(token)] = value
-                if t.subject not in futures:
-                    futures.append(t.subject)
+            values[_detokenize(token)] = _decimal_value(graph, m.subject, vocab)
+            if t.subject not in futures:
+                futures.append(t.subject)
     if len(futures) > 1:
         raise WritebackError(f"the graph holds cco writebacks for {current!r} on more "
                              f"than one predicted day: "

@@ -2,12 +2,14 @@ import builtins
 import errno
 import io
 import json
+import random
 import stat
 
 import pytest
 
 from kgmarkov.cli import main
 from kgmarkov.datagen import DEFAULT_SEED
+from kgmarkov.ingest import load_bundled_query
 from kgmarkov.markov import (
     ChainCounts,
     ChainMatrix,
@@ -692,3 +694,98 @@ class TestAtomicOutput:
         out.write_text("old contents that are longer than the new ones\n" * 40)
         assert main(["gen-data", "--days", "3", "--out", str(out)]) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 4
+
+
+# Each mutated run: one input file of the kind named, edited once, in place
+# of the base file of that kind; GRAPH and MATRIX are the unedited base files.
+_MUTATED_RUNS = {
+    "estimate-1": ("graph", ["estimate", "--graph", "IN", "--order", "1", "--out", "OUT"]),
+    "estimate-2": ("graph", ["estimate", "--graph", "IN", "--order", "2", "--out", "OUT"]),
+    "query-graph": ("graph", ["query", "--graph", "IN", "--query", "transitions"]),
+    "export-dot": ("graph", ["export-dot", "--graph", "IN", "--day", "1", "--out", "OUT"]),
+    "writeback-profile": ("graph", ["writeback", "--graph", "IN", "--matrix", "MATRIX",
+                                    "--state", "location2", "--day", "10", "--model", "profile",
+                                    "--out", "OUT"]),
+    "writeback-cco": ("graph", ["writeback", "--graph", "IN", "--matrix", "MATRIX",
+                                "--state", "location2", "--day", "10", "--model", "cco",
+                                "--out", "OUT"]),
+    "ingest": ("csv", ["ingest", "--csv", "IN", "--out", "OUT"]),
+    "predict": ("matrix", ["predict", "--matrix", "IN", "--state", "location2", "--steps", "2"]),
+    "power": ("matrix", ["power", "--matrix", "IN", "--steps", "3"]),
+    "writeback-matrix": ("matrix", ["writeback", "--graph", "GRAPH", "--matrix", "IN",
+                                    "--state", "location2", "--day", "10", "--model", "profile",
+                                    "--out", "OUT"]),
+    "query-rq": ("query", ["query", "--graph", "GRAPH", "--query", "IN"]),
+}
+_EDITS = [f"{unit}-{edit}" for unit in ("byte", "line")
+          for edit in ("delete", "duplicate", "flip", "truncate")]
+
+
+def _edited(data: bytes, edit: str, rng: random.Random) -> bytes:
+    """``data`` with one byte or line deleted, duplicated or flipped (a byte
+    gets one bit flipped, a line swaps places with the next), or cut off
+    from there on."""
+    unit, how = edit.split("-")
+    parts = data.splitlines(keepends=True) if unit == "line" else [bytes([b]) for b in data]
+    i = rng.randrange(len(parts))
+    if how == "delete":
+        del parts[i]
+    elif how == "duplicate":
+        parts.insert(i, parts[i])
+    elif how == "flip" and unit == "byte":
+        parts[i] = bytes([parts[i][0] ^ 1 << rng.randrange(8)])
+    elif how == "flip":
+        parts[i:i + 2] = parts[i:i + 2][::-1]
+    else:
+        del parts[i:]
+    return b"".join(parts)
+
+
+@pytest.fixture(scope="module")
+def base_inputs(tmp_path_factory):
+    """A 10-day CSV, its graph, its order-1 matrix with counts, and the
+    transitions query, as files."""
+    d = tmp_path_factory.mktemp("base")
+    files = {kind: d / name for kind, name in [("csv", "obs.csv"), ("graph", "graph.nt"),
+                                                ("matrix", "m.json"), ("query", "q.rq")]}
+    assert main(["gen-data", "--days", "10", "--out", str(files["csv"])]) == 0
+    assert main(["ingest", "--csv", str(files["csv"]), "--out", str(files["graph"])]) == 0
+    assert main(["estimate", "--graph", str(files["graph"]), "--out", str(files["matrix"])]) == 0
+    files["query"].write_text(load_bundled_query("transitions"), encoding="utf-8")
+    return files
+
+
+class TestMutatedInputs:
+    """A standing guard over every input kind each reading subcommand takes:
+    seeded edits of a good file either run or are refused cleanly."""
+
+    @pytest.mark.parametrize("run", list(_MUTATED_RUNS))
+    def test_edited_inputs_run_or_exit_1_with_one_error_line(self, base_inputs, tmp_path,
+                                                             capsys, run):
+        kind, argv = _MUTATED_RUNS[run]
+        given, out = tmp_path / "input", tmp_path / "out"
+        paths = {"IN": given, "OUT": out, "GRAPH": base_inputs["graph"],
+                 "MATRIX": base_inputs["matrix"]}
+        args = [str(paths.get(a, a)) for a in argv]
+        rng = random.Random(run)
+        data = base_inputs[kind].read_bytes()
+        cases = [("unedited", data)] + [(f"{edit} #{n}", _edited(data, edit, rng))
+                                        for edit in _EDITS for n in range(8)]
+        for case, text in cases:
+            given.write_bytes(text)
+            out.unlink(missing_ok=True)
+            capsys.readouterr()
+            try:
+                status = main(args)
+            except Exception as exc:  # any escape is the failure
+                pytest.fail(f"{case}: {exc!r} escaped")
+            captured = capsys.readouterr()
+            assert status in (0, 1, 2), case
+            if case == "unedited":
+                assert status == 0, captured.err
+            if status == 1:
+                assert captured.out == "", case
+                lines = captured.err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), (case, captured.err)
+            if status != 0:
+                assert not out.exists(), case

@@ -18,7 +18,7 @@ from kgmarkov.ingest import (
 from kgmarkov.query import Var, evaluate, parse_query
 from kgmarkov.rdf import Iri, Triple, serialize_ntriples
 
-from conftest import THREE_DAY_ROWS
+from conftest import THREE_DAY_ROWS, one_string_per_key
 from oracles import triple_ingest
 
 E = "http://example.org/data/"
@@ -121,6 +121,7 @@ class TestIngest:
         assert g == reference
         assert serialize_ntriples(g) == serialize_ntriples(reference)
         assert set(g._terms) == {k for key in reference.match_keys() for k in key}
+        assert one_string_per_key(g)
 
     def test_every_bundled_query_pattern_matches_a_two_day_ingest(self):
         """ingest_rows's day loop and the .rq files state one shape; a one-day

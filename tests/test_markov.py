@@ -530,14 +530,17 @@ class TestFileFormat:
         ("counts", "counts"),
         ("p", [[10**400, 0, 0], *EXAMPLE_P[1:]]),
         ("counts", [[12 * 10**400, 9, 11], [5, 5, 0], [1, 2, 3]]),
+        ("format", True),
+        ("format", 1.0),
     ], ids=["states-string", "states-number", "p-strings", "p-booleans", "p-nan",
             "p-ragged", "p-missing", "row_status-number", "counts-strings",
             "counts-boolean", "counts-ragged", "counts-string", "p-past-float-range",
-            "counts-past-float-range"])
+            "counts-past-float-range", "format-boolean", "format-float"])
     def test_field_types_are_checked(self, field, value):
         data = json.loads(dumps_matrix(example_matrix()))
         data[field] = value
-        with pytest.raises(MarkovError, match=f"matrix file: {field} must be a list"):
+        kind = "the integer 1" if field == "format" else "a list"
+        with pytest.raises(MarkovError, match=f"matrix file: {field} must be {kind}"):
             loads_matrix(json.dumps(data))
 
     def test_counts_within_the_file_tolerance_of_p_load(self):

@@ -28,6 +28,7 @@ from kgmarkov.rdf import (
     unescape_lexical,
 )
 
+from conftest import one_string_per_key
 from oracles import scan_escapes
 
 EX = "http://example.org/data/"
@@ -534,6 +535,7 @@ class TestProperties:
         parsed = parse_ntriples(newline.join(lines))
         assert parsed == g
         assert parsed.match() == g.match()
+        assert one_string_per_key(parsed)
 
     @given(_graphs, st.lists(_triples, max_size=20))
     @settings(max_examples=40)

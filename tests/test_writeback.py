@@ -13,7 +13,15 @@ from kgmarkov.markov import (
     count_pair_transitions,
     count_transitions,
 )
-from kgmarkov.rdf import Graph, Iri, Triple, integer_literal, serialize_ntriples, string_literal
+from kgmarkov.rdf import (
+    Graph,
+    Iri,
+    Triple,
+    decimal_literal,
+    integer_literal,
+    serialize_ntriples,
+    string_literal,
+)
 from kgmarkov.writeback import (
     MODEL_CCO,
     MODEL_PROFILE,
@@ -377,6 +385,25 @@ class TestReadback:
         g = ingest_rows(THREE_DAY_ROWS)
         with pytest.raises(WritebackError, match="location1"):
             read_probabilities(g, "location1", MODEL_PROFILE)
+
+    @pytest.mark.parametrize("model", [MODEL_PROFILE, MODEL_CCO])
+    @pytest.mark.parametrize("edit", ["two-values", "string-value", "no-value"])
+    def test_a_pmice_without_exactly_one_decimal_value_is_refused(self, vocab, model, edit):
+        """Two values used to read the first one, a string value raised a bare
+        ValueError, and no value gave a distribution that does not sum to 1."""
+        g = Graph()
+        write = writeback_profile_model if model == MODEL_PROFILE else writeback_cco_model
+        write(g, worked_counts(), "location1", 100)
+        pmice = g.match(None, vocab.type, vocab.MarkovPMICE)[0].subject
+        value = g.match(pmice, vocab.has_decimal_value, None)[0]
+        objects = {"two-values": [value.object, decimal_literal(0.5)],
+                   "string-value": [string_literal("half")],
+                   "no-value": []}[edit]
+        edited = Graph([*(t for t in g if t != value),
+                        *(Triple(pmice, vocab.has_decimal_value, o) for o in objects)])
+        with pytest.raises(WritebackError,
+                           match=f"^{pmice.local_name()} must have exactly one xsd:decimal value"):
+            read_probabilities(edited, "location1", model)
 
     def test_reading_the_wrong_state_is_an_error(self):
         g = Graph()
