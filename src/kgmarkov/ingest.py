@@ -15,6 +15,8 @@ import logging
 from dataclasses import dataclass
 from datetime import datetime
 from importlib import resources
+from itertools import repeat
+from operator import eq, itemgetter
 from typing import Sequence
 
 from .datagen import ObservationRow
@@ -150,23 +152,25 @@ def location_sequence(graph: Graph) -> list[tuple[datetime, Iri]]:
     location or time is refused, and so are two rows at one time, which
     would make up a transition inside one observed instant.
     """
-    table = evaluate(_location_query(_shipped()), graph)
-    log.info("location query returned %d rows", len(table.rows))
-    out = []
-    previous = None
-    for when, where in table.rows:
-        if not isinstance(where, Iri):
-            raise IngestError(f"a track point lies in {term_to_ntriples(where)}, not an IRI")
-        if not isinstance(when, Literal) or when.datatype != DATETIME:
-            raise IngestError(f"an observation time is {term_to_ntriples(when)}, "
-                              "not an xsd:dateTime literal")
-        # rows come sorted on the time key, so equal times are neighbours
-        if when == previous:
-            raise IngestError(f"two observations at one instant, {when.lexical}: "
-                              f"in {out[-1][1].value} and in {where.value}")
-        out.append((when.to_python(), where))
-        previous = when
-    return out
+    rows = evaluate(_location_query(_shipped()), graph).rows
+    log.info("location query returned %d rows", len(rows))
+    times, places = list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
+    # rows come sorted on the time key, so equal times are neighbours; an
+    # xsd:dateTime lexical form has one spelling per instant
+    lexicals = list(map(getattr, times, repeat("lexical"), repeat(None)))
+    if not (all(map(isinstance, places, repeat(Iri)))
+            and set(map(getattr, times, repeat("datatype"), repeat(None))) <= {DATETIME}
+            and not any(map(eq, lexicals, lexicals[1:]))):
+        for i, (when, where) in enumerate(rows):  # refuse the first bad row
+            if not isinstance(where, Iri):
+                raise IngestError(f"a track point lies in {term_to_ntriples(where)}, not an IRI")
+            if not isinstance(when, Literal) or when.datatype != DATETIME:
+                raise IngestError(f"an observation time is {term_to_ntriples(when)}, "
+                                  "not an xsd:dateTime literal")
+            if i and when == times[i - 1]:
+                raise IngestError(f"two observations at one instant, {when.lexical}: "
+                                  f"in {places[i - 1].value} and in {where.value}")
+    return list(zip(map(datetime.fromisoformat, lexicals), places))
 
 
 def transition_pairs(graph: Graph) -> list[tuple[Iri, Iri]]:

@@ -12,6 +12,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import ToolkitError
@@ -329,10 +330,11 @@ def evaluate(query: Query, graph: Graph) -> SolutionTable:
     or repeated, into a step that walks the indexes and appends the keys it
     binds to each row (``_step``).  Candidates come unsorted.
 
-    Output order is deterministic and set only here, at projection, by
-    sorting key strings (the terms' serializations): rows sort by the ORDER
-    BY variable when one is given (remaining ties by the projected row),
-    otherwise by the projected row itself.  Keys become terms at the end.
+    Output order is deterministic and set only here, by sorting key strings
+    (the terms' serializations).  One ``itemgetter`` takes each row's sort
+    key: the ORDER BY slot, if any, then the projected slots.  Keys become
+    terms at the end, a column at a time: the term lookup is mapped over
+    each projected column, and the columns are zipped back into rows.
     """
     first_row, slots, shapes = _plan(query)
     rows = [first_row]
@@ -341,12 +343,10 @@ def evaluate(query: Query, graph: Graph) -> SolutionTable:
         if not rows:
             break
 
-    projection = [slots[v] for v in query.projection]
-    keyed = [tuple(row[i] for i in projection) for row in rows]
-    if query.order_by is not None:
-        order = slots[query.order_by]
-        keyed = [k for _, k in sorted(zip((row[order] for row in rows), keyed))]
-    else:
-        keyed.sort()
-    to_term = graph.term
-    return SolutionTable(query.projection, [tuple(to_term(k) for k in row) for row in keyed])
+    order = () if query.order_by is None else (slots[query.order_by],)
+    sort_slots = (*order, *(slots[v] for v in query.projection))
+    keyed = sorted(map(itemgetter(*sort_slots), rows))
+    # an itemgetter of one slot gives bare keys, not 1-tuples
+    columns = [keyed] if len(sort_slots) == 1 else list(zip(*keyed))[len(order):]
+    term = graph._terms.__getitem__
+    return SolutionTable(query.projection, list(zip(*(map(term, c) for c in columns))))

@@ -243,6 +243,7 @@ class Graph:
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._terms: dict[str, Term] = {}
+        self._keys: Optional[dict[str, str]] = None  # key -> the string kept; made when needed
         # innermost buckets: a 1-tuple for one key, a set for more
         self._spo: dict[str, dict[str, Union[tuple[str], set[str]]]] = {}
         self._pos: dict[str, dict[str, Union[tuple[str], set[str]]]] = {}
@@ -261,8 +262,12 @@ class Graph:
         return self._add(key(triple.subject), key(triple.predicate), key(triple.object))
 
     def _key(self, term: Term) -> str:
-        """Store ``term`` under its N-Triples text and return that key."""
+        """Store ``term`` under its N-Triples text; return the one string kept for it."""
         k = term_to_ntriples(term)
+        if self._keys is None and k in self._terms:  # the first key met again
+            self._keys = dict(zip(self._terms, self._terms))
+        if self._keys is not None:
+            k = self._keys.setdefault(k, k)
         self._terms[k] = term
         return k
 
@@ -401,15 +406,17 @@ class Graph:
     def copy(self) -> "Graph":
         """An independent graph with the same triples; no term is revalidated.
 
-        Only the term dict and the top-level ``spo``/``pos`` dicts are
-        copied.  Both graphs then share every inner dict and bucket, and a
-        later write to either one first copies, in each index, the inner
-        dict it lands in and then the bucket if it is a set (``_unshare``).
-        What either graph owned before is shared from now on, so both start
-        owning nothing.
+        Only the term dict, the map of kept key strings and the top-level
+        ``spo``/``pos`` dicts are copied.  Both graphs then share every inner
+        dict and bucket, and a later write to either one first copies, in each
+        index, the inner dict it lands in and then the bucket if it is a set
+        (``_unshare``).  What either graph owned before is shared from now on,
+        so both start owning nothing.
         """
         new = Graph()
         new._terms = self._terms.copy()
+        self._keys = self._keys or dict(zip(self._terms, self._terms))
+        new._keys = self._keys.copy()
         new._spo = self._spo.copy()
         new._pos = self._pos.copy()
         new._size = self._size
@@ -459,7 +466,7 @@ def parse_ntriples(text: str) -> Graph:
     """
     graph = Graph()
     key = graph._key
-    # each text read, and each literal's canonical key -> the key the graph keeps
+    # each text read -> the key the graph keeps
     keys: dict[str, str] = {}
     match_line = _LINE_RE.fullmatch
     if "\r" in text:
@@ -481,8 +488,7 @@ def parse_ntriples(text: str) -> Graph:
                 if literal is None:
                     keys[o] = key(Iri(o[1:-1]))
                 else:
-                    k = key(decode_literal(literal[1:-1], datatype and datatype[1:-1]))
-                    keys[o] = keys.setdefault(k, k)
+                    keys[o] = key(decode_literal(literal[1:-1], datatype and datatype[1:-1]))
         except TermError as exc:
             raise NTriplesError(line_no, str(exc)) from None
         graph._add(keys[s], keys[p], keys[o])

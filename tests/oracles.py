@@ -33,11 +33,13 @@ from kgmarkov.rdf import (
 from kgmarkov.vocab import _shipped
 
 
-def brute_force_rows(query: Query, graph: Graph) -> list[tuple]:
+def brute_force_rows(query: Query, graph: Graph, order_key: bool = False) -> list[tuple]:
     """Every projected solution of the basic graph pattern, found by trying
     every assignment of every pattern variable to every term in the graph.
 
     Returns an unordered bag (as a list); callers compare as multisets.
+    With ``order_key``, each entry is (the ORDER BY variable's term, or None
+    without one, and the projected row).
     """
     variables = sorted(
         {v for p in query.patterns for v in p.variables()}, key=lambda v: v.name
@@ -67,7 +69,8 @@ def brute_force_rows(query: Query, graph: Graph) -> list[tuple]:
                 ok = False
                 break
         if ok:
-            rows.append(tuple(assignment[v] for v in query.projection))
+            row = tuple(assignment[v] for v in query.projection)
+            rows.append((assignment.get(query.order_by), row) if order_key else row)
     return rows
 
 

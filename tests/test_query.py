@@ -30,6 +30,7 @@ from kgmarkov.rdf import (
     datetime_literal,
     integer_literal,
     string_literal,
+    term_to_ntriples,
 )
 from kgmarkov.vocab import PrefixTable
 
@@ -317,6 +318,42 @@ class TestEvaluation:
         q = parse_query(f"SELECT ?s WHERE {{ ?s <{EX}p> ?when . }} ORDER BY ?when")
         assert [row[0] for row in evaluate(q, g).rows] == [iri("a"), iri("b")]
 
+    def _dated_graph(self):
+        """Four subjects on three days; a and d share the 8th."""
+        day = {n: datetime_literal(datetime(2023, 4, n)) for n in (8, 9, 10)}
+        return Graph([Triple(iri(s), iri("p"), day[n])
+                      for s, n in (("d", 8), ("c", 9), ("b", 10), ("a", 8))])
+
+    def test_one_variable_select_with_and_without_order_by(self):
+        g = self._dated_graph()
+        plain = evaluate(parse_query(f"SELECT ?s WHERE {{ ?s <{EX}p> ?when . }}"), g)
+        ordered = evaluate(parse_query(
+            f"SELECT ?when WHERE {{ ?s <{EX}p> ?when . }} ORDER BY ?when"), g)
+        assert plain.rows == [(iri("a"),), (iri("b"),), (iri("c"),), (iri("d"),)]
+        assert [row[0].lexical[:10] for row in ordered.rows] == [
+            "2023-04-08", "2023-04-08", "2023-04-09", "2023-04-10"]
+        assert all(type(row) is tuple and len(row) == 1 for row in plain.rows + ordered.rows)
+
+    def test_a_variable_projected_twice(self):
+        g = self._dated_graph()
+        table = evaluate(parse_query(f"SELECT ?s ?s WHERE {{ ?s <{EX}p> ?when . }}"), g)
+        assert table.variables == (Var("s"), Var("s"))
+        assert table.rows == [(iri(n), iri(n)) for n in "abcd"]
+        assert table.as_csv() == "s,s\na,a\nb,b\nc,c\nd,d\n"
+
+    def test_order_by_a_variable_not_projected_breaks_ties_on_the_row(self):
+        g = self._dated_graph()
+        table = evaluate(parse_query(
+            f"SELECT ?s WHERE {{ ?s <{EX}p> ?when . }} ORDER BY ?when"), g)
+        # a and d tie on the 8th and break the tie on ?s, before c and b
+        assert table.rows == [(iri("a"),), (iri("d"),), (iri("c"),), (iri("b"),)]
+
+    def test_an_order_by_query_that_matches_nothing(self, three_day_graph):
+        table = evaluate(parse_query(
+            "SELECT ?s ?o WHERE { ?s bfo:history_of ?o . } ORDER BY ?o"), three_day_graph)
+        assert table.rows == []
+        assert table.as_csv() == "s,o\n"
+
     def test_repeated_variable_within_a_pattern(self):
         g = Graph(
             [
@@ -381,3 +418,31 @@ class TestOracle:
             for o in (BOUND, FREE, REPEAT)
             if (p != REPEAT or s == FREE) and (o != REPEAT or FREE in (s, p))
         }
+
+    def test_rows_come_in_order_on_random_cases(self):
+        """Rows are the brute-force rows sorted by (ORDER BY key, projected
+        keys), for an ORDER BY variable that is projected, not projected or
+        absent, and a shuffled projection that may name a variable twice."""
+        rng, draw = random.Random(8675309), random.Random(1017)
+        seen = set()
+        for _ in range(40):
+            graph, query = random_graph_and_query(rng)
+            used = sorted({v for p in query.patterns for v in p.variables()},
+                          key=lambda v: v.name)
+            projection = tuple(draw.choice(used) for _ in range(draw.randint(1, len(used) + 1)))
+            order_by = draw.choice((None, *used))
+            query = Query(projection, query.patterns, order_by)
+            seen.add("none" if order_by is None else
+                     "projected" if order_by in projection else "not projected")
+            seen.add("repeat" if len(set(projection)) < len(projection) else "distinct")
+            seen.add("shuffled" if list(projection) != sorted(projection, key=lambda v: v.name)
+                     else "sorted")
+
+            def sort_key(entry):
+                order, row = entry
+                return tuple(map(term_to_ntriples, row if order is None else (order, *row)))
+
+            expected = sorted(brute_force_rows(query, graph, order_key=True), key=sort_key)
+            assert evaluate(query, graph).rows == [row for _, row in expected]
+        assert seen == {"none", "projected", "not projected", "repeat", "distinct",
+                        "shuffled", "sorted"}

@@ -559,7 +559,8 @@ class TestProperties:
         """Each graph against its model, a plain set of triples: inserts,
         duplicates included, interleave with copies of copies, and any live
         graph may be written next, so every other graph must stay as it was.
-        A graph's term dict holds exactly the keys of its own triples."""
+        A graph's term dict holds exactly the keys of its own triples, and
+        every key is one string object across the term dict and both indexes."""
         def check(graph, model):
             keys = {nt_key(t) for t in model}
             assert len(graph) == len(keys)
@@ -574,6 +575,7 @@ class TestProperties:
                 sorted(f"{s} {p} {o} .\n" for s, p, o in keys))
             assert graph == Graph(model)
             assert _one_key_buckets_are_1_tuples(graph)
+            assert one_string_per_key(graph)
 
         graphs, models = [Graph(triples)], [set(triples)]
         check(graphs[0], models[0])

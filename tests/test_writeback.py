@@ -33,7 +33,7 @@ from kgmarkov.writeback import (
     writeback_profile_model,
 )
 
-from conftest import LOCATIONS3, THREE_DAY_ROWS
+from conftest import LOCATIONS3, THREE_DAY_ROWS, one_string_per_key
 
 EX = "http://example.org/data/"
 
@@ -234,6 +234,8 @@ class TestProfileModel:
                 ingest_rows(rows), r"example\.org/data/(location[0-9]+)", r"other.org/loc/\1"))]:
             writeback_profile_model(graph, counts, "location2", 30, link_realizations=True)
             edges[name] = graph.match(None, vocab.realizes, None)
+            # the writeback's inserts index the key strings the graph already keeps
+            assert one_string_per_key(graph)
         assert len(edges["ex"]) == counts.row_total("location2") > 0
         assert edges["other"] == edges["ex"]
 
