@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import ToolkitError
 from .ingest import default_manifest
-from .rdf import Graph, Iri, Triple, string_literal, term_to_ntriples
+from .rdf import Graph, Iri, Triple, string_literal
 from .vocab import _shipped
 from .writeback import PREDICTED_FLAG
 
@@ -24,7 +24,7 @@ def day_subgraph(graph: Graph, day: int) -> Graph:
     manifest = default_manifest()
     vocab = _shipped()
     part = manifest.trip_part(day)
-    if not graph.match_keys(term_to_ntriples(part)):
+    if not graph.match_keys(part.key):
         raise DotError(f"day {day} is not present in the graph")
     track_point = manifest.track_point(day)
     nodes = {
@@ -39,11 +39,11 @@ def day_subgraph(graph: Graph, day: int) -> Graph:
     for t in graph.match(track_point, vocab.spatial_part_of, None):
         if isinstance(t.object, Iri):
             nodes.add(t.object)
-    keep = {term_to_ntriples(node) for node in nodes | vocab.class_iris()}
+    keep = {node.key for node in nodes | vocab.class_iris()}
     term = graph.term
     out = Graph()
     for node in nodes:
-        for _, p, o in graph.match_keys(term_to_ntriples(node)):
+        for _, p, o in graph.match_keys(node.key):
             # a key starting with a quote is a literal's
             if o[0] == '"' or o in keep:
                 out.insert(Triple(node, term(p), term(o)))
@@ -95,7 +95,7 @@ def graph_to_dot(graph: Graph, name: str = "activity") -> str:
                 f"  {_quote(object_id)} [label={_quote(t.object.local_name())}];"
             )
         else:
-            object_id = term_to_ntriples(t.object)
+            object_id = t.object.key
             node_lines.add(
                 f"  {_quote(object_id)} [label={_quote(t.object.lexical)}, shape=box];"
             )

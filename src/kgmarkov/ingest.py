@@ -22,7 +22,7 @@ from typing import Sequence
 from .datagen import ObservationRow
 from .errors import ToolkitError
 from .query import Query, evaluate, parse_query
-from .rdf import DATETIME, Graph, Iri, Literal, datetime_literal, term_to_ntriples
+from .rdf import DATETIME, Graph, Iri, Literal, datetime_literal
 from .vocab import Vocab, _shipped
 
 log = logging.getLogger(__name__)
@@ -86,8 +86,8 @@ def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
     13n + (n - 1) + 3 + L triples.  The 13 writes in the day loop are the
     one place in the code that states a day's shape, and the bundled
     ``.rq`` queries read that shape back.  Every term is built by its
-    validating constructor and keyed once, by ``Graph._key``; triples are
-    written as keys.
+    validating constructor, which sets its key, and stored by
+    ``Graph._key``; triples are written as keys.
     """
     if not rows:
         raise IngestError("cannot ingest an empty row sequence")
@@ -148,9 +148,11 @@ def _location_query(vocab: Vocab) -> Query:
 def location_sequence(graph: Graph) -> list[tuple[datetime, Iri]]:
     """All observed (time, location) pairs, chronologically.
 
-    A graph without the expected shape simply yields no rows; an ill-typed
-    location or time is refused, and so are two rows at one time, which
-    would make up a transition inside one observed instant.
+    A graph with no observations yields no rows.  An ill-typed location or
+    time is refused, and so are two rows at one time, which would make up a
+    transition inside one observed instant, and a row count other than the
+    number of track points the vessel occupies: a point with no time, or
+    with two, would drop or repeat its day.
     """
     rows = evaluate(_location_query(_shipped()), graph).rows
     log.info("location query returned %d rows", len(rows))
@@ -163,13 +165,18 @@ def location_sequence(graph: Graph) -> list[tuple[datetime, Iri]]:
             and not any(map(eq, lexicals, lexicals[1:]))):
         for i, (when, where) in enumerate(rows):  # refuse the first bad row
             if not isinstance(where, Iri):
-                raise IngestError(f"a track point lies in {term_to_ntriples(where)}, not an IRI")
+                raise IngestError(f"a track point lies in {where.key}, not an IRI")
             if not isinstance(when, Literal) or when.datatype != DATETIME:
-                raise IngestError(f"an observation time is {term_to_ntriples(when)}, "
-                                  "not an xsd:dateTime literal")
+                raise IngestError(f"an observation time is {when.key}, not an xsd:dateTime literal")
             if i and when == times[i - 1]:
                 raise IngestError(f"two observations at one instant, {when.lexical}: "
                                   f"in {places[i - 1].value} and in {where.value}")
+    # the bucket's length: match_keys would build a tuple per point, +8% on this call
+    vessel, occupies = default_manifest().vessel, _shipped().occupies_spatial_region
+    points = len(graph._spo.get(vessel.key, {}).get(occupies.key, ()))
+    if len(rows) != points:
+        raise IngestError(f"the location query returned {len(rows)} rows for the "
+                          f"{points} track points the vessel occupies")
     return list(zip(map(datetime.fromisoformat, lexicals), places))
 
 

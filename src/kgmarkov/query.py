@@ -26,7 +26,6 @@ from .rdf import (
     Term,
     TermError,
     decode_literal,
-    term_to_ntriples,
 )
 from .vocab import PrefixError, PrefixTable
 
@@ -270,7 +269,7 @@ def _plan(query: Query) -> tuple[tuple[str, ...], dict[Union[str, Var], int], li
     A constant is BOUND to its first-row slot; a REPEAT is a variable that a
     FREE position of the same pattern binds."""
     terms = [(p.subject, p.predicate, p.object) for p in query.patterns]
-    first_row = tuple({term_to_ntriples(t): None for ts in terms for t in ts
+    first_row = tuple({t.key: None for ts in terms for t in ts
                        if not isinstance(t, Var)})
     slots: dict[Union[str, Var], int] = {key: slot for slot, key in enumerate(first_row)}
     shapes = []
@@ -279,7 +278,7 @@ def _plan(query: Query) -> tuple[tuple[str, ...], dict[Union[str, Var], int], li
         shape = []
         for term in pattern_terms:
             if not isinstance(term, Var):
-                shape.append((BOUND, slots[term_to_ntriples(term)]))
+                shape.append((BOUND, slots[term.key]))
             elif term in slots:
                 shape.append((BOUND if slots[term] < bound else REPEAT, slots[term]))
             else:

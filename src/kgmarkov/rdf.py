@@ -5,16 +5,17 @@ typed literals in four XSD datatypes (string, integer, decimal, dateTime),
 triple insertion with set semantics, and indexed pattern matching.  Blank
 nodes, language tags, and named graphs are out of scope and rejected.
 
-Terms are validated once, when they are built.  A ``Graph`` keys each term
-by its N-Triples text and keeps triples as key triples in two permutation
-indexes (see ``Graph``); only ``Graph.match``, ``serialize_ntriples`` and
-query projection sort, and they sort those key strings.
+Terms are validated once, when they are built, and then carry their
+N-Triples text as ``key``.  A ``Graph`` stores each term under that key and
+keeps triples as key triples in two permutation indexes (see ``Graph``);
+only ``Graph.match``, ``serialize_ntriples`` and query projection sort, and
+they sort those key strings.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import Decimal
 from typing import Iterable, Iterator, Optional, Union
@@ -60,9 +61,10 @@ class NTriplesError(ToolkitError):
 
 @dataclass(frozen=True)
 class Iri:
-    """An absolute IRI node."""
+    """An absolute IRI node; ``key`` is its N-Triples text, ``<value>``."""
 
     value: str
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.value:
@@ -71,6 +73,7 @@ class Iri:
             raise TermError(f"IRI contains a forbidden character: {self.value!r}")
         if ":" not in self.value:
             raise TermError(f"IRI must contain a scheme separator: {self.value!r}")
+        object.__setattr__(self, "key", f"<{self.value}>")
 
     def local_name(self) -> str:
         """Text after the last '#' or '/', used for display and state labels."""
@@ -82,10 +85,12 @@ class Iri:
 
 @dataclass(frozen=True)
 class Literal:
-    """A typed literal.  The lexical form must be valid for the datatype."""
+    """A typed literal.  The lexical form must be valid for the datatype.
+    ``key`` is its N-Triples text, ``"escaped lexical"^^<datatype IRI>``."""
 
     lexical: str
     datatype: str = STRING
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.datatype not in DATATYPES:
@@ -101,6 +106,8 @@ class Literal:
                 datetime.fromisoformat(self.lexical)
             except ValueError:
                 raise TermError(f"bad dateTime value: {self.lexical!r}") from None
+        object.__setattr__(self, "key", f'"{escape_lexical(self.lexical)}"'
+                                        f"^^<{DATATYPE_IRIS[self.datatype]}>")
 
     def to_python(self) -> Union[str, int, float, datetime]:
         if self.datatype == INTEGER:
@@ -199,23 +206,19 @@ def decode_literal(escaped: str, datatype_iri: Optional[str] = None) -> Literal:
     return Literal(lexical, IRI_DATATYPES[datatype_iri])
 
 
-def term_to_ntriples(term: Term) -> str:
-    if isinstance(term, Iri):
-        return f"<{term.value}>"
-    body = f'"{escape_lexical(term.lexical)}"'
-    return f"{body}^^<{DATATYPE_IRIS[term.datatype]}>"
-
-
 class Graph:
     """A set of triples held as N-Triples keys in two permutation indexes.
 
-    Every term is keyed by its N-Triples text and stored once, in a key ->
-    term dict; ``_key`` is the one place that keys a built term and writes
-    that dict.  Triples live only as keys, in the nested
-    permutation indexes ``spo`` (subject -> predicate -> objects) and
-    ``pos`` (predicate -> object -> subjects).  A pattern binding only the
-    object walks ``pos`` over its predicates; one binding subject and object
-    walks ``spo[subject]``.  Query evaluation walks both indexes directly.
+    Every term is stored once, under its ``key`` (its N-Triples text), in a
+    key -> term dict; ``_key`` is the one place that writes that dict.  The
+    first term stored under a key stays, so the dict's key string is that
+    term's ``key``, and ``_key`` hands out that one string wherever the key
+    recurs; no other map of kept strings exists.  Triples live only as keys,
+    in the nested permutation indexes ``spo`` (subject -> predicate ->
+    objects) and ``pos`` (predicate -> object -> subjects).  A pattern
+    binding only the object walks ``pos`` over its predicates; one binding
+    subject and object walks ``spo[subject]``.  Query evaluation walks both
+    indexes directly.
 
     An innermost bucket (the objects of ``spo[s][p]``, the subjects of
     ``pos[p][o]``) is a 1-tuple exactly when it holds one key, and a set
@@ -242,8 +245,7 @@ class Graph:
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._terms: dict[str, Term] = {}
-        self._keys: Optional[dict[str, str]] = None  # key -> the string kept; made when needed
+        self._terms: dict[str, Term] = {}  # key -> the first term stored under it
         # innermost buckets: a 1-tuple for one key, a set for more
         self._spo: dict[str, dict[str, Union[tuple[str], set[str]]]] = {}
         self._pos: dict[str, dict[str, Union[tuple[str], set[str]]]] = {}
@@ -262,14 +264,9 @@ class Graph:
         return self._add(key(triple.subject), key(triple.predicate), key(triple.object))
 
     def _key(self, term: Term) -> str:
-        """Store ``term`` under its N-Triples text; return the one string kept for it."""
-        k = term_to_ntriples(term)
-        if self._keys is None and k in self._terms:  # the first key met again
-            self._keys = dict(zip(self._terms, self._terms))
-        if self._keys is not None:
-            k = self._keys.setdefault(k, k)
-        self._terms[k] = term
-        return k
+        """Store ``term`` under its key unless an equal term is stored; return
+        the stored term's key, the one string the graph keeps for it."""
+        return self._terms.setdefault(term.key, term).key
 
     def _add(self, s: str, p: str, o: str) -> bool:
         """Index a key triple whose terms are already in ``_terms``."""
@@ -373,9 +370,9 @@ class Graph:
         serialization of subject, then predicate, then object.
         """
         found = self.match_keys(
-            None if subject is None else term_to_ntriples(subject),
-            None if predicate is None else term_to_ntriples(predicate),
-            None if object is None else term_to_ntriples(object),
+            None if subject is None else subject.key,
+            None if predicate is None else predicate.key,
+            None if object is None else object.key,
         )
         found.sort()
         terms = self._terms
@@ -392,11 +389,8 @@ class Graph:
     def __contains__(self, triple: Triple) -> bool:
         if not isinstance(triple, Triple):
             return False
-        return bool(self.match_keys(
-            term_to_ntriples(triple.subject),
-            term_to_ntriples(triple.predicate),
-            term_to_ntriples(triple.object),
-        ))
+        return bool(self.match_keys(triple.subject.key, triple.predicate.key,
+                                    triple.object.key))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -406,17 +400,15 @@ class Graph:
     def copy(self) -> "Graph":
         """An independent graph with the same triples; no term is revalidated.
 
-        Only the term dict, the map of kept key strings and the top-level
-        ``spo``/``pos`` dicts are copied.  Both graphs then share every inner
-        dict and bucket, and a later write to either one first copies, in each
-        index, the inner dict it lands in and then the bucket if it is a set
-        (``_unshare``).  What either graph owned before is shared from now on,
-        so both start owning nothing.
+        Only the term dict and the top-level ``spo``/``pos`` dicts are
+        copied, so the copy holds the same terms and key strings.  Both graphs
+        then share every inner dict and bucket, and a later write to either
+        one first copies, in each index, the inner dict it lands in and then
+        the bucket if it is a set (``_unshare``).  What either graph owned
+        before is shared from now on, so both start owning nothing.
         """
         new = Graph()
         new._terms = self._terms.copy()
-        self._keys = self._keys or dict(zip(self._terms, self._terms))
-        new._keys = self._keys.copy()
         new._spo = self._spo.copy()
         new._pos = self._pos.copy()
         new._size = self._size
@@ -460,14 +452,14 @@ def parse_ntriples(text: str) -> Graph:
 
     Lines end with LF, CRLF or a lone CR.  Accepts blank lines, '#' comment
     lines and a comment after a triple's '.'.  The first malformed line
-    aborts the parse with an NTriplesError naming that line.  Each distinct
-    text read is built and validated once and keyed by ``Graph._key``; every
-    spelling of a term then maps to the one key string the graph keeps.
+    aborts the parse with an NTriplesError naming that line.  A text the
+    graph already holds as a key (every IRI met before, and every literal
+    met before in its canonical spelling) maps to that key's one string;
+    any other text is built, validated and keyed by ``Graph._key``, so a
+    respelled literal is decoded at each occurrence.
     """
     graph = Graph()
-    key = graph._key
-    # each text read -> the key the graph keeps
-    keys: dict[str, str] = {}
+    key, terms = graph._key, graph._terms
     match_line = _LINE_RE.fullmatch
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -480,16 +472,15 @@ def parse_ntriples(text: str) -> Graph:
             raise NTriplesError(line_no, "expected <subject> <predicate> <object-or-literal> .")
         s, p, o, literal, datatype = m.groups()
         try:
-            if s not in keys:
-                keys[s] = key(Iri(s[1:-1]))
-            if p not in keys:
-                keys[p] = key(Iri(p[1:-1]))
-            if o not in keys:
-                if literal is None:
-                    keys[o] = key(Iri(o[1:-1]))
-                else:
-                    keys[o] = key(decode_literal(literal[1:-1], datatype and datatype[1:-1]))
+            s = terms[s].key if s in terms else key(Iri(s[1:-1]))
+            p = terms[p].key if p in terms else key(Iri(p[1:-1]))
+            if o in terms:
+                o = terms[o].key
+            elif literal is None:
+                o = key(Iri(o[1:-1]))
+            else:
+                o = key(decode_literal(literal[1:-1], datatype and datatype[1:-1]))
         except TermError as exc:
             raise NTriplesError(line_no, str(exc)) from None
-        graph._add(keys[s], keys[p], keys[o])
+        graph._add(s, p, o)
     return graph

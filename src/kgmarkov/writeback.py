@@ -30,7 +30,6 @@ from .rdf import (
     decimal_literal,
     integer_literal,
     string_literal,
-    term_to_ntriples,
 )
 from .vocab import Vocab, _shipped
 
@@ -137,7 +136,7 @@ def writeback_profile_model(
         if start.local_name() == current and end.local_name() in counts.space.states:
             # the transition into day+1 happens during that day's part
             day_part = manifest.trip_part(day + 1)
-            if not graph.match_keys(term_to_ntriples(day_part)):
+            if not graph.match_keys(day_part.key):
                 raise WritebackError(f"cannot link a realization: the graph has no trip part "
                                      f"{day_part.local_name()!r}")
             realized.setdefault(end.local_name(), []).append(day_part)
@@ -217,7 +216,7 @@ def _decimal_value(graph: Graph, pmice: Iri, vocab: Vocab) -> float:
     values = [t.object for t in graph.match(pmice, vocab.has_decimal_value, None)]
     if len(values) != 1 or not isinstance(values[0], Literal) or values[0].datatype != DECIMAL:
         raise WritebackError(f"{pmice.local_name()} must have exactly one xsd:decimal value, "
-                             f"not {', '.join(map(term_to_ntriples, values)) or 'none'}")
+                             f"not {', '.join(value.key for value in values) or 'none'}")
     return float(values[0].lexical)
 
 
@@ -262,11 +261,11 @@ def _read_cco(graph: Graph, current: str) -> dict[str, float]:
         raise WritebackError(f"the graph holds cco writebacks for {current!r} on more "
                              f"than one predicted day: "
                              f"{', '.join(f.local_name() for f in futures)}")
-    if values:
-        # zero-count states have no PMICE; restore them from the graph's
-        # known locations so the distribution keeps its full support
-        for t in graph.match(None, vocab.type, vocab.SpatialRegion):
-            values.setdefault(t.subject.local_name(), 0.0)
+    # zero-count states have no PMICE; restore them from the graph's known
+    # locations, but only when the states read back are locations too
+    regions = {t.subject.local_name() for t in graph.match(None, vocab.type, vocab.SpatialRegion)}
+    if values and values.keys() <= regions:
+        values = dict.fromkeys(regions, 0.0) | values
     return values
 
 

@@ -56,8 +56,10 @@ def three_day_graph():
 
 def one_string_per_key(graph) -> bool:
     """Each distinct key is one string object across the term dict's keys,
-    the outer and inner keys of both indexes and every bucket entry."""
+    the ``key`` of the term stored under it, the outer and inner keys of
+    both indexes and every bucket entry."""
     kept = {k: k for k in graph._terms}
     strings = [key for index in (graph._spo, graph._pos) for outer, by_inner in index.items()
                for inner, bucket in by_inner.items() for key in (outer, inner, *bucket)]
-    return all(kept[key] is key for key in strings)
+    return (all(term.key is k for k, term in graph._terms.items())
+            and all(kept[key] is key for key in strings))

@@ -246,6 +246,27 @@ class TestEstimate:
             "in http://example.org/data/location1 and in http://example.org/data/location2\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit,rows", [("gap", 2), ("doubled", 4)])
+    def test_a_day_with_no_time_or_two_times_exits_1(self, graph_file, tmp_path, capsys,
+                                                     edit, rows):
+        """Day 2's time removed used to make up a step from day 1 to day 3, and
+        a second time for day 2 used to repeat that day."""
+        line = ('<http://example.org/data/tInstant_d2> '
+                '<http://example.org/ontology/cco/has_datetime_value> '
+                '"2023-04-09T12:00:00"^^<http://www.w3.org/2001/XMLSchema#dateTime> .\n')
+        text = graph_file.read_text(encoding="utf-8")
+        assert text.count(line) == 1
+        edited = (text.replace(line, "") if edit == "gap"
+                  else text + line.replace("T12:00:00", "T18:00:00"))
+        graph_file.write_text(edited, encoding="utf-8")
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert main(["estimate", "--graph", str(graph_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the location query returned {rows} rows for the 3 track points "
+            "the vessel occupies\n")
+        assert not out.exists()
+
 
 class TestPower:
     def test_step_5_distribution(self, tmp_path, capsys):

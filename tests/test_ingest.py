@@ -16,7 +16,7 @@ from kgmarkov.ingest import (
     transition_pairs,
 )
 from kgmarkov.query import Var, evaluate, parse_query
-from kgmarkov.rdf import Iri, Triple, serialize_ntriples
+from kgmarkov.rdf import Graph, Iri, Triple, datetime_literal, serialize_ntriples
 
 from conftest import THREE_DAY_ROWS, one_string_per_key
 from oracles import triple_ingest
@@ -199,7 +199,6 @@ class TestReadback:
         ]
 
     def test_location_sequence_of_shapeless_graph_is_empty(self):
-        from kgmarkov.rdf import Graph
         assert location_sequence(Graph()) == []
 
     def test_the_location_query_is_not_reparsed_per_call(self, three_day_graph, monkeypatch):
@@ -219,6 +218,20 @@ class TestReadback:
                                       Iri(E + "location2")))
         with pytest.raises(IngestError, match="2023-04-09T12:00:00: in .*location1 and in .*location2"):
             transition_pairs(three_day_graph)
+
+    def test_a_track_point_without_a_time_is_refused(self, three_day_graph, vocab):
+        """Dropping day 2's time used to make up a step from day 1 to day 3."""
+        gap = Graph(t for t in three_day_graph if (t.subject, t.predicate)
+                    != (Iri(E + "tInstant_d2"), vocab.has_datetime_value))
+        with pytest.raises(IngestError, match="returned 2 rows for the 3 track points"):
+            transition_pairs(gap)
+
+    def test_a_track_point_with_two_times_is_refused(self, three_day_graph, vocab):
+        """A second time for day 2 used to repeat that day, a made-up self-step."""
+        three_day_graph.insert(Triple(Iri(E + "tInstant_d2"), vocab.has_datetime_value,
+                                      datetime_literal(datetime(2023, 4, 9, 18))))
+        with pytest.raises(IngestError, match="returned 4 rows for the 3 track points"):
+            location_sequence(three_day_graph)
 
     def test_transition_pairs_for_three_days(self, three_day_graph):
         assert transition_pairs(three_day_graph) == [

@@ -30,7 +30,6 @@ from kgmarkov.rdf import (
     datetime_literal,
     integer_literal,
     string_literal,
-    term_to_ntriples,
 )
 from kgmarkov.vocab import PrefixTable
 
@@ -440,7 +439,7 @@ class TestOracle:
 
             def sort_key(entry):
                 order, row = entry
-                return tuple(map(term_to_ntriples, row if order is None else (order, *row)))
+                return tuple(t.key for t in (row if order is None else (order, *row)))
 
             expected = sorted(brute_force_rows(query, graph, order_key=True), key=sort_key)
             assert evaluate(query, graph).rows == [row for _, row in expected]

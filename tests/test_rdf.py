@@ -24,7 +24,6 @@ from kgmarkov.rdf import (
     parse_ntriples,
     serialize_ntriples,
     string_literal,
-    term_to_ntriples,
     unescape_lexical,
 )
 
@@ -39,8 +38,7 @@ def iri(name):
 
 
 def nt_key(t: Triple) -> tuple[str, str, str]:
-    return (term_to_ntriples(t.subject), term_to_ntriples(t.predicate),
-            term_to_ntriples(t.object))
+    return (t.subject.key, t.predicate.key, t.object.key)
 
 
 class TestTerms:
@@ -217,7 +215,7 @@ class TestGraph:
         h = g.copy()
         g.insert(Triple(iri("s1"), iri("p"), iri("o2")))
         h.insert(Triple(iri("s2"), iri("p"), iri("o2")))
-        key = term_to_ntriples(iri("s3"))
+        key = iri("s3").key
         assert h._spo[key] is g._spo[key]
         assert len(g.match(iri("s1"))) == 2 and len(h.match(iri("s1"))) == 1
         assert len(g.match(iri("s2"))) == 1 and len(h.match(iri("s2"))) == 2
@@ -234,7 +232,7 @@ class TestGraph:
         target, other = (h, g) if written == "copy" else (g, h)
 
         def key(name):
-            return term_to_ntriples(iri(name))
+            return iri(name).key
 
         patterns = [(s, p, o) for s in (None, key("s1")) for p in (None, key("p"), key("q"))
                     for o in (None, key("o1"), key("o3"))]
@@ -303,11 +301,8 @@ class TestGraph:
 
 class TestSerialization:
     def test_term_serialization_forms(self):
-        assert term_to_ntriples(iri("s")) == f"<{EX}s>"
-        assert (
-            term_to_ntriples(integer_literal(5))
-            == '"5"^^<http://www.w3.org/2001/XMLSchema#integer>'
-        )
+        assert iri("s").key == f"<{EX}s>"
+        assert integer_literal(5).key == '"5"^^<http://www.w3.org/2001/XMLSchema#integer>'
 
     def test_serialize_golden(self):
         g = Graph(
@@ -477,9 +472,9 @@ _SMALL_IRIS = _POOL_IRIS[:3]
 _SMALL_OBJECTS = [*_SMALL_IRIS, integer_literal(1)]
 _small_triples = st.builds(Triple, st.sampled_from(_SMALL_IRIS), st.sampled_from(_POOL_PREDS),
                            st.sampled_from(_SMALL_OBJECTS))
-_SMALL_KEY_PATTERNS = [(s, p, o) for s in [None, *map(term_to_ntriples, _SMALL_IRIS)]
-                       for p in [None, *map(term_to_ntriples, _POOL_PREDS)]
-                       for o in [None, *map(term_to_ntriples, _SMALL_OBJECTS)]]
+_SMALL_KEY_PATTERNS = [(s, p, o) for s in [None, *(t.key for t in _SMALL_IRIS)]
+                       for p in [None, *(t.key for t in _POOL_PREDS)]
+                       for o in [None, *(t.key for t in _SMALL_OBJECTS)]]
 _SMALL_ALL_TRIPLES = [Triple(s, p, o) for s in _SMALL_IRIS for p in _POOL_PREDS
                       for o in _SMALL_OBJECTS]
 
@@ -506,9 +501,9 @@ def _respelled_line(draw, triple: Triple) -> str:
         plain = obj.datatype == STRING and draw(st.booleans())
         obj_text = f'"{body}"' + ("" if plain else f"^^<{DATATYPE_IRIS[obj.datatype]}>")
     else:
-        obj_text = term_to_ntriples(obj)
-    return (f"{draw(_gaps)}{term_to_ntriples(triple.subject)}{draw(_gaps)}"
-            f"{term_to_ntriples(triple.predicate)}{draw(_gaps)}{obj_text}{draw(_gaps)}."
+        obj_text = obj.key
+    return (f"{draw(_gaps)}{triple.subject.key}{draw(_gaps)}"
+            f"{triple.predicate.key}{draw(_gaps)}{obj_text}{draw(_gaps)}."
             f"{draw(_comments)}")
 
 

@@ -1,4 +1,6 @@
+import gc
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from kgmarkov.rdf import (
     Triple,
     decimal_literal,
     integer_literal,
+    parse_ntriples,
     serialize_ntriples,
     string_literal,
 )
@@ -249,6 +252,24 @@ class TestProfileModel:
             writeback_profile_model(graph, counts, "location2", 30, link_realizations=True)
         assert serialize_ntriples(graph) == text
 
+    def test_a_writeback_into_a_parsed_graph_keeps_only_what_it_adds(self):
+        """The inserts reuse the key strings the parsed terms carry, so the
+        graph keeps about 14 KB more, not a second map of all its keys."""
+        rows = generate(GenConfig(days=1000))
+        counts = count_transitions([row.location for row in rows])
+        graph = parse_ntriples(serialize_ntriples(ingest_rows(rows)))
+        before = len(graph)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            writeback_profile_model(graph, counts, "location2", 1000)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(graph) > before
+        assert kept < 64 * 1024
+
     def test_without_the_flag_no_realizes_edges_appear(self, vocab):
         g = ingest_rows(THREE_DAY_ROWS)
         counts = count_transitions(["location3", "location1", "location3"],
@@ -340,6 +361,16 @@ class TestCcoModel:
         d = read_probabilities(g, "location1", MODEL_CCO)
         assert d.space.states == LOCATIONS3
         assert d.probability("location2") == 0.28125
+
+    def test_round_trip_of_other_states_adds_no_location(self):
+        """Locations used to be zero-filled into any readback, so states the
+        writer never named came back; c has no PMICE, as on a bare graph."""
+        g = ingest_rows(THREE_DAY_ROWS)
+        counts = ChainCounts(StateSpace(("a", "b", "c")), [[1, 3, 0], [1, 1, 1], [0, 1, 0]], 1)
+        writeback_cco_model(g, counts, "a", 3)
+        d = read_probabilities(g, "a", MODEL_CCO)
+        assert d.space.states == ("a", "b")
+        assert d.probability("b") == 0.75
 
     def test_negative_day_rejected(self):
         with pytest.raises(WritebackError):
