@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from importlib import resources
-from itertools import repeat
-from operator import eq, itemgetter
 from typing import Sequence
 
 from .datagen import ObservationRow
 from .errors import ToolkitError
-from .query import Query, evaluate, parse_query
+from .query import Query, Var, evaluate, parse_query
 from .rdf import DATETIME, Graph, Iri, Literal, datetime_literal
 from .vocab import Vocab, _shipped
 
@@ -141,43 +139,44 @@ def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
 
 @functools.cache
 def _location_query(vocab: Vocab) -> Query:
-    """The bundled location query, parsed once per loaded vocabulary."""
-    return parse_query(load_bundled_query("location_by_time"), vocab.prefixes)
+    """The bundled location query, parsed once per vocabulary, also projecting the track point."""
+    query = parse_query(load_bundled_query("location_by_time"), vocab.prefixes)
+    return replace(query, projection=(*query.projection, Var("fishingVesselTrackPoint")))
 
 
 def location_sequence(graph: Graph) -> list[tuple[datetime, Iri]]:
     """All observed (time, location) pairs, chronologically.
 
-    A graph with no observations yields no rows.  An ill-typed location or
-    time is refused, and so are two rows at one time, which would make up a
-    transition inside one observed instant, and a row count other than the
-    number of track points the vessel occupies: a point with no time, or
-    with two, would drop or repeat its day.
+    A graph with no observations yields no rows.  Refused: an ill-typed
+    location or time, two rows at one time (a transition inside one observed
+    instant), and a track point of the vessel's without exactly one row, which
+    would drop or repeat its day.
     """
     rows = evaluate(_location_query(_shipped()), graph).rows
     log.info("location query returned %d rows", len(rows))
-    times, places = list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
-    # rows come sorted on the time key, so equal times are neighbours; an
-    # xsd:dateTime lexical form has one spelling per instant
-    lexicals = list(map(getattr, times, repeat("lexical"), repeat(None)))
-    if not (all(map(isinstance, places, repeat(Iri)))
-            and set(map(getattr, times, repeat("datatype"), repeat(None))) <= {DATETIME}
-            and not any(map(eq, lexicals, lexicals[1:]))):
-        for i, (when, where) in enumerate(rows):  # refuse the first bad row
-            if not isinstance(where, Iri):
-                raise IngestError(f"a track point lies in {where.key}, not an IRI")
-            if not isinstance(when, Literal) or when.datatype != DATETIME:
-                raise IngestError(f"an observation time is {when.key}, not an xsd:dateTime literal")
-            if i and when == times[i - 1]:
-                raise IngestError(f"two observations at one instant, {when.lexical}: "
-                                  f"in {places[i - 1].value} and in {where.value}")
+    times, places, seen, repeated = [], [], set(), None
+    for when, where, point in rows:
+        if not isinstance(where, Iri):
+            raise IngestError(f"a track point lies in {where.key}, not an IRI")
+        if not isinstance(when, Literal) or when.datatype != DATETIME:
+            raise IngestError(f"an observation time is {when.key}, not an xsd:dateTime literal")
+        # sorted on the time key, one spelling per instant: equal times are neighbours
+        if times and when.lexical == times[-1]:
+            raise IngestError(f"two observations at one instant, {when.lexical}: "
+                              f"in {places[-1].value} and in {where.value}")
+        repeated = point if point.key in seen else repeated
+        seen.add(point.key)
+        times.append(when.lexical)
+        places.append(where)
     # the bucket's length: match_keys would build a tuple per point, +8% on this call
     vessel, occupies = default_manifest().vessel, _shipped().occupies_spatial_region
     points = len(graph._spo.get(vessel.key, {}).get(occupies.key, ()))
     if len(rows) != points:
         raise IngestError(f"the location query returned {len(rows)} rows for the "
                           f"{points} track points the vessel occupies")
-    return list(zip(map(datetime.fromisoformat, lexicals), places))
+    if repeated is not None:
+        raise IngestError(f"track point {repeated.value} has more than one observation time")
+    return list(zip(map(datetime.fromisoformat, times), places))
 
 
 def transition_pairs(graph: Graph) -> list[tuple[Iri, Iri]]:

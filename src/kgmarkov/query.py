@@ -69,9 +69,6 @@ class SolutionTable:
     variables: tuple[Var, ...]
     rows: list[tuple[Term, ...]]
 
-    def __len__(self):
-        return len(self.rows)
-
     def as_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

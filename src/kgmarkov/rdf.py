@@ -109,15 +109,6 @@ class Literal:
         object.__setattr__(self, "key", f'"{escape_lexical(self.lexical)}"'
                                         f"^^<{DATATYPE_IRIS[self.datatype]}>")
 
-    def to_python(self) -> Union[str, int, float, datetime]:
-        if self.datatype == INTEGER:
-            return int(self.lexical)
-        if self.datatype == DECIMAL:
-            return float(self.lexical)
-        if self.datatype == DATETIME:
-            return datetime.fromisoformat(self.lexical)
-        return self.lexical
-
     def __repr__(self):
         return f"Literal({self.lexical!r}, {self.datatype})"
 

@@ -4,13 +4,15 @@ Everything here favors obviousness over speed: exhaustive enumeration for
 query evaluation, a plain multiplication loop for matrix powers, exact
 rational arithmetic and a row-at-a-time division loop for probability
 estimation, a term-level, sorted ``Graph.match`` walk for the DOT day
-fragment, an ingest that inserts one ``Triple`` at a time, and
+fragment, an ingest that inserts one ``Triple`` at a time, a
+``Graph.match`` walk from each track point to the vessel's timeline, and
 front-to-back index loops that decode N-Triples escapes and split a query
 into tokens.
 """
 
 import random
 import re
+from datetime import datetime
 from fractions import Fraction
 from itertools import product
 
@@ -19,6 +21,7 @@ import numpy as np
 from kgmarkov.ingest import default_manifest
 from kgmarkov.query import Query, QueryError, TriplePattern, Var
 from kgmarkov.rdf import (
+    DATETIME,
     IRIREF_PATTERN,
     LITERAL_PATTERN,
     Graph,
@@ -183,6 +186,32 @@ def match_day_subgraph(graph: Graph, day: int) -> Graph:
             if isinstance(t.object, Literal) or t.object in keep:
                 out.insert(t)
     return out
+
+
+def reference_timeline(graph: Graph):
+    """The (time, place) pairs of the track points the vessel occupies, in
+    time order, walked through ``Graph.match`` point by point; None unless
+    every point has exactly one IRI place and one xsd:dateTime time, and no
+    two points share a time."""
+    vessel, vocab = default_manifest().vessel, _shipped()
+    timeline = []
+    for occupation in graph.match(vessel, vocab.occupies_spatial_region, None):
+        point = occupation.object
+        places = [t.object for t in graph.match(point, vocab.spatial_part_of, None)]
+        times = [t.object
+                 for st_instant in graph.match(None, vocab.spatially_projects_onto, point)
+                 for projection in graph.match(st_instant.subject,
+                                               vocab.temporally_projects_onto, None)
+                 for t in graph.match(projection.object, vocab.has_datetime_value, None)]
+        if len(places) != 1 or len(times) != 1:
+            return None
+        (place,), (time,) = places, times
+        if not (isinstance(place, Iri) and isinstance(time, Literal) and time.datatype == DATETIME):
+            return None
+        timeline.append((datetime.fromisoformat(time.lexical), place))
+    if len({when for when, _ in timeline}) != len(timeline):
+        return None
+    return sorted(timeline)  # the times are distinct, so no place is compared
 
 
 def triple_ingest(rows) -> Graph:

@@ -125,6 +125,28 @@ class TestQuery:
         assert out.splitlines()[0].split() == ["datetime", "location"]
         assert "2023-04-08 12:00:00" in out
 
+    @pytest.mark.parametrize("fmt,expected", [
+        ("csv", "ice,n\n3to1TransitionCount,11\n3to2TransitionCount,9\n"
+                "3to3TransitionCount,11\ntotal3toXTransitions,31\n"),
+        ("table", "ice                   n\n--------------------  --\n"
+                  "3to1TransitionCount   11\n3to2TransitionCount   9\n"
+                  "3to3TransitionCount   11\ntotal3toXTransitions  31\n"),
+    ])
+    def test_integer_values_print_their_lexical_forms(self, graph_file, tmp_path, capsys,
+                                                      fmt, expected):
+        """A literal that is not an xsd:dateTime prints as it is written."""
+        m = write_example_matrix(tmp_path / "m.json", with_counts=True)
+        profile = tmp_path / "profile.nt"
+        assert main(["writeback", "--graph", str(graph_file), "--matrix", str(m),
+                     "--state", "location3", "--day", "3", "--model", "profile",
+                     "--out", str(profile)]) == 0
+        q = tmp_path / "counts.rq"
+        q.write_text("SELECT ?ice ?n WHERE { ?ice cco:has_integer_value ?n . }")
+        capsys.readouterr()
+        assert main(["query", "--graph", str(profile), "--query", str(q),
+                     "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_query_file_path_wins_over_bundled_names(self, graph_file, tmp_path, capsys):
         q = tmp_path / "mine.rq"
         q.write_text("SELECT ?s WHERE { ?s rdf:type bfo:Process . }")
@@ -246,25 +268,32 @@ class TestEstimate:
             "in http://example.org/data/location1 and in http://example.org/data/location2\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("edit,rows", [("gap", 2), ("doubled", 4)])
+    @pytest.mark.parametrize("edit,message", [
+        ("gap", "the location query returned 2 rows for the 3 track points the vessel occupies"),
+        ("doubled", "the location query returned 4 rows for the 3 track points "
+                    "the vessel occupies"),
+        ("cancel", "track point http://example.org/data/trackPoint_d3 "
+                   "has more than one observation time"),
+    ], ids=["gap-2", "doubled-4", "cancel"])
     def test_a_day_with_no_time_or_two_times_exits_1(self, graph_file, tmp_path, capsys,
-                                                     edit, rows):
-        """Day 2's time removed used to make up a step from day 1 to day 3, and
-        a second time for day 2 used to repeat that day."""
+                                                     edit, message):
+        """Day 2's time removed used to make up a step from day 1 to day 3, a
+        second time for day 2 used to repeat that day, and both edits, on days
+        2 and 3, used to cancel out and pass."""
         line = ('<http://example.org/data/tInstant_d2> '
                 '<http://example.org/ontology/cco/has_datetime_value> '
                 '"2023-04-09T12:00:00"^^<http://www.w3.org/2001/XMLSchema#dateTime> .\n')
         text = graph_file.read_text(encoding="utf-8")
         assert text.count(line) == 1
-        edited = (text.replace(line, "") if edit == "gap"
-                  else text + line.replace("T12:00:00", "T18:00:00"))
+        edited = {"gap": text.replace(line, ""),
+                  "doubled": text + line.replace("T12:00:00", "T18:00:00"),
+                  "cancel": text.replace(line, "")
+                  + line.replace("_d2", "_d3").replace("04-09T12:00:00", "04-10T18:00:00")}[edit]
         graph_file.write_text(edited, encoding="utf-8")
         out = tmp_path / "m.json"
         capsys.readouterr()
         assert main(["estimate", "--graph", str(graph_file), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: the location query returned {rows} rows for the 3 track points "
-            "the vessel occupies\n")
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

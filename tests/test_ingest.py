@@ -19,7 +19,7 @@ from kgmarkov.query import Var, evaluate, parse_query
 from kgmarkov.rdf import Graph, Iri, Triple, datetime_literal, serialize_ntriples
 
 from conftest import THREE_DAY_ROWS, one_string_per_key
-from oracles import triple_ingest
+from oracles import reference_timeline, triple_ingest
 
 E = "http://example.org/data/"
 B = "http://example.org/ontology/bfo/"
@@ -40,6 +40,35 @@ def _rows(labels, gaps_hours):
         times.append(times[-1] + timedelta(hours=gap))
     return [ObservationRow(t, f"Day{i + 1}", label)
             for i, (t, label) in enumerate(zip(times, labels))]
+
+
+# An edit for each day of a small ingested graph: a kind, another day and
+# an hour count.
+_edits = st.lists(st.tuples(
+    st.sampled_from(("keep", "drop time", "second time", "second place", "share time")),
+    st.integers(1, 6), st.integers(1, 48)), min_size=6, max_size=6)
+
+
+def _edited(rows, edits, vocab):
+    """The graph of ``rows`` after the edit of each day in turn: the day
+    keeps its triples, loses its time, gains a second time ``hours`` later,
+    has its track point in a second place, or takes another day's time."""
+    m = default_manifest()
+    triples = set(ingest_rows(rows))
+    for day, (kind, other, hours) in enumerate(edits[:len(rows)], start=1):
+        time_of_day = (m.t_instant(day), vocab.has_datetime_value)
+        if kind in ("drop time", "share time"):
+            triples = {t for t in triples if (t.subject, t.predicate) != time_of_day}
+        if kind == "second time":
+            later = rows[day - 1].time + timedelta(hours=hours)
+            triples.add(Triple(*time_of_day, datetime_literal(later)))
+        elif kind == "share time":
+            other_time = rows[min(other, len(rows)) - 1].time
+            triples.add(Triple(*time_of_day, datetime_literal(other_time)))
+        elif kind == "second place":
+            triples.add(Triple(m.track_point(day), vocab.spatial_part_of,
+                               m.location(f"location{hours % 4}")))
+    return Graph(triples)
 
 
 def _line(s, p, o):
@@ -232,6 +261,31 @@ class TestReadback:
                                       datetime_literal(datetime(2023, 4, 9, 18))))
         with pytest.raises(IngestError, match="returned 4 rows for the 3 track points"):
             location_sequence(three_day_graph)
+
+    def test_a_day_without_a_time_and_a_day_with_two_are_refused(self, three_day_graph, vocab):
+        """Day 2's time dropped and a second time for day 3 used to cancel out
+        in the row count: a made-up step from day 1 to day 3, then a self-step."""
+        cancel = Graph(t for t in three_day_graph if (t.subject, t.predicate)
+                       != (Iri(E + "tInstant_d2"), vocab.has_datetime_value))
+        cancel.insert(Triple(Iri(E + "tInstant_d3"), vocab.has_datetime_value,
+                             datetime_literal(datetime(2023, 4, 10, 18))))
+        with pytest.raises(IngestError, match="track point .*/trackPoint_d3 has more than one"):
+            transition_pairs(cancel)
+
+    @given(st.lists(st.sampled_from(("location1", "location2")), min_size=2, max_size=6),
+           _gaps_hours, _edits)
+    @settings(max_examples=200)
+    def test_the_timeline_is_the_reference_one_or_refused_with_it(self, vocab, labels,
+                                                                 gaps_hours, edits):
+        """A timeline is returned only when each track point has one place and
+        one time of its own, and then it is the one the reference walks."""
+        graph = _edited(_rows(labels, gaps_hours), edits, vocab)
+        expected = reference_timeline(graph)
+        if expected is None:
+            with pytest.raises(IngestError):
+                location_sequence(graph)
+        else:
+            assert location_sequence(graph) == expected
 
     def test_transition_pairs_for_three_days(self, three_day_graph):
         assert transition_pairs(three_day_graph) == [

@@ -420,6 +420,12 @@ class TestFileFormat:
         assert loaded_m.row_status == m.row_status
         assert loaded_c == c
 
+    def test_only_a_matrix_is_written(self):
+        """Counts passed where a matrix belongs are refused, not written."""
+        c = ChainCounts(SPACE3, [[12, 9, 11], [5, 5, 0], [1, 2, 3]], 1)
+        with pytest.raises(MarkovError, match="^not a transition matrix: ChainCounts$"):
+            dumps_matrix(c)
+
     @pytest.mark.parametrize("labels", [["a", "b", "a", "b", "a"], ["a", "a", "a", "a"]])
     def test_second_order_round_trip(self, labels):
         pc = count_pair_transitions(labels)

@@ -94,11 +94,6 @@ class TestTerms:
         with pytest.raises(TermError):
             Literal("1", "float")
 
-    def test_to_python_conversions(self):
-        assert Literal("12", INTEGER).to_python() == 12
-        assert Literal("0.375", DECIMAL).to_python() == 0.375
-        assert Literal("2023-04-08T12:00:00", DATETIME).to_python() == datetime(2023, 4, 8, 12)
-
     def test_decimal_literal_uses_plain_notation(self):
         assert decimal_literal(5e-05).lexical == "0.00005"
         assert decimal_literal(0.375).lexical == "0.375"
