@@ -1,8 +1,9 @@
 """Prefix handling and the fixed vocabulary of classes and properties.
 
 The vocabulary is the bundled ``data/vocabulary.tsv`` manifest: ``Vocab()``
-and ``PrefixTable()`` load their terms and namespaces from there, so that
-file is the one place a prefix or a term is defined.
+and ``PrefixTable()`` share the terms and namespaces read from there once per
+process, so that file is the one place a prefix or a term is defined, and
+``load_manifest`` the one place its rows are checked.
 
 Prefix lookup is case-insensitive because source material for this domain
 mixes spellings like ``bfo:`` and ``Bfo:``.  A small alias table folds two
@@ -13,7 +14,7 @@ way resolve to the same IRIs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional
 
@@ -41,27 +42,22 @@ class VocabularyError(ToolkitError):
 
 
 class PrefixTable:
-    """Maps prefixes (case-insensitively) to namespace IRIs."""
+    """Maps prefixes (case-insensitively) to namespace IRIs; read-only once built."""
 
     def __init__(self, namespaces: Optional[dict[str, str]] = None):
-        self._namespaces: dict[str, str] = {}
-        source = _shipped().prefixes.namespaces() if namespaces is None else namespaces
-        for prefix, ns in source.items():
-            self.add(prefix, ns)
-
-    def add(self, prefix: str, namespace: str) -> None:
-        if not prefix or not prefix.isidentifier():
-            raise PrefixError(f"bad prefix: {prefix!r}")
-        self._namespaces[prefix.lower()] = namespace
+        if namespaces is None:  # share the bundled vocabulary.tsv's table
+            self._namespaces = _shipped().prefixes._namespaces
+            return
+        for prefix in namespaces:
+            if not prefix.isidentifier():
+                raise PrefixError(f"bad prefix: {prefix!r}")
+        self._namespaces = {prefix.lower(): ns for prefix, ns in namespaces.items()}
 
     def namespace(self, prefix: str) -> str:
         try:
             return self._namespaces[prefix.lower()]
         except KeyError:
             raise PrefixError(f"unknown prefix: {prefix!r}") from None
-
-    def namespaces(self) -> dict[str, str]:
-        return dict(self._namespaces)
 
     def resolve(self, prefixed_name: str) -> Iri:
         """Expand ``prefix:local`` to a full IRI, applying alias folding."""
@@ -85,10 +81,6 @@ class VocabTerm:
     definition: str
     comment: str = ""
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise VocabularyError(f"unknown term kind: {self.kind!r}")
-
 
 @functools.cache
 def _shipped() -> Vocab:
@@ -102,23 +94,16 @@ class Vocab:
 
     Handles use the term's local name, so ``v.Process`` is the Process
     class IRI and ``v.precedes`` the precedes property IRI.  Without
-    ``prefixes`` or ``terms``, those of the bundled vocabulary.tsv are used.
+    ``prefixes`` or ``terms``, the bundled vocabulary.tsv's are shared.
+    Terms are taken as ``load_manifest`` checked them.
     """
 
     def __init__(self, prefixes: Optional[PrefixTable] = None,
                  terms: Optional[Iterable[VocabTerm]] = None):
-        self.prefixes = prefixes if prefixes is not None else PrefixTable()
+        self.prefixes = prefixes if prefixes is not None else _shipped().prefixes
         self.terms = tuple(terms) if terms is not None else _shipped().terms
-        seen_locals: dict[str, str] = {}
         for term in self.terms:
-            local = term.prefixed_name.split(":", 1)[1]
-            if seen_locals.get(local) == term.prefixed_name:
-                raise VocabularyError(f"duplicate term: {term.prefixed_name}")
-            if local in seen_locals:
-                raise VocabularyError(
-                    f"local name clash: {term.prefixed_name} vs {seen_locals[local]}")
-            seen_locals[local] = term.prefixed_name
-            setattr(self, local, term.iri)
+            setattr(self, term.prefixed_name.split(":", 1)[1], term.iri)
 
     def property_iris(self) -> frozenset[Iri]:
         return frozenset(t.iri for t in self.terms if t.kind != CLASS)
@@ -128,7 +113,7 @@ class Vocab:
 
 
 def load_manifest(text: str) -> Vocab:
-    """Parse manifest text into a Vocab."""
+    """Parse manifest text into a Vocab, refusing any row that does not fit."""
     namespaces: dict[str, str] = {}
     rows: list[tuple[str, str, str, str, str]] = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
@@ -139,7 +124,7 @@ def load_manifest(text: str) -> Vocab:
         if fields[0] == "prefix":
             if len(fields) != 3:
                 raise VocabularyError(f"line {line_no}: prefix rows need 3 fields")
-            if fields[1].lower() in namespaces:
+            if fields[1].lower() in map(str.lower, namespaces):
                 raise VocabularyError(f"line {line_no}: duplicate prefix {fields[1]!r}")
             namespaces[fields[1]] = fields[2]
         elif fields[0] == "term":
@@ -151,11 +136,19 @@ def load_manifest(text: str) -> Vocab:
             raise VocabularyError(f"line {line_no}: unknown row kind {fields[0]!r}")
     prefixes = PrefixTable(namespaces)
     terms = []
+    seen_locals: dict[str, str] = {}
     for name, kind, label, definition, comment in rows:
         try:
             iri = prefixes.resolve(name)
         except PrefixError as exc:
             raise VocabularyError(f"term {name!r}: {exc}") from None
+        if kind not in KINDS:
+            raise VocabularyError(f"unknown term kind: {kind!r}")
+        local = name.split(":", 1)[1]
+        if local in seen_locals:
+            raise VocabularyError(f"duplicate term: {name}" if seen_locals[local] == name
+                                  else f"local name clash: {name} vs {seen_locals[local]}")
+        seen_locals[local] = name
         terms.append(VocabTerm(name, iri, kind, label, definition, comment))
     return Vocab(prefixes, terms)
 

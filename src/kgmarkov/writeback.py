@@ -38,6 +38,7 @@ MODEL_PROFILE = "profile"
 MODELS = (MODEL_CCO, MODEL_PROFILE)
 
 _LOCATION_LABEL_RE = re.compile(r"^location([0-9]+)$")
+_DAY_SUFFIX_RE = re.compile(r"_d[0-9]+$")  # ends a cco PMICE's local name
 PREDICTED_FLAG = "true"
 
 
@@ -71,6 +72,10 @@ def _row_or_error(counts: ChainCounts, current: str, day_index: int) -> tuple[li
         if _detokenize(token) != label:
             raise WritebackError(f"state label {label!r} cannot be written back: its "
                                  f"IRIs read back as {_detokenize(token)!r}")
+        # a profile PMICE "{s}to{j}" would be a cco one "{s}to{k}_d{n}" if j = k_d{n}
+        if _DAY_SUFFIX_RE.search(token):
+            raise WritebackError(f"state label {label!r} cannot be written back: it ends "
+                                 f"in _d and digits, like a cco PMICE's day")
     # "{s}to{j}" names are distinct, and "{s}to" prefixes only s's names,
     # exactly when no token starts with another token followed by "to"
     for label, token in tokens.items():
@@ -253,7 +258,7 @@ def _read_cco(graph: Graph, current: str) -> dict[str, float]:
             if not local.startswith(prefix):
                 continue
             token = local[len(prefix):]
-            token = re.sub(r"_d[0-9]+$", "", token)
+            token = _DAY_SUFFIX_RE.sub("", token)
             values[_detokenize(token)] = _decimal_value(graph, m.subject, vocab)
             if t.subject not in futures:
                 futures.append(t.subject)

@@ -55,11 +55,13 @@ class TestPrefixTable:
             PrefixTable().resolve(bad)
 
     def test_custom_namespace_registration(self):
-        t = PrefixTable()
-        t.add("app", "http://example.org/app/")
+        t = PrefixTable({"App": "http://example.org/app/"})
         assert t.resolve("APP:thing") == Iri("http://example.org/app/thing")
         with pytest.raises(PrefixError):
-            t.add("not a prefix", "http://example.org/x/")
+            t.resolve("bfo:thing")
+        with pytest.raises(PrefixError) as err:
+            PrefixTable({"app": "http://example.org/app/", "not a prefix": "http://example.org/x/"})
+        assert str(err.value) == "bad prefix: 'not a prefix'"
 
 
 _EXPECTED_CLASSES = [
@@ -122,7 +124,7 @@ class TestManifest:
         text = resources.files("kgmarkov").joinpath("data", "vocabulary.tsv").read_text()
         loaded = load_manifest(text)
         assert loaded.terms == vocab.terms
-        assert loaded.prefixes.namespaces() == vocab.prefixes.namespaces()
+        assert vars(loaded.prefixes) == vars(vocab.prefixes)
 
     @pytest.mark.parametrize(
         "line,message",
@@ -134,6 +136,8 @@ class TestManifest:
              "term 'mystery:Process': unknown prefix: 'mystery'"),
             ("widget\tbfo:Process", "line 2: unknown row kind 'widget'"),
             ("prefix\tBFO\thttp://example.org/other/", "line 2: duplicate prefix 'BFO'"),
+            ("prefix\tCCO\thttp://example.org/cco/\nprefix\tcco\thttp://example.org/other/",
+             "line 3: duplicate prefix 'cco'"),
             ("prefix\tcco\thttp://example.org/cco/\nterm\tbfo:Process\tclass\tProcess\tdef\n"
              "term\tcco:Process\tclass\tProcess\tdef",
              "local name clash: cco:Process vs bfo:Process"),
@@ -145,14 +149,12 @@ class TestManifest:
             load_manifest(base + line + "\n")
         assert str(err.value) == message
 
-    def test_vocabs_share_terms_but_not_prefix_tables(self):
-        first = Vocab()
-        first.prefixes.add("zz", "http://example.org/zz/")
-        assert first.prefixes.resolve("zz:x") == Iri("http://example.org/zz/x")
-        second = Vocab()
-        with pytest.raises(PrefixError):
-            second.prefixes.resolve("zz:x")
-        assert second.terms is first.terms
+    def test_vocabs_share_the_shipped_terms_and_prefix_table(self):
+        shipped = vocab_module._shipped()
+        first, second = Vocab(), Vocab()
+        assert first.prefixes is second.prefixes is shipped.prefixes
+        assert first.terms is second.terms is shipped.terms
+        assert vars(PrefixTable()) == vars(shipped.prefixes)
         text = resources.files("kgmarkov").joinpath("data", "vocabulary.tsv").read_text()
         assert second.terms == load_manifest(text).terms
 

@@ -28,6 +28,7 @@ from kgmarkov.rdf import (
 from kgmarkov.writeback import (
     MODEL_CCO,
     MODEL_PROFILE,
+    MODELS,
     PREDICTED_FLAG,
     WritebackError,
     read_probabilities,
@@ -76,12 +77,14 @@ class TestStateToken:
         "states,bad",
         [(("harbor", "open sea"), "open sea"),
          (("1", "location1"), "1"),
-         (("dock-4", "dock_4"), "dock-4")],
+         (("dock-4", "dock_4"), "dock-4"),
+         (("x", "x_d5"), "x_d5")],
     )
     def test_labels_that_do_not_read_back_are_refused_before_any_write(
             self, model, states, bad):
         """'open sea' would read back as 'open_sea'; '1' and 'dock-4' would
-        mint the IRIs of 'location1' and 'dock_4'."""
+        mint the IRIs of 'location1' and 'dock_4'; a profile PMICE to 'x_d5'
+        would be named as a cco PMICE to 'x' for day 5."""
         g = ingest_rows(THREE_DAY_ROWS)
         before = len(g)
         counts = ChainCounts(StateSpace(states), [[1, 1], [1, 1]], 1)
@@ -105,31 +108,35 @@ class TestStateToken:
             model(g, counts, current, 3)
         assert len(g) == before
 
-    @given(st.lists(st.lists(st.sampled_from(["a", "t", "o", "to", "x", "1"]),
+    @given(st.lists(st.lists(st.sampled_from(["a", "t", "o", "to", "x", "1", "_d", "2"]),
                              min_size=1, max_size=3).map("".join),
                     min_size=2, max_size=5, unique=True),
-           st.data())
-    @settings(max_examples=150, deadline=None)
-    @pytest.mark.parametrize("model", [MODEL_PROFILE, MODEL_CCO])
-    def test_writeback_refuses_or_reads_every_row_back(self, model, labels, data):
+           st.integers(0, 2), st.data())
+    # fixed examples: a label and that label plus "_d{day + 1}" is a rare draw
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_writeback_refuses_or_reads_every_row_back(self, labels, day, data):
+        """Both models, written for every label into one graph: the first
+        writeback is refused with the graph untouched, or both read every
+        row back."""
         n = len(labels)
         rows = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n)
                                   .filter(any), min_size=n, max_size=n))
         counts = ChainCounts(StateSpace(labels), rows, 1)
-        write = writeback_profile_model if model == MODEL_PROFILE else writeback_cco_model
         g = Graph()
         try:
             for label in labels:
-                write(g, counts, label, 7)
+                writeback_profile_model(g, counts, label, day)
+                writeback_cco_model(g, counts, label, day)
         except WritebackError:
             assert len(g) == 0
             return
         for i, label in enumerate(labels):
             total = sum(rows[i])
-            # a bare cco graph knows only the states some PMICE points at
-            want = {to: c / total for to, c in zip(labels, rows[i])
-                    if c or model == MODEL_PROFILE}
-            assert dict(read_probabilities(g, label, model).as_pairs()) == want
+            for model in MODELS:
+                # a bare cco graph knows only the states some PMICE points at
+                want = {to: c / total for to, c in zip(labels, rows[i])
+                        if c or model == MODEL_PROFILE}
+                assert dict(read_probabilities(g, label, model).as_pairs()) == want
 
 
 class TestProfileModel:
