@@ -44,10 +44,17 @@ def _read_text(path: str) -> str:
 def _write_text(path: str, text: str) -> None:
     """Write beside ``path``, then rename onto it: a failed write leaves no
     partial file and keeps whatever ``path`` held.  Mode "x" creates the
-    file with the umask's permissions, as a plain write would."""
+    file with the umask's permissions, as a plain write would, and never
+    follows a link planted at the temporary name.  A file already there
+    carries this process's pid, which no live process shares, so it was left
+    by a killed run: it is removed and the create tried once more."""
     target = Path(path)
     tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
-    f = open(tmp, "x", encoding="utf-8")
+    try:
+        f = open(tmp, "x", encoding="utf-8")
+    except FileExistsError:
+        tmp.unlink()
+        f = open(tmp, "x", encoding="utf-8")
     try:
         with f:
             f.write(text)

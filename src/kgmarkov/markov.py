@@ -6,6 +6,11 @@ row i, the pair (i, j) is second-order row i * n + j.  Rows whose history
 was never observed leaving are flagged ``unobserved`` and left as zeros
 rather than silently made uniform; powering and prediction refuse to touch
 them.
+
+numpy is imported by the first call that builds or reads an array, not when
+this module loads, so a process that never estimates, powers, predicts or
+writes back (``gen-data``, ``ingest``, ``query``, ``export-dot``) never pays
+for it.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ import math
 import sys
 from itertools import zip_longest
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import ToolkitError
 
@@ -31,7 +34,21 @@ FILE_FORMAT = 1
 ORDERS = (1, 2)
 
 _ENTRY_SLACK = 1e-12
-_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MAX = 2**63 - 1
+
+
+class _Numpy:
+    """Stands in for numpy until an attribute is first read, which imports it
+    and puts the module itself in ``np`` for every later call."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 
 class MarkovError(ToolkitError):

@@ -2,8 +2,12 @@ import builtins
 import errno
 import io
 import json
+import os
 import random
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -712,6 +716,44 @@ class TestInputEncoding:
         assert not out.exists()
 
 
+_STARTUP_CHILD = """
+import contextlib, io, json, sys
+import kgmarkov.cli
+
+loaded = {"import": (sorted(m for m in sys.modules if m.startswith("kgmarkov.")),
+                     "numpy" in sys.modules)}
+d = sys.argv[1]
+runs = {
+    "gen-data": ["gen-data", "--days", "10", "--out", d + "/obs.csv"],
+    "ingest": ["ingest", "--csv", d + "/obs.csv", "--out", d + "/graph.nt"],
+    "query": ["query", "--graph", d + "/graph.nt", "--query", "transitions"],
+    "export-dot": ["export-dot", "--graph", d + "/graph.nt", "--day", "1", "--out", d + "/d.dot"],
+    "estimate": ["estimate", "--graph", d + "/graph.nt", "--order", "1", "--out", d + "/m.json"],
+}
+for name, args in runs.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = kgmarkov.cli.main(args)
+    loaded[name] = (status, "numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+class TestStartup:
+    def test_numpy_loads_at_the_first_matrix_and_every_module_at_import(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", _STARTUP_CHILD, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        loaded = json.loads(done.stdout)
+        # the modules perfbench/spans.py wraps, which it finds loaded when it installs
+        modules, numpy_loaded = loaded.pop("import")
+        assert {f"kgmarkov.{m}" for m in ("datagen", "dot", "ingest", "markov", "query", "rdf",
+                                          "vocab", "writeback")} <= set(modules)
+        assert not numpy_loaded
+        assert loaded == {"gen-data": [0, False], "ingest": [0, False], "query": [0, False],
+                          "export-dot": [0, False], "estimate": [0, True]}
+
+
 class TestAtomicOutput:
     @pytest.mark.parametrize("command", ["gen-data", "ingest", "estimate", "writeback",
                                          "export-dot"])
@@ -744,6 +786,23 @@ class TestAtomicOutput:
         out.write_text("old contents that are longer than the new ones\n" * 40)
         assert main(["gen-data", "--days", "3", "--out", str(out)]) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 4
+
+    @pytest.mark.parametrize("left", ["file", "symlink"])
+    def test_a_temporary_file_left_by_a_killed_run_is_replaced(self, tmp_path, left):
+        # a container often gives the CLI the same pid on every run, so a
+        # killed run's temporary name is the next run's
+        ref, out, victim = tmp_path / "ref.csv", tmp_path / "obs.csv", tmp_path / "victim"
+        assert main(["gen-data", "--days", "3", "--out", str(ref)]) == 0
+        victim.write_text("not to be written through a link\n", encoding="utf-8")
+        stale = tmp_path / f".obs.csv.{os.getpid()}.tmp"
+        if left == "file":
+            stale.write_text("half a file\n", encoding="utf-8")
+        else:
+            stale.symlink_to(victim)
+        assert main(["gen-data", "--days", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == ref.read_bytes()
+        assert victim.read_text(encoding="utf-8") == "not to be written through a link\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.csv", "ref.csv", "victim"]
 
 
 # Each mutated run: one input file of the kind named, edited once, in place
