@@ -12,7 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from math import floor
+from math import floor, isfinite
 from typing import Optional, Sequence
 
 from .errors import ToolkitError
@@ -75,6 +75,9 @@ class GenConfig:
             if len(kernel) != n or any(len(row) != n for row in kernel):
                 raise DatagenError(f"kernel must be {n}x{n}")
             for i, row in enumerate(kernel):
+                # NaN passes both tests below, and generate never samples past it
+                if not all(map(isfinite, row)):
+                    raise DatagenError(f"kernel row {i} has a non-finite entry")
                 if any(x < 0.0 for x in row):
                     raise DatagenError(f"kernel row {i} has a negative entry")
                 if abs(sum(row) - 1.0) > 1e-12:

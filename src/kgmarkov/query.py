@@ -12,8 +12,8 @@ import csv
 import io
 import re
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Union
+from functools import lru_cache
+from typing import NamedTuple, Optional, Union
 
 from .errors import ToolkitError
 from .rdf import (
@@ -285,64 +285,79 @@ def _plan(query: Query) -> tuple[tuple[str, ...], dict[Union[str, Var], int], li
     return first_row, slots, shapes
 
 
-def _step(shape: tuple, graph: Graph) -> Callable[[list[tuple]], list[tuple]]:
-    """One pattern as a function from partial rows to all their extensions:
-    a direct index walk, or ``match_keys`` for the rare free predicate."""
+def _clause(shape: tuple) -> str:
+    """One pattern's clause of the join comprehension (see ``_compile``)."""
     (s_kind, s), (p_kind, p), (o_kind, o) = shape
-    spo, pos, empty = graph._spo, graph._pos, {}
-    if p_kind in (FREE, REPEAT):
-        known = [slot if kind == BOUND else None for kind, slot in shape]
-        fresh = [i for i, (kind, _) in enumerate(shape) if kind == FREE]
-        same = [(i, j) for i, (kind, slot) in enumerate(shape) if kind == REPEAT
-                for j in fresh if shape[j][1] == slot]
-        return lambda rows: [
-            row + tuple(keys[i] for i in fresh) for row in rows
-            for keys in graph.match_keys(*(None if k is None else row[k] for k in known))
-            if all(keys[i] == keys[j] for i, j in same)]
+    if p_kind != BOUND:
+        targets = ", ".join(f"r{slot}" if kind == FREE else f"q{i}" if kind == REPEAT else "_"
+                            for i, (kind, slot) in enumerate(shape))
+        keys = ", ".join(f"r{slot}" if kind == BOUND else "None" for kind, slot in shape)
+        same = "".join(f" if q{i} == r{slot}" for i, (kind, slot) in enumerate(shape)
+                       if kind == REPEAT)
+        return f"for {targets} in match_keys({keys}){same}"
     if s_kind == BOUND:
-        if o_kind == FREE:
-            return lambda rows: [row + (obj,) for row in rows
-                                 for obj in spo.get(row[s], empty).get(row[p], ())]
-        return lambda rows: [row for row in rows
-                             if row[o] in spo.get(row[s], empty).get(row[p], ())]
+        found = f"spo_get(r{s}, E).get(r{p}, ())"
+        return f"if r{o} in {found}" if o_kind == BOUND else f"for r{o} in {found}"
     if o_kind == FREE:
-        return lambda rows: [row + (subj, obj) for row in rows
-                             for obj, subjects in pos.get(row[p], empty).items()
-                             for subj in subjects]
+        return f"for r{o}, t in pos_get(r{p}, E).items() for r{s} in t"
     if o_kind == REPEAT:
-        return lambda rows: [row + (obj,) for row in rows
-                             for obj, subjects in pos.get(row[p], empty).items()
-                             if obj in subjects]
-    return lambda rows: [row + (subj,) for row in rows
-                         for subj in pos.get(row[p], empty).get(row[o], ())]
+        return f"for r{o}, t in pos_get(r{p}, E).items() if r{o} in t"
+    return f"for r{s} in pos_get(r{p}, E).get(r{o}, ())"
+
+
+@lru_cache(maxsize=32)
+def _compile(query: Query) -> tuple:
+    """The query's first row, and its join: a function whose body is one list
+    comprehension, with one clause per pattern in written order.
+
+    Slot ``i`` of ``_plan`` is the local ``r{i}``.  The arguments are the
+    graph's ``_spo.get`` and ``_pos.get``, its ``match_keys``, an empty dict
+    ``E`` and the first row.  Each clause walks an index by its pattern's
+    shape (``S``, ``P``, ``O`` stand for slot numbers):
+
+    - S and P bound, O free: ``for rO in spo_get(rS, E).get(rP, ())``;
+    - all three bound: ``if rO in spo_get(rS, E).get(rP, ())``;
+    - S free, O bound: ``for rS in pos_get(rP, E).get(rO, ())``;
+    - S and O free: ``for rO, t in pos_get(rP, E).items() for rS in t``, or
+      ``... if rO in t`` when O repeats S;
+    - P free or repeated: ``for`` over ``match_keys``, given each bound slot
+      or ``None``, and an ``if qI == rJ`` for each position I repeating slot J.
+
+    A leading ``for _ in (None,)`` lets the first clause be an ``if``.  The
+    comprehension yields each solution's sort key.  CPython refuses more than
+    20 nested ``for`` statements, but takes any number of ``for`` clauses.
+
+    The source holds only slot numbers, these fixed names and punctuation.
+    No IRI, literal, key or variable name ever enters it: those reach the
+    code only as argument values.  It runs without builtins.  The cache,
+    keyed by the frozen ``Query``, holds code and the query's own keys, never
+    rows, so every call reads the graph afresh.
+    """
+    first_row, slots, shapes = _plan(query)
+    order = () if query.order_by is None else (query.order_by,)
+    params = ", ".join(["spo_get", "pos_get", "match_keys", "E",
+                        *(f"r{slot}" for slot in range(len(first_row)))])
+    sort_key = "".join(f"r{slots[v]}, " for v in (*order, *query.projection))
+    source = (f"def join({params}):\n"
+              f"    return [({sort_key}) for _ in (None,) {' '.join(map(_clause, shapes))}]\n")
+    namespace: dict = {"__builtins__": {}}
+    exec(compile(source, "<query join>", "exec"), namespace)
+    return first_row, namespace["join"]
 
 
 def evaluate(query: Query, graph: Graph) -> SolutionTable:
     """Join the patterns in written order against the graph and project.
 
-    A row is a tuple of N-Triples keys: the query's constants, then each
-    variable in the order the patterns bind it (``_plan``).  Each pattern
-    compiles once, from which positions are bound (constants included), free
-    or repeated, into a step that walks the indexes and appends the keys it
-    binds to each row (``_step``).  Candidates come unsorted.
-
-    Output order is deterministic and set only here, by sorting key strings
-    (the terms' serializations).  One ``itemgetter`` takes each row's sort
-    key: the ORDER BY slot, if any, then the projected slots.  Keys become
-    terms at the end, a column at a time: the term lookup is mapped over
-    each projected column, and the columns are zipped back into rows.
+    The join is compiled once per distinct query (``_compile``) and builds
+    no partial rows; candidates come unsorted.  Output order is deterministic
+    and set only here, by sorting each solution's key (the ORDER BY slot, if
+    any, then the projected slots) as key strings, the terms' serializations.
+    Keys become terms at the end, a column at a time: the term lookup is
+    mapped over each projected column, and the columns are zipped back into
+    rows.
     """
-    first_row, slots, shapes = _plan(query)
-    rows = [first_row]
-    for shape in shapes:
-        rows = _step(shape, graph)(rows)
-        if not rows:
-            break
-
-    order = () if query.order_by is None else (slots[query.order_by],)
-    sort_slots = (*order, *(slots[v] for v in query.projection))
-    keyed = sorted(map(itemgetter(*sort_slots), rows))
-    # an itemgetter of one slot gives bare keys, not 1-tuples
-    columns = [keyed] if len(sort_slots) == 1 else list(zip(*keyed))[len(order):]
+    first_row, join = _compile(query)
+    keyed = sorted(join(graph._spo.get, graph._pos.get, graph.match_keys, {}, *first_row))
+    columns = list(zip(*keyed))[0 if query.order_by is None else 1:]
     term = graph._terms.__getitem__
     return SolutionTable(query.projection, list(zip(*(map(term, c) for c in columns))))

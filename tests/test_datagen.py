@@ -1,6 +1,7 @@
 import sys
 from datetime import datetime, timedelta
 from importlib import resources
+from math import inf, nan
 
 import pytest
 from hypothesis import given, settings
@@ -62,16 +63,25 @@ class TestGenConfig:
             GenConfig(days=1, initial_location="atlantis")
 
     @pytest.mark.parametrize(
-        "kernel",
+        "kernel, message",
         [
-            ((0.5, 0.5),),
-            ((0.5, 0.5, 0.0), (0.5, 0.5, 0.0)),
-            ((0.5, 0.6, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
-            ((-0.1, 0.6, 0.5), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+            (((0.5, 0.5),), "kernel must be 3x3"),
+            (((0.5, 0.5, 0.0), (0.5, 0.5, 0.0)), "kernel must be 3x3"),
+            (((0.5, 0.6, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)), "kernel row 0 does not sum to 1"),
+            (((-0.1, 0.6, 0.5), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+             "kernel row 0 has a negative entry"),
+            # a NaN entry makes both the sign and the sum test false
+            (((nan, 0.5, 0.5), (0.2, 0.3, 0.5), (0.3, 0.3, 0.4)),
+             "kernel row 0 has a non-finite entry"),
+            (((0.2, 0.3, 0.5), (inf, 0.0, 0.0), (0.3, 0.3, 0.4)),
+             "kernel row 1 has a non-finite entry"),
+            (((0.2, 0.3, 0.5), (0.2, 0.3, 0.5), (0.5, -inf, 0.5)),
+             "kernel row 2 has a non-finite entry"),
         ],
+        ids=["kernel0", "kernel1", "kernel2", "kernel3", "nan", "inf", "minus-inf"],
     )
-    def test_rejects_bad_kernels(self, kernel):
-        with pytest.raises(DatagenError):
+    def test_rejects_bad_kernels(self, kernel, message):
+        with pytest.raises(DatagenError, match=f"^{message}$"):
             GenConfig(days=1, kernel=kernel)
 
     def test_kernel_is_normalized_to_tuples(self):

@@ -1,13 +1,16 @@
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 from datetime import datetime
+from types import CodeType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgmarkov.ingest import load_bundled_query
+from kgmarkov.datagen import GenConfig, generate
+from kgmarkov.ingest import ingest_rows, load_bundled_query
 from kgmarkov.query import (
     BOUND,
     FREE,
@@ -16,6 +19,7 @@ from kgmarkov.query import (
     QueryError,
     TriplePattern,
     Var,
+    _compile,
     _plan,
     _Stream,
     display_value,
@@ -363,12 +367,20 @@ class TestEvaluation:
         q = Query((Var("x"),), (TriplePattern(Var("x"), iri("p"), Var("x")),))
         assert evaluate(q, g).rows == [(iri("loop"),)]
 
-    def test_join_order_does_not_change_the_bag(self, three_day_graph):
-        q = parse_query(load_bundled_query("transitions"))
-        reversed_q = Query(q.projection, tuple(reversed(q.patterns)), q.order_by)
-        a = evaluate(q, three_day_graph)
-        b = evaluate(reversed_q, three_day_graph)
-        assert Counter(a.rows) == Counter(b.rows)
+    def test_join_order_does_not_change_the_bag(self):
+        """The reversed order and 30 seeded orders of each bundled query join
+        to the written order's table.  Some orders are cross products, so the
+        graph stays at five days."""
+        graph = ingest_rows(generate(GenConfig(days=5)))
+        rng = random.Random(2011)
+        for name, rows in (("location_by_time", 5), ("transitions", 4)):
+            query = parse_query(load_bundled_query(name))
+            written = evaluate(query, graph)
+            assert len(written.rows) == rows
+            orders = [tuple(reversed(query.patterns))]
+            orders += [tuple(rng.sample(query.patterns, len(query.patterns))) for _ in range(30)]
+            for patterns in orders:
+                assert evaluate(replace(query, patterns=patterns), graph) == written
 
 
 class TestTableRendering:
@@ -445,3 +457,54 @@ class TestOracle:
             assert evaluate(query, graph).rows == [row for _, row in expected]
         assert seen == {"none", "projected", "not projected", "repeat", "distinct",
                         "shuffled", "sorted"}
+
+
+class TestCompiledJoin:
+    def test_no_graph_or_query_text_enters_the_generated_code(self):
+        """Keys and variable names that are Python source, or that shadow the
+        join's own locals, reach it only as values: its names are the fixed
+        ones, and no key or variable name is among its constants."""
+        code = "__import__('os').system('x')"
+        a, b, p = iri("a#" + code), iri("b)]#"), iri("p'")
+        text = string_literal('"}\n\\ #' + code)
+        graph = Graph([Triple(a, p, b), Triple(b, p, text), Triple(a, p, a),
+                       Triple(b, p, a), Triple(a, iri("q"), text)])
+        r0, e, spo_get, evil = Var("r0"), Var("E"), Var("spo_get"), Var(f"x') or {code} #")
+        query = Query((evil, r0, e, spo_get), (
+            TriplePattern(a, p, r0),
+            TriplePattern(r0, e, text),                # free predicate
+            TriplePattern(spo_get, p, spo_get),        # repeated variable
+            TriplePattern(evil, p, r0),
+            TriplePattern(spo_get, p, r0),             # all three bound
+        ), order_by=evil)
+        rows = evaluate(query, graph).rows
+        assert rows == [(a, a, iri("q"), a), (a, b, p, a), (b, a, iri("q"), a)]
+        assert Counter(rows) == Counter(brute_force_rows(query, graph))
+
+        first_row, join = _compile(query)
+        names, constants, codes = set(), set(), [join.__code__]
+        while codes:
+            c = codes.pop()
+            names.update(c.co_names, c.co_varnames, c.co_cellvars, c.co_freevars)
+            for const in c.co_consts:
+                if isinstance(const, CodeType):
+                    codes.append(const)
+                else:
+                    constants.add(const)
+        texts = {*first_row, *(v.name for v in (evil, r0, e, spo_get))}
+        assert {a.key, p.key, text.key} <= set(first_row)
+        assert not texts & constants
+        assert not set(first_row) & names
+        assert all(re.fullmatch(r"r\d+|q[12]|t|_|E|spo_get|pos_get|match_keys|get|items|\.0",
+                                name) for name in names), names
+        assert not any(code in const for const in constants if isinstance(const, str))
+
+    def test_a_30_pattern_chain(self):
+        """CPython refuses more than 20 nested ``for`` statements; the join's
+        one comprehension takes a clause for each of 30 patterns."""
+        nodes = [iri(f"n{i:02}") for i in range(33)]
+        graph = Graph([Triple(s, iri("p"), o) for s, o in zip(nodes, nodes[1:])])
+        x = [Var(f"x{i}") for i in range(31)]
+        query = Query((x[0], x[30]),
+                      tuple(TriplePattern(s, iri("p"), o) for s, o in zip(x, x[1:])))
+        assert evaluate(query, graph).rows == [(nodes[i], nodes[i + 30]) for i in range(3)]
