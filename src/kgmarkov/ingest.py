@@ -49,7 +49,11 @@ class IngestManifest:
     namespace: str
 
     def trip_part(self, day: int) -> Iri:
-        return Iri(f"{self.namespace}fishingTripPart_d{day}")
+        return Iri(self.trip_part_key(day)[1:-1])
+
+    def trip_part_key(self, day: int) -> str:
+        """``trip_part(day).key``, spelled without building and validating the IRI."""
+        return f"<{self.namespace}fishingTripPart_d{day}>"
 
     def observation(self, day: int) -> Iri:
         return Iri(f"{self.namespace}beingObserved_d{day}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .errors import ToolkitError
-from .ingest import default_manifest, transition_pairs
+from .ingest import default_manifest, location_sequence
 from .markov import ChainCounts, Distribution, StateSpace
 from .rdf import (
     DECIMAL,
@@ -116,10 +116,11 @@ def writeback_profile_model(
     Mints the pattern-of-life individual, a profile part and disposition per
     target state, count and total ICEs (counts always, zeros included), and
     a PMICE per nonzero target.  With link_realizations, each historical day
-    whose transition matches an option also gains a realizes edge; that adds
-    about one triple per observed day, hence the flag.  Locations match by
-    local name, the labels ``estimate`` uses; a matching transition whose
-    arriving trip part is not in the graph is refused before any write.
+    whose transition leaves ``current`` for a listed state also gains a
+    realizes edge from its arriving trip part: ``counts.row_total(current)``
+    edges for counts taken from this graph.  Locations match by local name,
+    the labels ``estimate`` uses; a matching day whose trip part is the
+    subject of no triple is refused before any write.
     day_index names the day being predicted; profile IRIs do not depend on
     it, but a negative one is refused as in the cco model, so both model
     calls stay interchangeable.
@@ -135,16 +136,18 @@ def writeback_profile_model(
                   for to_state in counts.space.states]
     _refuse_a_different_rewrite(graph, MODEL_PROFILE, current, vocab.has_integer_value, {
         ice: integer_literal(value) for ice, value in zip([total_ice, *count_ices], [total, *row])})
-    realized: dict[str, list[Iri]] = {}  # to-state -> trip parts that realize it
-    pairs = transition_pairs(graph) if link_realizations else []
-    for day, (start, end) in enumerate(pairs, start=1):
-        if start.local_name() == current and end.local_name() in counts.space.states:
-            # the transition into day+1 happens during that day's part
-            day_part = manifest.trip_part(day + 1)
-            if not graph.match_keys(day_part.key):
-                raise WritebackError(f"cannot link a realization: the graph has no trip part "
-                                     f"{day_part.local_name()!r}")
-            realized.setdefault(end.local_name(), []).append(day_part)
+    realized: dict[str, list[str]] = {}  # to-state -> keys of the trip parts that realize it
+    if link_realizations:
+        keys = [where.key for _, where in location_sequence(graph)]
+        names = {key: graph.term(key).local_name() for key in set(keys)}
+        for day, (start, end) in enumerate(zip(keys, keys[1:]), start=2):
+            if names[start] == current and names[end] in counts.space.states:
+                # the step into a day happens during its part; a stored key's term was validated
+                day_part = manifest.trip_part_key(day)
+                if day_part not in graph._spo:
+                    raise WritebackError(f"cannot link a realization: the graph has no trip part "
+                                         f"{manifest.trip_part(day).local_name()!r}")
+                realized.setdefault(names[end], []).append(graph.term(day_part).key)
 
     pol = Iri(f"{ns}{manifest.vessel.local_name()}_PoL")
     add(Triple(pol, vocab.type, vocab.PatternOfLife))
@@ -163,8 +166,10 @@ def writeback_profile_model(
         disposition = Iri(f"{ns}{s_tok}to{j_tok}_Disposition")
         add(Triple(disposition, vocab.type, vocab.Disposition))
         add(Triple(disposition, vocab.inheres_in, manifest.vessel))
-        for day_part in realized.get(to_state, ()):
-            add(Triple(day_part, vocab.realizes, disposition))
+        if to_state in realized:
+            realizes, target = graph._key(vocab.realizes), graph._key(disposition)
+            for day_part in realized[to_state]:
+                graph._add(day_part, realizes, target)
 
         count_ice = count_ices[j]
         add(Triple(count_ice, vocab.type, vocab.TransitionCountICE))

@@ -5,9 +5,9 @@ query evaluation, a plain multiplication loop for matrix powers, exact
 rational arithmetic and a row-at-a-time division loop for probability
 estimation, a term-level, sorted ``Graph.match`` walk for the DOT day
 fragment, an ingest that inserts one ``Triple`` at a time, a
-``Graph.match`` walk from each track point to the vessel's timeline, and
-front-to-back index loops that decode N-Triples escapes and split a query
-into tokens.
+``Graph.match`` walk from each track point to the vessel's timeline and
+the realizations read off it, and front-to-back index loops that decode
+N-Triples escapes and split a query into tokens.
 """
 
 import random
@@ -34,6 +34,7 @@ from kgmarkov.rdf import (
     string_literal,
 )
 from kgmarkov.vocab import _shipped
+from kgmarkov.writeback import state_token
 
 
 def brute_force_rows(query: Query, graph: Graph, order_key: bool = False) -> list[tuple]:
@@ -212,6 +213,21 @@ def reference_timeline(graph: Graph):
     if len({when for when, _ in timeline}) != len(timeline):
         return None
     return sorted(timeline)  # the times are distinct, so no place is compared
+
+
+def reference_realizations(graph: Graph, counts, current: str) -> set[Triple]:
+    """The realizes edges a linked profile writeback for ``current`` adds:
+    for each step d of ``reference_timeline`` whose from-place has local name
+    ``current`` and whose to-place's local name j is a state of ``counts``,
+    (fishingTripPart_d{d+1}, realizes, {s}to{j}_Disposition)."""
+    manifest, vocab = default_manifest(), _shipped()
+    names = [place.local_name() for _, place in reference_timeline(graph)]
+
+    def disposition(to):
+        return Iri(f"{manifest.namespace}{state_token(current)}to{state_token(to)}_Disposition")
+    return {Triple(manifest.trip_part(d + 1), vocab.realizes, disposition(to))
+            for d, (start, to) in enumerate(zip(names, names[1:]), start=1)
+            if start == current and to in counts.space.states}
 
 
 def triple_ingest(rows) -> Graph:

@@ -180,6 +180,7 @@ class TestIngest:
         assert m.vessel == Iri(E + "fishingVessel")
         assert m.trip == Iri(E + "fishingTrip")
         assert m.trip_part(7) == Iri(E + "fishingTripPart_d7")
+        assert m.trip_part_key(7) == m.trip_part(7).key == f"<{E}fishingTripPart_d7>"
         assert m.observation(7) == Iri(E + "beingObserved_d7")
         assert m.st_instant(7) == Iri(E + "stInstant_d7")
         assert m.t_instant(7) == Iri(E + "tInstant_d7")

@@ -38,6 +38,7 @@ from kgmarkov.writeback import (
 )
 
 from conftest import LOCATIONS3, THREE_DAY_ROWS, one_string_per_key
+from oracles import reference_realizations
 
 EX = "http://example.org/data/"
 
@@ -256,6 +257,43 @@ class TestProfileModel:
         text = serialize_ntriples(graph)
         with pytest.raises(WritebackError,
                            match="the graph has no trip part 'fishingTripPart_d[0-9]+'"):
+            writeback_profile_model(graph, counts, "location2", 30, link_realizations=True)
+        assert serialize_ntriples(graph) == text
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(days=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+           prefix=st.integers(2, 40), rename=st.booleans(), data=st.data())
+    def test_linked_realizations_equal_the_reference(self, vocab, days, seed, prefix,
+                                                     rename, data):
+        """Counts from a prefix of the days may leave later arrivals unlisted;
+        locations moved to another namespace still match by local name."""
+        rows = generate(GenConfig(days=days, seed=seed))
+        labels = [row.location for row in rows][:prefix]
+        counts = count_transitions(labels)
+        current = data.draw(st.sampled_from(sorted(set(labels[:-1]))))
+        graph = ingest_rows(rows)
+        if rename:
+            graph = _renamed(graph, r"example\.org/data/(location[0-9]+)", r"other.org/loc/\1")
+        expected, before = reference_realizations(graph, counts, current), set(graph)
+        writeback_profile_model(graph, counts, current, days, link_realizations=True)
+        assert {t for t in set(graph) - before if t.predicate == vocab.realizes} == expected
+        assert one_string_per_key(graph)
+
+    def test_a_trip_part_named_only_as_an_object_is_refused_before_any_write(self):
+        """The arriving part of a step leaving location2 has lost its own
+        triples, but the trip's has_occurrent_part and the day before's
+        precedes edge still name it, so the graph knows its key."""
+        rows = generate(GenConfig(days=30))
+        labels = [row.location for row in rows]
+        counts = count_transitions(labels)
+        day = labels.index("location2") + 2  # the day after the first in location2
+        assert day <= len(rows)
+        part = default_manifest().trip_part(day)
+        graph = Graph(t for t in ingest_rows(rows) if t.subject != part)
+        assert len(graph.match(None, None, part)) == 2 and not graph.match(part, None, None)
+        text = serialize_ntriples(graph)
+        with pytest.raises(WritebackError, match=re.escape(
+                f"cannot link a realization: the graph has no trip part 'fishingTripPart_d{day}'")):
             writeback_profile_model(graph, counts, "location2", 30, link_realizations=True)
         assert serialize_ntriples(graph) == text
 
