@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import datagen, dot, ingest, markov, writeback
 from .errors import ToolkitError
 from .query import evaluate, parse_query
-from .rdf import Iri, parse_ntriples, serialize_ntriples
+from .rdf import parse_ntriples, serialize_ntriples
 
 log = logging.getLogger(__name__)
 
@@ -101,25 +101,12 @@ def _cmd_query(args) -> int:
     return 0
 
 
-def _state_labels(sequence: Sequence[tuple[object, Iri]]) -> list[str]:
-    """Location local names as state labels, refusing names that vanish or merge."""
-    first: dict[str, Iri] = {}
-    for _, location in sequence:
-        label = location.local_name()
-        if not label:
-            raise CliError(f"location <{location.value}> has an empty local name")
-        if first.setdefault(label, location) != location:
-            raise CliError(f"locations <{first[label].value}> and <{location.value}> "
-                           f"share the local name {label!r}")
-    return [location.local_name() for _, location in sequence]
-
-
 def _cmd_estimate(args) -> int:
     graph = _load_graph(args.graph)
     sequence = ingest.location_sequence(graph)
     if not sequence:
         raise CliError("the graph contains no observations to estimate from")
-    labels = _state_labels(sequence)
+    labels = [location.local_name() for _, location in sequence]
     if args.order == 1:
         counts = markov.count_transitions(labels)
         matrix = markov.estimate_first_order(counts)

@@ -153,15 +153,18 @@ def location_sequence(graph: Graph) -> list[tuple[datetime, Iri]]:
 
     A graph with no observations yields no rows.  Refused: an ill-typed
     location or time, two rows at one time (a transition inside one observed
-    instant), and a track point of the vessel's without exactly one row, which
-    would drop or repeat its day.
+    instant), a track point of the vessel's without exactly one row, which
+    would drop or repeat its day, and a location whose local name, the state
+    label every chain reads, is empty or also names another location.
     """
     rows = evaluate(_location_query(_shipped()), graph).rows
     log.info("location query returned %d rows", len(rows))
-    times, places, seen, repeated = [], [], set(), None
+    times, places, seen, repeated, labels = [], [], set(), None, {}
     for when, where, point in rows:
         if not isinstance(where, Iri):
             raise IngestError(f"a track point lies in {where.key}, not an IRI")
+        if where.key not in labels:
+            labels[where.key] = where.local_name()
         if not isinstance(when, Literal) or when.datatype != DATETIME:
             raise IngestError(f"an observation time is {when.key}, not an xsd:dateTime literal")
         # sorted on the time key, one spelling per instant: equal times are neighbours
@@ -180,6 +183,13 @@ def location_sequence(graph: Graph) -> list[tuple[datetime, Iri]]:
                           f"{points} track points the vessel occupies")
     if repeated is not None:
         raise IngestError(f"track point {repeated.value} has more than one observation time")
+    first: dict[str, str] = {}  # label -> key of the first place, in time order, to bear it
+    for key, label in labels.items():
+        if not label:
+            raise IngestError(f"location {key} has an empty local name")
+        if first.setdefault(label, key) != key:
+            raise IngestError(f"locations {first[label]} and {key} "
+                              f"share the local name {label!r}")
     return list(zip(map(datetime.fromisoformat, times), places))
 
 

@@ -119,8 +119,9 @@ def writeback_profile_model(
     whose transition leaves ``current`` for a listed state also gains a
     realizes edge from its arriving trip part: ``counts.row_total(current)``
     edges for counts taken from this graph.  Locations match by local name,
-    the labels ``estimate`` uses; a matching day whose trip part is the
-    subject of no triple is refused before any write.
+    the labels ``estimate`` uses; ``location_sequence`` refuses a graph where
+    one is empty or names two locations, and a matching day whose trip part
+    is the subject of no triple is refused, both before any write.
     day_index names the day being predicted; profile IRIs do not depend on
     it, but a negative one is refused as in the cco model, so both model
     calls stay interchangeable.

@@ -192,8 +192,9 @@ def match_day_subgraph(graph: Graph, day: int) -> Graph:
 def reference_timeline(graph: Graph):
     """The (time, place) pairs of the track points the vessel occupies, in
     time order, walked through ``Graph.match`` point by point; None unless
-    every point has exactly one IRI place and one xsd:dateTime time, and no
-    two points share a time."""
+    every point has exactly one IRI place and one xsd:dateTime time, no two
+    points share a time, and the distinct places have distinct, non-empty
+    local names."""
     vessel, vocab = default_manifest().vessel, _shipped()
     timeline = []
     for occupation in graph.match(vessel, vocab.occupies_spatial_region, None):
@@ -211,6 +212,9 @@ def reference_timeline(graph: Graph):
             return None
         timeline.append((datetime.fromisoformat(time.lexical), place))
     if len({when for when, _ in timeline}) != len(timeline):
+        return None
+    names = [place.local_name() for place in {place for _, place in timeline}]
+    if "" in names or len(set(names)) != len(names):
         return None
     return sorted(timeline)  # the times are distinct, so no place is compared
 

@@ -45,14 +45,17 @@ def _rows(labels, gaps_hours):
 # An edit for each day of a small ingested graph: a kind, another day and
 # an hour count.
 _edits = st.lists(st.tuples(
-    st.sampled_from(("keep", "drop time", "second time", "second place", "share time")),
+    st.sampled_from(("keep", "drop time", "second time", "second place", "share time",
+                     "other namespace", "empty name")),
     st.integers(1, 6), st.integers(1, 48)), min_size=6, max_size=6)
 
 
 def _edited(rows, edits, vocab):
     """The graph of ``rows`` after the edit of each day in turn: the day
     keeps its triples, loses its time, gains a second time ``hours`` later,
-    has its track point in a second place, or takes another day's time."""
+    has its track point in a second place, takes another day's time, or has
+    its place moved to another namespace under the same local name, or to
+    an IRI ending in "/", whose local name is empty."""
     m = default_manifest()
     triples = set(ingest_rows(rows))
     for day, (kind, other, hours) in enumerate(edits[:len(rows)], start=1):
@@ -68,6 +71,12 @@ def _edited(rows, edits, vocab):
         elif kind == "second place":
             triples.add(Triple(m.track_point(day), vocab.spatial_part_of,
                                m.location(f"location{hours % 4}")))
+        elif kind in ("other namespace", "empty name"):
+            label = rows[day - 1].location
+            place = (Iri(f"http://example.org/alt/{label}") if kind == "other namespace"
+                     else m.location(label + "/"))
+            triples.remove(Triple(m.track_point(day), vocab.spatial_part_of, m.location(label)))
+            triples.add(Triple(m.track_point(day), vocab.spatial_part_of, place))
     return Graph(triples)
 
 

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgmarkov.datagen import GenConfig, generate
-from kgmarkov.ingest import default_manifest, ingest_rows
+from kgmarkov.ingest import (
+    IngestError,
+    default_manifest,
+    ingest_rows,
+    location_sequence,
+    transition_pairs,
+)
 from kgmarkov.markov import (
     ChainCounts,
     MarkovError,
@@ -294,6 +300,30 @@ class TestProfileModel:
         text = serialize_ntriples(graph)
         with pytest.raises(WritebackError, match=re.escape(
                 f"cannot link a realization: the graph has no trip part 'fishingTripPart_d{day}'")):
+            writeback_profile_model(graph, counts, "location2", 30, link_realizations=True)
+        assert serialize_ntriples(graph) == text
+
+    @pytest.mark.parametrize("moved,message", [
+        ("http://example.org/alt/location2",
+         "locations <http://example.org/data/location2> and "
+         "<http://example.org/alt/location2> share the local name 'location2'"),
+        ("http://example.org/data/location1/",
+         "location <http://example.org/data/location1/> has an empty local name"),
+    ], ids=["shared", "empty"])
+    def test_a_location_whose_state_label_clashes_is_refused_before_any_link(self, moved,
+                                                                             message):
+        """Every timeline reader refuses a location whose local name is empty
+        or names another location too.  With location1 renamed to another
+        namespace's location2, the link once wrote 21 realizes edges for the
+        13 steps that leave location2."""
+        rows = generate(GenConfig(days=30))
+        counts = count_transitions([row.location for row in rows])
+        graph = _renamed(ingest_rows(rows), "^" + re.escape(EX + "location1") + "$", moved)
+        text = serialize_ntriples(graph)
+        for read in (location_sequence, transition_pairs):
+            with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+                read(graph)
+        with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
             writeback_profile_model(graph, counts, "location2", 30, link_realizations=True)
         assert serialize_ntriples(graph) == text
 
