@@ -69,7 +69,7 @@ def _load_graph(path: str):
 
 
 def _load_query_text(name: str) -> str:
-    if Path(name).exists():
+    if Path(name).is_file():
         return _read_text(name)
     return ingest.load_bundled_query(name)
 

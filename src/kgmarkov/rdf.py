@@ -15,6 +15,7 @@ they sort those key strings.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import Decimal
@@ -222,17 +223,23 @@ class Graph:
     bucket (a future ``remove``) must turn a set left with one key back
     into a 1-tuple.
 
-    Nothing is kept sorted.  Sorting happens only where order is part of
-    the contract: in ``match``, in ``serialize_ntriples`` and at query
+    The indexes are not sorted.  Sorting happens only where order is part
+    of the contract: in ``match``, in ``serialize_ntriples`` and at query
     projection.  Sorting key tuples gives the N-Triples order, because the
-    keys are the serialized terms.
+    keys are the serialized terms.  The one sorted thing kept is the holder
+    ``_base`` that every graph copied from one state shares: the first
+    ``serialize_ntriples`` of any of them fills it with that state's sorted
+    lines.  Such a graph's triples are that state plus ``_added``, the key
+    triples it added since, and a serialize merges only those in.  A fresh,
+    parsed or ingested graph has no holder and records nothing.
 
     Copies share inner containers (see ``copy``).  ``_add`` is the only
     write path, and on a graph that may share it first calls ``_unshare``,
     which applies one rule to both indexes: copy the inner dict the write
     lands in, then the bucket there if it is a set.  A 1-tuple bucket is
     never written, only replaced, so copies go on sharing it.  Any future
-    mutator, such as a ``remove``, must go through the same step.
+    mutator, such as a ``remove``, must go through the same step, and must
+    drop or update the holder, whose state it would no longer contain.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -244,6 +251,10 @@ class Graph:
         # None until a copy(); then, for spo and for pos, what it made its own
         # since: an inner dict by its key, a bucket by its pair of keys
         self._owned: Optional[tuple[set, set]] = None
+        # None until a copy(); then a 1-element list that every graph copied
+        # from one state shares, holding that state's sorted lines once built
+        self._base: Optional[list[Optional[list[str]]]] = None
+        self._added: list[tuple[str, str, str]] = []  # key triples added since
         for t in triples:
             self.insert(t)
 
@@ -287,6 +298,8 @@ class Graph:
                 by_o[o] = {subjects[0], s}
             else:
                 subjects.add(s)
+        if self._base is not None:
+            self._added.append((s, p, o))
         self._size += 1
         return True
 
@@ -397,6 +410,9 @@ class Graph:
         one first copies, in each index, the inner dict it lands in and then
         the bucket if it is a set (``_unshare``).  What either graph owned
         before is shared from now on, so both start owning nothing.
+
+        The copy shares the source's holder of sorted lines.  A source with
+        none, or with writes since it got one, first gets a new, empty one.
         """
         new = Graph()
         new._terms = self._terms.copy()
@@ -405,6 +421,10 @@ class Graph:
         new._size = self._size
         new._owned = (set(), set())
         self._owned = (set(), set())
+        if self._base is None or self._added:
+            self._base = [None]
+            self._added = []
+        new._base = self._base
         return new
 
 
@@ -418,7 +438,22 @@ def serialize_ntriples(graph: Graph) -> str:
     and then at the datatype's ``>``.  So two lines first differ inside the
     first key where their triples differ, at the same character where those
     keys differ.
+
+    A copied graph merges: once its holder (see ``Graph``) holds the sorted
+    lines of the state it was copied from, only the lines it added since are
+    built, sorted and put in at their ``bisect_left`` places.  An empty
+    holder is filled by the first serialize, with all but the added lines.
     """
+    base = graph._base
+    if base is not None and base[0] is not None:
+        lines, merged, start = base[0], [], 0
+        for line in sorted([f"{s} {p} {o} .\n" for s, p, o in graph._added]):
+            at = bisect_left(lines, line, start)
+            merged += lines[start:at]
+            merged.append(line)
+            start = at
+        merged += lines[start:]
+        return "".join(merged)
     lines = [
         f"{s} {p} {o} .\n"
         for s, by_p in graph._spo.items()
@@ -426,6 +461,9 @@ def serialize_ntriples(graph: Graph) -> str:
         for o in objects
     ]
     lines.sort()
+    if base is not None:
+        added = {f"{s} {p} {o} .\n" for s, p, o in graph._added}
+        base[0] = [line for line in lines if line not in added] if added else lines
     return "".join(lines)
 
 

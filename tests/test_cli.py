@@ -160,6 +160,17 @@ class TestQuery:
         assert out.splitlines()[0] == "s"
         assert "fishingTripPart_d1" in out
 
+    def test_a_directory_named_like_a_bundled_query_does_not_shadow_it(
+            self, graph_file, tmp_path, monkeypatch, capsys):
+        args = ["query", "--graph", str(graph_file), "--query", "transitions", "--format", "csv"]
+        assert main(args) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "transitions").mkdir()
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, "")
+
     def test_unknown_bundled_name_exits_1(self, graph_file, capsys):
         code = main(["query", "--graph", str(graph_file), "--query", "nope"])
         assert code == 1

@@ -20,7 +20,7 @@ from kgmarkov.markov import (
     estimate_second_order,
 )
 from kgmarkov.query import evaluate, parse_query
-from kgmarkov.rdf import serialize_ntriples
+from kgmarkov.rdf import Graph, serialize_ntriples
 from kgmarkov.vocab import Vocab
 from kgmarkov.writeback import writeback_cco_model, writeback_profile_model
 
@@ -53,15 +53,37 @@ def test_graph_serialization(graph):
     assert _sha(serialize_ntriples(graph)) == GRAPH_SHA
 
 
-def test_profile_writeback_with_realizations(graph, counts):
-    copy = graph.copy()
+@pytest.fixture
+def source(graph):
+    """A graph with ``graph``'s triples whose copies share a new, empty holder
+    of sorted lines, so each test decides which serialize fills it."""
+    return Graph(graph)
+
+
+# A written copy serializes either by filling its holder of sorted lines
+# itself, or, when an unwritten copy filled the holder first, by merging its
+# new lines in; the second serialize of that copy merges again.
+_SERIALIZE_WAYS = pytest.mark.parametrize("filled_before_writeback", [False, True],
+                                          ids=["fills", "merges"])
+
+
+@_SERIALIZE_WAYS
+def test_profile_writeback_with_realizations(source, counts, filled_before_writeback):
+    copy = source.copy()
+    if filled_before_writeback:
+        serialize_ntriples(copy)
     writeback_profile_model(copy, counts, "location2", 100, link_realizations=True)
+    assert _sha(serialize_ntriples(copy)) == PROFILE_LINK_SHA
     assert _sha(serialize_ntriples(copy)) == PROFILE_LINK_SHA
 
 
-def test_cco_writeback(graph, counts):
-    copy = graph.copy()
+@_SERIALIZE_WAYS
+def test_cco_writeback(source, counts, filled_before_writeback):
+    copy = source.copy()
+    if filled_before_writeback:
+        serialize_ntriples(copy)
     writeback_cco_model(copy, counts, "location2", 100)
+    assert _sha(serialize_ntriples(copy)) == CCO_SHA
     assert _sha(serialize_ntriples(copy)) == CCO_SHA
 
 

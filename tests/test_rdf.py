@@ -547,10 +547,17 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     def test_copies_and_inserts_in_any_order_match_a_fresh_graph(self, triples, data):
         """Each graph against its model, a plain set of triples: inserts,
-        duplicates included, interleave with copies of copies, and any live
-        graph may be written next, so every other graph must stay as it was.
-        A graph's term dict holds exactly the keys of its own triples, and
-        every key is one string object across the term dict and both indexes."""
+        duplicates included, interleave with copies of copies and serializes,
+        and any live graph may be written next, so every other graph must stay
+        as it was.  A serialize may come at any step, so the sorted lines that
+        copies share get built by a copy that has added triples, by a source
+        written after it was copied, or by a copy of a copy, and are merged
+        into later.  A graph's term dict holds exactly the keys of its own
+        triples, and every key is one string object across the term dict and
+        both indexes."""
+        def text(model):
+            return "".join(sorted(f"{s} {p} {o} .\n" for s, p, o in map(nt_key, model)))
+
         def check(graph, model):
             keys = {nt_key(t) for t in model}
             assert len(graph) == len(keys)
@@ -561,25 +568,27 @@ class TestProperties:
             assert [t in graph for t in _SMALL_ALL_TRIPLES] == [
                 t in model for t in _SMALL_ALL_TRIPLES]
             assert graph.match() == sorted(model, key=nt_key)
-            assert serialize_ntriples(graph) == "".join(
-                sorted(f"{s} {p} {o} .\n" for s, p, o in keys))
+            assert serialize_ntriples(graph) == text(model)
             assert graph == Graph(model)
             assert _one_key_buckets_are_1_tuples(graph)
             assert one_string_per_key(graph)
 
         graphs, models = [Graph(triples)], [set(triples)]
         check(graphs[0], models[0])
-        for _ in range(data.draw(st.integers(1, 16))):
+        for _ in range(data.draw(st.integers(1, 24))):
             i = data.draw(st.integers(0, len(graphs) - 1))
-            if data.draw(st.booleans()):
+            action = data.draw(st.sampled_from(["copy", "insert", "serialize"]))
+            if action == "copy":
                 graphs.append(graphs[i].copy())
                 models.append(set(models[i]))
-            else:
+            elif action == "insert":
                 t = data.draw(_small_triples)
                 assert graphs[i].insert(t) is (t not in models[i])
                 models[i].add(t)
-            for graph, model in zip(graphs, models):
-                check(graph, model)
+            else:
+                assert serialize_ntriples(graphs[i]) == text(models[i])
+        for graph, model in zip(graphs, models):
+            check(graph, model)
 
     @given(_prefix_graphs)
     @settings(max_examples=100)
