@@ -64,10 +64,6 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
-def _load_graph(path: str):
-    return parse_ntriples(_read_text(path))
-
-
 def _load_query_text(name: str) -> str:
     if Path(name).is_file():
         return _read_text(name)
@@ -91,7 +87,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = parse_ntriples(_read_text(args.graph))
     query = parse_query(_load_query_text(args.query))
     table = evaluate(query, graph)
     if args.format == "csv":
@@ -102,7 +98,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = parse_ntriples(_read_text(args.graph))
     sequence = ingest.location_sequence(graph)
     if not sequence:
         raise CliError("the graph contains no observations to estimate from")
@@ -143,7 +139,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_writeback(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = parse_ntriples(_read_text(args.graph))
     matrix, counts = markov.loads_matrix(_read_text(args.matrix))
     if matrix.order != 1:
         raise CliError("writeback consumes first-order matrices only")
@@ -163,7 +159,7 @@ def _cmd_writeback(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = parse_ntriples(_read_text(args.graph))
     if args.day is not None:
         fragment = dot.day_subgraph(graph, args.day)
         name = f"day{args.day}"

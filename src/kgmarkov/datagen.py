@@ -52,8 +52,9 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class ObservationRow:
+    """One day's observation; the day number is the row's position, from 1."""
+
     time: datetime
-    day_label: str
     location: str
 
 
@@ -116,13 +117,7 @@ def generate(config: GenConfig) -> list[ObservationRow]:
         else:
             idx = _sample_uniform(rng)
         current = idx
-        rows.append(
-            ObservationRow(
-                time=DEFAULT_START + timedelta(days=day),
-                day_label=f"Day{day + 1}",
-                location=LOCATIONS[idx],
-            )
-        )
+        rows.append(ObservationRow(DEFAULT_START + timedelta(days=day), LOCATIONS[idx]))
     return rows
 
 
@@ -130,16 +125,16 @@ def rows_to_csv(rows: Sequence[ObservationRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([row.time.strftime(TIME_FORMAT), row.day_label, row.location])
+    for day, row in enumerate(rows, start=1):
+        writer.writerow([row.time.strftime(TIME_FORMAT), f"Day{day}", row.location])
     return buf.getvalue()
 
 
 def rows_from_csv(text: str) -> list[ObservationRow]:
     """Parse and validate observation CSV; inverse of rows_to_csv.
 
-    Rows must carry sequential day labels starting at Day1, strictly
-    increasing times, and known location names.  Blank lines are skipped.
+    Rows must carry sequential day labels from Day1, dropped once checked,
+    strictly increasing times and known locations.  Blank lines are skipped.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -170,7 +165,7 @@ def rows_from_csv(text: str) -> list[ObservationRow]:
             raise DatagenError(f"row {record_no}: unknown location: {location!r}")
         if rows and time <= rows[-1].time:
             raise DatagenError(f"row {record_no}: time does not increase")
-        rows.append(ObservationRow(time, day_label, location))
+        rows.append(ObservationRow(time, location))
     if not rows:
         raise DatagenError("CSV contains no observation rows")
     return rows

@@ -93,11 +93,12 @@ def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
     """
     if not rows:
         raise IngestError("cannot ingest an empty row sequence")
-    for prev, cur in zip(rows, rows[1:]):
-        if cur.time <= prev.time:
-            raise IngestError(
-                f"observation times must strictly increase ({cur.day_label})"
-            )
+    for day, row in enumerate(rows, start=1):
+        if row.time.tzinfo is not None or row.time.microsecond:  # checked before any compare
+            raise IngestError(f"Day{day}: time {row.time.isoformat()} has a time zone or a "
+                              "fraction of a second; the graph keeps naive whole seconds")
+        if day > 1 and row.time <= rows[day - 2].time:
+            raise IngestError(f"observation times must strictly increase (Day{day})")
     m, v = default_manifest(), _shipped()
     graph = Graph()
     key, write = graph._key, graph._add

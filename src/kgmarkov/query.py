@@ -27,7 +27,7 @@ from .rdf import (
     TermError,
     decode_literal,
 )
-from .vocab import PrefixError, PrefixTable
+from .vocab import PrefixError, PrefixTable, _shipped
 
 
 class QueryError(ToolkitError):
@@ -212,7 +212,7 @@ def _parse_pattern_term(stream: _Stream, prefixes: PrefixTable, position: str) -
 def parse_query(text: str, prefixes: Optional[PrefixTable] = None) -> Query:
     """Parse query text into an AST, resolving prefixed names as it goes."""
     if prefixes is None:
-        prefixes = PrefixTable()
+        prefixes = _shipped().prefixes
     stream = _Stream(text)
     stream.expect("SELECT", "SELECT")
     projection: list[Var] = []

@@ -1,7 +1,7 @@
 """Prefix handling and the fixed vocabulary of classes and properties.
 
-The vocabulary is the bundled ``data/vocabulary.tsv`` manifest: ``Vocab()``
-and ``PrefixTable()`` share the terms and namespaces read from there once per
+The vocabulary is the bundled ``data/vocabulary.tsv`` manifest: every
+``Vocab()`` shares the terms and the prefix table read from there once per
 process, so that file is the one place a prefix or a term is defined, and
 ``load_manifest`` the one place its rows are checked.
 
@@ -42,12 +42,9 @@ class VocabularyError(ToolkitError):
 
 
 class PrefixTable:
-    """Maps prefixes (case-insensitively) to namespace IRIs; read-only once built."""
+    """Maps prefixes (case-insensitively) to namespaces; the bundled one is ``Vocab().prefixes``."""
 
-    def __init__(self, namespaces: Optional[dict[str, str]] = None):
-        if namespaces is None:  # share the bundled vocabulary.tsv's table
-            self._namespaces = _shipped().prefixes._namespaces
-            return
+    def __init__(self, namespaces: dict[str, str]):
         for prefix in namespaces:
             if not prefix.isidentifier():
                 raise PrefixError(f"bad prefix: {prefix!r}")

@@ -38,9 +38,9 @@ EXAMPLE_P2 = [
 
 # First three days of the running example's observation log.
 THREE_DAY_ROWS = (
-    ObservationRow(datetime(2023, 4, 8, 12, 0, 0), "Day1", "location3"),
-    ObservationRow(datetime(2023, 4, 9, 12, 0, 0), "Day2", "location1"),
-    ObservationRow(datetime(2023, 4, 10, 12, 0, 0), "Day3", "location3"),
+    ObservationRow(datetime(2023, 4, 8, 12, 0, 0), "location3"),
+    ObservationRow(datetime(2023, 4, 9, 12, 0, 0), "location1"),
+    ObservationRow(datetime(2023, 4, 10, 12, 0, 0), "location3"),
 )
 
 

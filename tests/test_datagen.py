@@ -94,7 +94,7 @@ class TestGenerate:
     def test_single_day(self):
         [row] = generate(GenConfig(days=1, seed=3))
         assert row.time == DEFAULT_START
-        assert row.day_label == "Day1"
+        assert rows_to_csv([row]).splitlines()[1].split(",")[1] == "Day1"
         assert row.location in LOCATIONS
 
     def test_hundred_day_run_shape(self):
@@ -102,7 +102,8 @@ class TestGenerate:
         assert len(rows) == 100
         assert rows[0].time == datetime(2023, 4, 8, 12, 0, 0)
         assert rows[-1].time == datetime(2023, 7, 16, 12, 0, 0)
-        assert [r.day_label for r in rows] == [f"Day{i}" for i in range(1, 101)]
+        days = [line.split(",")[1] for line in rows_to_csv(rows).splitlines()[1:]]
+        assert days == [f"Day{i}" for i in range(1, 101)]
         assert all(
             b.time - a.time == timedelta(days=1) for a, b in zip(rows, rows[1:])
         )
@@ -154,8 +155,8 @@ class TestCsv:
 
     def test_exact_csv_text(self):
         rows = [
-            ObservationRow(datetime(2023, 4, 8, 12, 0, 0), "Day1", "location3"),
-            ObservationRow(datetime(2023, 4, 9, 12, 0, 0), "Day2", "location1"),
+            ObservationRow(datetime(2023, 4, 8, 12, 0, 0), "location3"),
+            ObservationRow(datetime(2023, 4, 9, 12, 0, 0), "location1"),
         ]
         assert rows_to_csv(rows) == (
             "Time,Day,Location\n"

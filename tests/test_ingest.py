@@ -1,5 +1,5 @@
 from collections import Counter
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -38,8 +38,7 @@ def _rows(labels, gaps_hours):
     times = [datetime(2023, 4, 8, 12)]
     for gap in gaps_hours[:len(labels) - 1]:
         times.append(times[-1] + timedelta(hours=gap))
-    return [ObservationRow(t, f"Day{i + 1}", label)
-            for i, (t, label) in enumerate(zip(times, labels))]
+    return [ObservationRow(t, label) for t, label in zip(times, labels)]
 
 
 # An edit for each day of a small ingested graph: a kind, another day and
@@ -203,10 +202,34 @@ class TestIngest:
 
     def test_rejects_non_increasing_times(self):
         rows = [
-            ObservationRow(datetime(2023, 4, 8, 12), "Day1", "location1"),
-            ObservationRow(datetime(2023, 4, 8, 12), "Day2", "location1"),
+            ObservationRow(datetime(2023, 4, 8, 12), "location1"),
+            ObservationRow(datetime(2023, 4, 8, 12), "location1"),
         ]
         with pytest.raises(IngestError):
+            ingest_rows(rows)
+
+    def test_order_refusal_names_the_day_by_position(self):
+        times = [datetime(2023, 4, 8, 12), datetime(2023, 4, 9, 12), datetime(2023, 4, 9, 11)]
+        with pytest.raises(IngestError, match=r"must strictly increase \(Day3\)$"):
+            ingest_rows([ObservationRow(t, "location1") for t in times])
+
+    @pytest.mark.parametrize("times,day", [
+        # in true time order, but the graph would keep only the wall-clock
+        # hours and read them back as location2, location1, location3
+        pytest.param([datetime(2023, 4, 8, 11, 30, tzinfo=timezone(timedelta(hours=2))),
+                      datetime(2023, 4, 8, 10, tzinfo=timezone.utc),
+                      datetime(2023, 4, 8, 12, tzinfo=timezone.utc)], 1, id="aware"),
+        # comparing these two raises a bare TypeError
+        pytest.param([datetime(2023, 4, 8, 12), datetime(2023, 4, 9, 12, tzinfo=timezone.utc)],
+                     2, id="naive-then-aware"),
+        # both would be written as 12:00:00, two observations at one instant
+        pytest.param([datetime(2023, 4, 8, 12, 0, 0, 100_000),
+                      datetime(2023, 4, 8, 12, 0, 0, 200_000)], 1, id="fraction-of-a-second"),
+    ])
+    def test_rejects_times_the_graph_cannot_keep(self, times, day):
+        rows = [ObservationRow(t, f"location{i + 1}") for i, t in enumerate(times)]
+        with pytest.raises(IngestError, match=rf"^Day{day}: time \S+ has a time zone or a "
+                                              "fraction of a second; the graph keeps naive"):
             ingest_rows(rows)
 
     def test_reingestion_is_reproducible(self):
@@ -221,7 +244,7 @@ class TestIngest:
     def test_triple_count_formula_holds(self, labels, start_offset):
         start = datetime(2023, 4, 8, 12) + timedelta(hours=start_offset)
         rows = [
-            ObservationRow(start + timedelta(days=i), f"Day{i + 1}", label)
+            ObservationRow(start + timedelta(days=i), label)
             for i, label in enumerate(labels)
         ]
         g = ingest_rows(rows)

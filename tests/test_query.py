@@ -35,12 +35,12 @@ from kgmarkov.rdf import (
     integer_literal,
     string_literal,
 )
-from kgmarkov.vocab import PrefixTable
+from kgmarkov.vocab import Vocab
 
 from oracles import brute_force_rows, random_graph_and_query, scan_tokens
 
-BFO_NS = PrefixTable().namespace("bfo")
-EX_NS = PrefixTable().namespace("ex")
+BFO_NS = Vocab().prefixes.namespace("bfo")
+EX_NS = Vocab().prefixes.namespace("ex")
 
 EX = "http://example.org/data/"
 

@@ -22,29 +22,29 @@ from kgmarkov.writeback import writeback_cco_model, writeback_profile_model
 
 from conftest import THREE_DAY_ROWS
 
-BFO_NS = PrefixTable().namespace("bfo")
-CCO_NS = PrefixTable().namespace("cco")
-EX_NS = PrefixTable().namespace("ex")
+BFO_NS = Vocab().prefixes.namespace("bfo")
+CCO_NS = Vocab().prefixes.namespace("cco")
+EX_NS = Vocab().prefixes.namespace("ex")
 
 
 class TestPrefixTable:
     def test_resolves_default_prefixes(self):
-        t = PrefixTable()
+        t = Vocab().prefixes
         assert t.resolve("bfo:precedes") == Iri(BFO_NS + "precedes")
         assert t.resolve("cco:Watercraft") == Iri(CCO_NS + "Watercraft")
         assert t.resolve("ex:fishingVessel") == Iri(EX_NS + "fishingVessel")
 
     @pytest.mark.parametrize("spelling", ["bfo:precedes", "Bfo:precedes", "BFO:precedes"])
     def test_prefix_lookup_ignores_case(self, spelling):
-        assert PrefixTable().resolve(spelling) == Iri(BFO_NS + "precedes")
+        assert Vocab().prefixes.resolve(spelling) == Iri(BFO_NS + "precedes")
 
     def test_alias_folds_spatial_part_of(self):
-        t = PrefixTable()
+        t = Vocab().prefixes
         assert t.resolve("cco:spatial_part_of") == Iri(BFO_NS + "spatial_part_of")
         assert t.resolve("cco:spatial_part_of") == t.resolve("bfo:spatial_part_of")
 
     def test_alias_folds_misspelled_occurrent_part(self):
-        t = PrefixTable()
+        t = Vocab().prefixes
         expected = Iri(BFO_NS + "has_occurrent_part")
         assert t.resolve("bfo:has_occurent_part") == expected
         assert t.resolve("Bfo:has_occurent_part") == expected
@@ -52,7 +52,7 @@ class TestPrefixTable:
     @pytest.mark.parametrize("bad", ["unknown:x", "bare", "bfo:", ":x"])
     def test_resolve_rejects_bad_names(self, bad):
         with pytest.raises(PrefixError):
-            PrefixTable().resolve(bad)
+            Vocab().prefixes.resolve(bad)
 
     def test_custom_namespace_registration(self):
         t = PrefixTable({"App": "http://example.org/app/"})
@@ -154,7 +154,6 @@ class TestManifest:
         first, second = Vocab(), Vocab()
         assert first.prefixes is second.prefixes is shipped.prefixes
         assert first.terms is second.terms is shipped.terms
-        assert vars(PrefixTable()) == vars(shipped.prefixes)
         text = resources.files("kgmarkov").joinpath("data", "vocabulary.tsv").read_text()
         assert second.terms == load_manifest(text).terms
 
@@ -173,14 +172,14 @@ class TestManifest:
         vocab_module._shipped.cache_clear()
         try:
             assert Vocab().Process == Iri("http://example.org/v2/bfo/Process")
-            assert PrefixTable().resolve("bfo:Process") == Vocab().Process
+            assert Vocab().prefixes.resolve("bfo:Process") == Vocab().Process
             assert default_manifest().vessel == Iri("http://example.org/v2/ex/fishingVessel")
             graph = ingest_rows(generate(GenConfig(days=10)))
             assert len(location_sequence(graph)) == 10
         finally:
             monkeypatch.undo()
             vocab_module._shipped.cache_clear()
-        assert PrefixTable().namespace("bfo") == BFO_NS
+        assert Vocab().prefixes.namespace("bfo") == BFO_NS
 
     def test_load_rejects_duplicate_terms(self):
         text = (

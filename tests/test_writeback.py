@@ -451,6 +451,16 @@ class TestCcoModel:
         with pytest.raises(WritebackError):
             writeback_cco_model(Graph(), worked_counts(), "location1", -1)
 
+    @pytest.mark.parametrize("model", [MODEL_PROFILE, MODEL_CCO])
+    def test_day_zero_is_accepted(self, vocab, model):
+        g = Graph()
+        write = writeback_profile_model if model == MODEL_PROFILE else writeback_cco_model
+        write(g, worked_counts(), "location1", 0)
+        assert read_probabilities(g, "location1", model).probability("location2") > 0
+        if model == MODEL_CCO:
+            assert g.match(Iri(EX + "markovPMICE_1to2_d1"), vocab.modally_about,
+                           Iri(EX + "fishingTripPart_1"))
+
     def test_writebacks_for_two_days_coexist(self, vocab):
         g = Graph()
         writeback_cco_model(g, worked_counts(), "location1", 100)
@@ -509,8 +519,9 @@ class TestReadback:
                    "no-value": []}[edit]
         edited = Graph([*(t for t in g if t != value),
                         *(Triple(pmice, vocab.has_decimal_value, o) for o in objects)])
-        with pytest.raises(WritebackError,
-                           match=f"^{pmice.local_name()} must have exactly one xsd:decimal value"):
+        tail = ", not none$" if edit == "no-value" else ", not "
+        with pytest.raises(WritebackError, match=f"^{pmice.local_name()} must have exactly "
+                                                 f"one xsd:decimal value{tail}"):
             read_probabilities(edited, "location1", model)
 
     def test_reading_the_wrong_state_is_an_error(self):
