@@ -65,9 +65,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_query_text(name: str) -> str:
-    if Path(name).is_file():
-        return _read_text(name)
-    return ingest.load_bundled_query(name)
+    """A query file's text, or else the bundled query of that short name."""
+    return _read_text(name) if Path(name).is_file() else ingest.load_bundled_query(name)
 
 
 def _cmd_gen_data(args) -> int:
@@ -110,7 +109,8 @@ def _cmd_estimate(args) -> int:
         counts = markov.count_pair_transitions(labels)
         matrix = markov.estimate_second_order(counts)
     _write_text(args.out, markov.dumps_matrix(matrix, counts))
-    log.info("estimated an order-%d chain over %d states", matrix.order, len(matrix.space))
+    log.info("estimated an order-%d chain over %d states from %d observations",
+             matrix.order, len(matrix.space), len(sequence))
     return 0
 
 

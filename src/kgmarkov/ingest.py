@@ -11,7 +11,6 @@ transitions are the consecutive pairs of its chronological rows.
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass, replace
 from datetime import datetime
 from importlib import resources
@@ -20,10 +19,8 @@ from typing import Sequence
 from .datagen import ObservationRow
 from .errors import ToolkitError
 from .query import Query, Var, evaluate, parse_query
-from .rdf import DATETIME, Graph, Iri, Literal, datetime_literal
+from .rdf import _IRI_BAD_RE, DATETIME, Graph, Iri, Literal, datetime_literal
 from .vocab import Vocab, _shipped
-
-log = logging.getLogger(__name__)
 
 BUNDLED_QUERIES = ("location_by_time", "transitions")
 
@@ -32,12 +29,11 @@ class IngestError(ToolkitError):
 
 
 def load_bundled_query(name: str) -> str:
-    """Read one of the packaged query files by short name or file name."""
-    stem = name[:-3] if name.endswith(".rq") else name
-    if stem not in BUNDLED_QUERIES:
+    """Read one of the packaged query files by its short name, such as ``transitions``."""
+    if name not in BUNDLED_QUERIES:
         raise IngestError(
             f"no bundled query named {name!r} (bundled: {', '.join(BUNDLED_QUERIES)})")
-    return resources.files("kgmarkov").joinpath("data", stem + ".rq").read_text()
+    return resources.files("kgmarkov").joinpath("data", name + ".rq").read_text()
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,12 @@ def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
     write(vessel, rdf_type, key(v.Watercraft))
     write(vessel, key(v.participates_in), trip)
     write(trip, rdf_type, process)
-    locations = {label: key(m.location(label)) for label in sorted({row.location for row in rows})}
+    labels = sorted({row.location for row in rows})
+    for label in labels:  # once per label, so the rows are walked again only to name a day
+        if not label or "#" in label or "/" in label or _IRI_BAD_RE.search(label):
+            day = next(day for day, row in enumerate(rows, start=1) if row.location == label)
+            raise IngestError(f"Day{day}: location {label!r} is not the local name of an IRI")
+    locations = {label: key(m.location(label)) for label in labels}
     has_part, occupies_st = key(v.has_occurrent_part), key(v.occupies_spatiotemporal_region)
     boundary, st_class = key(v.ProcessBoundary), key(v.SpatiotemporalInstant)
     projects_s, projects_t = key(v.spatially_projects_onto), key(v.temporally_projects_onto)
@@ -159,7 +160,6 @@ def location_sequence(graph: Graph) -> list[tuple[datetime, Iri]]:
     label every chain reads, is empty or also names another location.
     """
     rows = evaluate(_location_query(_shipped()), graph).rows
-    log.info("location query returned %d rows", len(rows))
     times, places, seen, repeated, labels = [], [], set(), None, {}
     for when, where, point in rows:
         if not isinstance(where, Iri):

@@ -238,11 +238,22 @@ def estimate_second_order(counts: ChainCounts) -> ChainMatrix:
     return _estimate(counts, 2)
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` summed over k = 0, 1, ... in turn.  Element-wise multiplies and
+    adds round alike on every IEEE-754 machine; ``@`` goes to a BLAS kernel
+    chosen per CPU, whose fused multiply-adds change the last bits."""
+    result = np.multiply.outer(a[:, 0], b[0])
+    for k in range(1, len(b)):
+        result += np.multiply.outer(a[:, k], b[k])
+    return result
+
+
 def matrix_power(matrix: ChainMatrix, steps: int) -> ChainMatrix:
     """The t-step transition matrix, by binary exponentiation.
 
     Zero steps gives the identity.  Matrices with unobserved rows cannot be
-    powered because those rows would poison every product.
+    powered because those rows would poison every product.  Products sum in
+    a fixed order, so the result's bytes do not depend on the CPU.
     """
     if matrix.order != 1:
         raise MarkovError(f"only first-order chains can be powered, got order {matrix.order}")
@@ -263,8 +274,8 @@ def matrix_power(matrix: ChainMatrix, steps: int) -> ChainMatrix:
     exponent = steps
     while exponent:
         if exponent & 1:
-            result = result @ base
-        base = base @ base
+            result = _product(result, base)
+        base = _product(base, base)
         exponent >>= 1
     return ChainMatrix(matrix.space, result, 1, row_sum_tol=math.expm1(growth) + 1e-12)
 

@@ -52,12 +52,11 @@ class TermError(ToolkitError):
 
 
 class NTriplesError(ToolkitError):
-    """Malformed N-Triples input.  Carries the 1-based line number."""
+    """Malformed N-Triples input.  ``line_no`` is the 1-based line the message names."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
-        self.reason = reason
 
 
 @dataclass(frozen=True)

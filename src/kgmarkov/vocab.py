@@ -102,9 +102,6 @@ class Vocab:
         for term in self.terms:
             setattr(self, term.prefixed_name.split(":", 1)[1], term.iri)
 
-    def property_iris(self) -> frozenset[Iri]:
-        return frozenset(t.iri for t in self.terms if t.kind != CLASS)
-
     def class_iris(self) -> frozenset[Iri]:
         return frozenset(t.iri for t in self.terms if t.kind == CLASS)
 

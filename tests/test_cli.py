@@ -2,6 +2,7 @@ import builtins
 import errno
 import io
 import json
+import logging
 import os
 import random
 import stat
@@ -177,6 +178,16 @@ class TestQuery:
         err = capsys.readouterr().err
         assert "location_by_time" in err and "transitions" in err
 
+    def test_a_bundled_query_is_named_only_by_its_short_name(self, graph_file, tmp_path,
+                                                             monkeypatch, capsys):
+        # no transitions.rq here, so a mistyped path must not run the bundled query
+        monkeypatch.chdir(tmp_path)
+        assert main(["query", "--graph", str(graph_file), "--query", "transitions.rq"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: no bundled query named 'transitions.rq' "
+                                "(bundled: location_by_time, transitions)\n")
+
     def test_malformed_query_exits_1_with_position(self, graph_file, tmp_path, capsys):
         q = tmp_path / "broken.rq"
         q.write_text("SELECT ?s WHERE { ?s rdf:type }")
@@ -334,17 +345,52 @@ class TestPower:
         assert "first-order" in capsys.readouterr().err
 
 
+@pytest.fixture
+def m1(tmp_path):
+    """The order-1 matrix file of the 100-day default-seed pipeline."""
+    csv_path, graph, m1 = (tmp_path / n for n in ("obs.csv", "graph.nt", "m1.json"))
+    assert main(["gen-data", "--days", "100", "--out", str(csv_path)]) == 0
+    assert main(["ingest", "--csv", str(csv_path), "--out", str(graph)]) == 0
+    assert main(["estimate", "--graph", str(graph), "--out", str(m1)]) == 0
+    return m1
+
+
+class TestPowerBytesAcrossKernels:
+    """OpenBLAS picks a kernel per CPU, and its fused multiply-add kernels round
+    a matrix product differently from the older ones.  OPENBLAS_CORETYPE=Prescott
+    forces an older kernel in one child; where OpenBLAS ignores the variable,
+    both children run one kernel and the test holds trivially."""
+
+    @pytest.fixture(params=[(3, 5), (64, 37)], ids=["3-states-5-steps", "64-states-37-steps"])
+    def matrix_and_steps(self, request, tmp_path):
+        states, steps = request.param
+        if states == 3:  # the pipeline's own matrix
+            return request.getfixturevalue("m1"), steps
+        rng = random.Random(1)
+        weights = [[0.5 + rng.random() for _ in range(states)] for _ in range(states)]
+        p = [[w / sum(row) for w in row] for row in weights]
+        m = tmp_path / "m64.json"
+        space = StateSpace([f"s{i}" for i in range(states)])
+        m.write_text(dumps_matrix(ChainMatrix(space, p, 1)), encoding="utf-8")
+        return m, steps
+
+    def test_power_prints_the_same_bytes_under_either_kernel_family(self, matrix_and_steps):
+        m, steps = matrix_and_steps
+        src = Path(__file__).resolve().parents[1] / "src"
+        printed = []
+        for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env.update(kernel, PYTHONPATH=str(src))
+            done = subprocess.run([sys.executable, "-m", "kgmarkov.cli", "power", "--matrix",
+                                   str(m), "--steps", str(steps)],
+                                  env=env, capture_output=True, timeout=120, check=True)
+            printed.append(done.stdout)
+        assert printed[0] == printed[1]
+
+
 class TestHugeStepCounts:
     """A million steps used to end in an OverflowError traceback from the
     row-sum drift bound; by then the chain has long reached its limit."""
-
-    @pytest.fixture
-    def m1(self, tmp_path):
-        csv_path, graph, m1 = (tmp_path / n for n in ("obs.csv", "graph.nt", "m1.json"))
-        assert main(["gen-data", "--days", "100", "--out", str(csv_path)]) == 0
-        assert main(["ingest", "--csv", str(csv_path), "--out", str(graph)]) == 0
-        assert main(["estimate", "--graph", str(graph), "--out", str(m1)]) == 0
-        return m1
 
     def test_power(self, m1, capsys):
         rows = {}
@@ -506,6 +552,19 @@ class TestPredict:
 
 
 class TestWriteback:
+    def test_verbose_lines_count_what_was_done(self, graph_file, tmp_path, caplog):
+        m, out = tmp_path / "m.json", tmp_path / "wb.nt"
+        with caplog.at_level(logging.INFO, logger="kgmarkov.cli"):
+            assert main(["--verbose", "estimate", "--graph", str(graph_file),
+                         "--out", str(m)]) == 0
+            assert main(["--verbose", "writeback", "--graph", str(graph_file), "--matrix", str(m),
+                         "--state", "location1", "--day", "3", "--model", "profile",
+                         "--out", str(out)]) == 0
+        added = (len(parse_ntriples(out.read_text(encoding="utf-8")))
+                 - len(parse_ntriples(graph_file.read_text(encoding="utf-8"))))
+        assert caplog.messages == ["estimated an order-1 chain over 2 states from 3 observations",
+                                   f"added {added} triples, wrote {out}"]
+
     def test_profile_model_grows_the_graph(self, graph_file, tmp_path, vocab):
         m = write_example_matrix(tmp_path / "m.json", with_counts=True)
         out = tmp_path / "wb.nt"
@@ -763,6 +822,30 @@ class TestStartup:
         assert not numpy_loaded
         assert loaded == {"gen-data": [0, False], "ingest": [0, False], "query": [0, False],
                           "export-dot": [0, False], "estimate": [0, True]}
+
+
+_LIBRARY_CHILD = """
+import sys
+from kgmarkov import datagen, dot, ingest, markov, query, rdf, vocab, writeback
+
+rows = datagen.generate(datagen.GenConfig(days=20))
+graph = ingest.ingest_rows(rows)
+labels = [where.local_name() for _, where in ingest.location_sequence(graph)]
+counts = markov.count_transitions(labels)
+markov.estimate_first_order(counts)
+writeback.writeback_profile_model(graph, counts, labels[-1], 20, link_realizations=True)
+print("numpy" in sys.modules, "logging" in sys.modules)
+"""
+
+
+class TestLibraryImports:
+    def test_the_library_never_loads_logging(self):
+        """Only the CLI logs; a process using the library alone pays for no logging import."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", _LIBRARY_CHILD], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout == "True False\n"
 
 
 class TestAtomicOutput:

@@ -2,6 +2,7 @@ import sys
 from datetime import datetime, timedelta
 from importlib import resources
 from math import inf, nan
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from kgmarkov.datagen import (
     GenConfig,
     ObservationRow,
     SplitMix64,
+    _sample_row,
     generate,
     rows_from_csv,
     rows_to_csv,
@@ -140,6 +142,11 @@ class TestGenerate:
             "location1", "location2", "location3",
             "location1", "location2", "location3",
         ]
+
+    def test_a_draw_past_a_row_summing_just_under_1_takes_the_last_location(self):
+        # a kernel row may sum to 1 - 1e-12, and a unit draw can exceed that sum
+        rng = SimpleNamespace(next_unit=lambda: 1 - 2 ** -53)
+        assert _sample_row(rng, (0.5, 0.25, 0.25 - 1e-12)) == 2
 
     def test_kernel_with_unpinned_start_samples_uniformly_first(self):
         kernel = ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))

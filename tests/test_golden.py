@@ -18,6 +18,7 @@ from kgmarkov.markov import (
     dumps_matrix,
     estimate_first_order,
     estimate_second_order,
+    matrix_power,
 )
 from kgmarkov.query import evaluate, parse_query
 from kgmarkov.rdf import Graph, serialize_ntriples
@@ -29,10 +30,12 @@ PROFILE_LINK_SHA = "9c14870c261db5304295c98d5c63b08622bfacdc3200098888c0d78b3811
 CCO_SHA = "5c1ddc545945b1d7333aa65cb8b1c32c4604f15b11aaf184c6224892825456f2"
 TRANSITIONS_CSV_SHA = "bdd276602b13bb297e72e14a67645aaf2b373d65ebe0acb174b71da3e43b6526"
 DAY1_DOT_SHA = "5b80cc7d89289446dae3c0faad048eec78453dc25465859a0ab96aea390be98e"
-# `kgmarkov estimate --order 1` and `--order 2` files; power is left out because
-# its products go through BLAS and may differ in the last bit across CPUs
+# `kgmarkov estimate --order 1` and `--order 2` files
 ORDER1_MATRIX_SHA = "3910b5789e3495777cbfb30fc1232830bafba99c2aab4d20b7009581a53721c1"
 ORDER2_MATRIX_SHA = "eb74355d157ca7e01593bc411670687794d238fa25b62d984e172b2bf257fb52"
+# `kgmarkov power --steps 5` of the order-1 file; its products sum in a fixed
+# order, so the bytes hold on every CPU
+POWER_SHA = "b228f4423a104469a48429ff3de25625026c7bb1e8cf314b07ee864e4c33f026"
 
 
 def _sha(text: str) -> str:
@@ -103,6 +106,10 @@ def test_day_dot(graph):
 def test_matrix_file(graph, count, estimate, digest):
     c = count([loc.local_name() for _, loc in location_sequence(graph)])
     assert _sha(dumps_matrix(estimate(c), c)) == digest
+
+
+def test_power_file(counts):
+    assert _sha(dumps_matrix(matrix_power(estimate_first_order(counts), 5))) == POWER_SHA
 
 
 def test_writebacks_leave_the_source_graph_alone(graph, counts):

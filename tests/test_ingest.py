@@ -232,6 +232,17 @@ class TestIngest:
                                               "fraction of a second; the graph keeps naive"):
             ingest_rows(rows)
 
+    @pytest.mark.parametrize("label", ["a#b", "a/b", "", "a b"],
+                             ids=["hash", "slash", "empty", "space"])
+    def test_rejects_a_location_that_is_not_its_iris_local_name(self, label):
+        # at Day2, after a good Day1, so the refusal must name the label's own day;
+        # a#b and a/b would read back as b, and a b is no IRI at all
+        rows = [ObservationRow(datetime(2023, 4, 8, 12), "location1"),
+                ObservationRow(datetime(2023, 4, 9, 12), label)]
+        with pytest.raises(IngestError, match=rf"^Day2: location {label!r} is not the "
+                                              "local name of an IRI$"):
+            ingest_rows(rows)
+
     def test_reingestion_is_reproducible(self):
         assert ingest_rows(list(THREE_DAY_ROWS)) == ingest_rows(list(THREE_DAY_ROWS))
 

@@ -463,6 +463,14 @@ class TestFileFormat:
         assert loaded_c == c
         assert dumps_matrix(loaded_m, loaded_c) == text
 
+    def test_an_entry_exactly_the_tolerance_off_its_count_ratio_loads(self):
+        # "within 2e-3": 0.002 - 0 is exactly LOADED_ROW_SUM_TOL
+        data = json.loads(dumps_matrix(example_matrix()))
+        data["counts"] = [[1, 1, 0], [1, 1, 0], [1, 1, 0]]
+        data["p"] = [[0.499, 0.499, 0.002]] * 3
+        m, c = loads_matrix(json.dumps(data))
+        assert m.p[0, 2] == 0.002 and c.count("location1", "location3") == 0
+
     def test_counts_are_optional(self):
         text = dumps_matrix(example_matrix())
         m, c = loads_matrix(text)

@@ -115,8 +115,9 @@ class TestVocabulary:
         assert vocab.MarkovPMICE == vocab.prefixes.resolve("cco:MarkovPMICE")
 
     def test_class_and_property_partition(self, vocab):
-        assert vocab.class_iris() | vocab.property_iris() == {t.iri for t in vocab.terms}
-        assert not vocab.class_iris() & vocab.property_iris()
+        assert vocab.class_iris() | {t.iri for t in vocab.terms if t.kind != CLASS} == {
+            t.iri for t in vocab.terms}
+        assert not vocab.class_iris() & {t.iri for t in vocab.terms if t.kind != CLASS}
 
 
 class TestManifest:
@@ -181,6 +182,20 @@ class TestManifest:
             vocab_module._shipped.cache_clear()
         assert Vocab().prefixes.namespace("bfo") == BFO_NS
 
+    def test_load_keeps_every_column_of_a_term_row(self):
+        text = (f"prefix\tbfo\t{BFO_NS}\n"
+                "term\tbfo:Process\tclass\tProcess\tAn occurrent.\tA comment.\n"
+                "term\tbfo:a\tclass\tA\tThe a class.\n"
+                "term\tbfo:a:b\tobject-property\tA b\tThe a:b relation.\n")
+        loaded = load_manifest(text)
+        process, a, ab = loaded.terms
+        assert (process.label, process.definition, process.comment) == (
+            "Process", "An occurrent.", "A comment.")
+        assert (a.label, a.definition, a.comment) == ("A", "The a class.", "")
+        # as in SPARQL, a local name may hold ':', and the handle is all of it
+        assert ab.iri == Iri(BFO_NS + "a:b") == getattr(loaded, "a:b")
+        assert loaded.a == a.iri
+
     def test_load_rejects_duplicate_terms(self):
         text = (
             f"prefix\tbfo\t{BFO_NS}\n"
@@ -200,7 +215,7 @@ class TestClosedVocabulary:
         counts = count_transitions(labels)
         writeback_profile_model(graph, counts, "location1", 3)
         writeback_cco_model(graph, counts, "location1", 3)
-        properties = vocab.property_iris()
+        properties = {t.iri for t in vocab.terms if t.kind != CLASS}
         classes = vocab.class_iris()
         for t in graph:
             assert t.predicate in properties, t.predicate
