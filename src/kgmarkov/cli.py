@@ -65,8 +65,9 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_query_text(name: str) -> str:
-    """A query file's text, or else the bundled query of that short name."""
-    return _read_text(name) if Path(name).is_file() else ingest.load_bundled_query(name)
+    if Path(name).is_file():
+        return _read_text(name)
+    return ingest.load_bundled_query(name)
 
 
 def _cmd_gen_data(args) -> int:

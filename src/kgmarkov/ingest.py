@@ -19,7 +19,7 @@ from typing import Sequence
 from .datagen import ObservationRow
 from .errors import ToolkitError
 from .query import Query, Var, evaluate, parse_query
-from .rdf import _IRI_BAD_RE, DATETIME, Graph, Iri, Literal, datetime_literal
+from .rdf import DATETIME, Graph, Iri, Literal, TermError, datetime_literal
 from .vocab import Vocab, _shipped
 
 BUNDLED_QUERIES = ("location_by_time", "transitions")
@@ -102,12 +102,16 @@ def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
     write(vessel, rdf_type, key(v.Watercraft))
     write(vessel, key(v.participates_in), trip)
     write(trip, rdf_type, process)
-    labels = sorted({row.location for row in rows})
-    for label in labels:  # once per label, so the rows are walked again only to name a day
-        if not label or "#" in label or "/" in label or _IRI_BAD_RE.search(label):
+    locations = {}
+    for label in sorted({row.location for row in rows}):  # once per label, not per row
+        try:
+            iri = m.location(label)
+        except TermError:
+            iri = None
+        if iri is None or not label or iri.local_name() != label:  # the IRI reads back as label
             day = next(day for day, row in enumerate(rows, start=1) if row.location == label)
             raise IngestError(f"Day{day}: location {label!r} is not the local name of an IRI")
-    locations = {label: key(m.location(label)) for label in labels}
+        locations[label] = key(iri)
     has_part, occupies_st = key(v.has_occurrent_part), key(v.occupies_spatiotemporal_region)
     boundary, st_class = key(v.ProcessBoundary), key(v.SpatiotemporalInstant)
     projects_s, projects_t = key(v.spatially_projects_onto), key(v.temporally_projects_onto)

@@ -4,8 +4,9 @@ A mutant changes one site of one module: a comparison swapped for its
 neighbour (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``in`` and
 ``not in``, ``is`` and ``is not``), ``+`` for ``-`` or back, ``and`` for ``or``
 or back, an integer from 0 to 10 made one larger, or a ``not`` dropped.  The change is
-spliced into the source text at the node's own position, so every other
-byte, comment and line number stays as written.
+made in the module's parsed tree, which ``ast.unparse`` writes back as source
+without its comments; the report names each site by its line in the module
+as written.
 
 Each mutant runs in a temporary copy of ``src/`` and ``tests/``, never in the
 working tree, against its module's tests plus the acceptance, golden and CLI
@@ -16,8 +17,8 @@ equivalent, are listed apart; every other survivor is a gap in the tests or
 an equivalent not yet judged.  The process exits 0 whatever survives, as a
 report and not a gate, and 2 when the unmutated copy fails its tests.
 
-    python tests/mutation.py --seed 1 --per-module 30 --jobs 2
-    python tests/mutation.py --modules markov,ingest --summary report.md
+    python tests/mutation.py --seed 1 --per-module 30
+    python tests/mutation.py --seed 7 --per-module 4 --summary report.md
 
 pytest does not collect this file.
 """
@@ -43,6 +44,7 @@ EQUIVALENT = Path(__file__).with_name("mutation_equivalent.tsv")
 COMMON_TESTS = ("test_acceptance.py", "test_golden.py", "test_cli.py")
 SMALL_INT = range(11)  # a negative literal is a minus applied to one of these
 TIMEOUT_S = 300  # per mutant; a mutant that loops forever is killed by it
+JOBS = 2  # mutants tested at once, each in its own pytest process
 
 _SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -74,96 +76,90 @@ class Mutant:
     operator: str    # such as "GtE->Gt", "Add->Sub", "int 0->1", "drop not"
     source_line: str  # the original line, stripped
     occurrence: int  # 1 for the first site with this function, operator and line, then 2, ...
-    text: str        # the whole mutated module
+    index: int       # its position among the module's sites
 
     def key(self) -> tuple[str, str, str, str, str]:
         """What names this site in the equivalent list; line numbers shift with edits above."""
         return self.module, self.function, self.operator, str(self.occurrence), self.source_line
+
+    def text(self) -> str:
+        """The whole mutated module, as ``ast.unparse`` writes it."""
+        tree = ast.parse((PACKAGE / self.module).read_text(encoding="utf-8"))
+        return ast.unparse(_Sites(self.index).visit(tree)) + "\n"
 
 
 def _name(op: ast.AST) -> str:
     return type(op).__name__
 
 
-class _Sites(ast.NodeVisitor):
-    """Every mutation site of one module, in source order, as (node, operator, replacement)."""
+class _Sites(ast.NodeTransformer):
+    """Lists every mutation site of one tree in source order, as (node,
+    function, operator), and mutates the site numbered ``target``."""
 
-    def __init__(self):
+    def __init__(self, target: int = -1):
+        self.target = target
         self.scope: list[str] = []
-        self.found: list[tuple[ast.AST, str, str, str]] = []
+        self.found: list[tuple[ast.AST, str, str]] = []
 
     def _scoped(self, node):
         self.scope.append(node.name)
         self.generic_visit(node)
         self.scope.pop()
+        return node
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
 
-    def _add(self, node, operator, replacement):
-        self.found.append((node, ".".join(self.scope), operator, replacement))
+    def _site(self, node, operator) -> bool:
+        """Record a site; whether it is the one to mutate."""
+        self.found.append((node, ".".join(self.scope), operator))
+        return len(self.found) - 1 == self.target
 
     def visit_JoinedStr(self, node):
-        pass  # positions inside f-strings are unreliable before Python 3.12
+        return node  # positions inside f-strings are unreliable before Python 3.12
 
     def visit_Compare(self, node):
         for i, op in enumerate(node.ops):
             if type(op) in _SWAPS:
-                ops = list(node.ops)
-                ops[i] = _SWAPS[type(op)]()
-                mutated = ast.Compare(node.left, ops, node.comparators)
-                self._add(node, f"{_name(op)}->{_name(ops[i])}", f"({ast.unparse(mutated)})")
-        self.generic_visit(node)
+                new = _SWAPS[type(op)]()
+                if self._site(node, f"{_name(op)}->{_name(new)}"):
+                    node.ops[i] = new
+                    return node
+        return self.generic_visit(node)
 
-    def visit_BinOp(self, node):
+    def _swap_op(self, node):
         if type(node.op) in _SWAPS:
             new = _SWAPS[type(node.op)]()
-            mutated = ast.BinOp(node.left, new, node.right)
-            self._add(node, f"{_name(node.op)}->{_name(new)}", f"({ast.unparse(mutated)})")
-        self.generic_visit(node)
+            if self._site(node, f"{_name(node.op)}->{_name(new)}"):
+                node.op = new
+                return node
+        return self.generic_visit(node)
 
-    def visit_AugAssign(self, node):
-        if type(node.op) in _SWAPS:
-            new = _SWAPS[type(node.op)]()
-            mutated = ast.AugAssign(node.target, new, node.value)
-            self._add(node, f"{_name(node.op)}->{_name(new)}", ast.unparse(mutated))
-        self.generic_visit(node)
-
-    def visit_BoolOp(self, node):
-        new = _SWAPS[type(node.op)]()
-        mutated = ast.BoolOp(new, node.values)
-        self._add(node, f"{_name(node.op)}->{_name(new)}", f"({ast.unparse(mutated)})")
-        self.generic_visit(node)
+    visit_BinOp = visit_AugAssign = visit_BoolOp = _swap_op
 
     def visit_UnaryOp(self, node):
-        if isinstance(node.op, ast.Not):
-            self._add(node, "drop not", f"({ast.unparse(node.operand)})")
-        self.generic_visit(node)
+        if isinstance(node.op, ast.Not) and self._site(node, "drop not"):
+            return node.operand
+        return self.generic_visit(node)
 
     def visit_Constant(self, node):
         if type(node.value) is int and node.value in SMALL_INT:
-            self._add(node, f"int {node.value}->{node.value + 1}", f"({node.value + 1})")
+            if self._site(node, f"int {node.value}->{node.value + 1}"):
+                node.value += 1
+        return node
 
 
-def mutants(path: Path) -> list[Mutant]:
-    """Every single-site mutant of one module, in source order."""
-    source = path.read_text(encoding="utf-8")
-    data = source.encode("utf-8")
-    lines = data.splitlines(keepends=True)
-    starts = [0]
-    for line in lines:
-        starts.append(starts[-1] + len(line))
+def mutants(module: str) -> list[Mutant]:
+    """Every single-site mutant of one module of the package, in source order."""
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    lines = source.encode("utf-8").splitlines()  # split where the parser counts lines
     finder = _Sites()
     finder.visit(ast.parse(source))
     found, seen = [], Counter()
-    for node, function, operator, replacement in finder.found:
-        # col offsets count UTF-8 bytes
-        start = starts[node.lineno - 1] + node.col_offset
-        end = starts[node.end_lineno - 1] + node.end_col_offset
-        text = (data[:start] + replacement.encode("utf-8") + data[end:]).decode("utf-8")
+    for index, (node, function, operator) in enumerate(finder.found):
         source_line = lines[node.lineno - 1].decode("utf-8").strip()
         seen[function, operator, source_line] += 1
-        found.append(Mutant(path.name, function, node.lineno, node.col_offset + 1, operator,
-                            source_line, seen[function, operator, source_line], text))
+        found.append(Mutant(module, function, node.lineno, node.col_offset + 1, operator,
+                            source_line, seen[function, operator, source_line], index))
     return found
 
 
@@ -212,7 +208,7 @@ def sample(seed: int, per_module: int, modules: list[str]) -> list[Mutant]:
     """``per_module`` mutants of each module (all of them if it has fewer), in source order."""
     chosen = []
     for module in modules:
-        found = mutants(PACKAGE / module)
+        found = mutants(module)
         rng = random.Random(f"{seed}:{module}")  # a str seed does not depend on the hash seed
         picked = sorted(rng.sample(range(len(found)), min(per_module, len(found))))
         chosen.extend(found[i] for i in picked)
@@ -223,22 +219,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--per-module", type=int, default=30)
-    parser.add_argument("--modules", help="comma-separated module names (default: all)")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--summary", help="also append the report, as Markdown, to this file")
     args = parser.parse_args(argv)
-    modules = (sorted(PACKAGE.glob("*.py")) if args.modules is None
-               else [PACKAGE / f"{m.strip()}.py" for m in args.modules.split(",")])
-    names = [m.name for m in modules]
+    names = sorted(path.name for path in PACKAGE.glob("*.py"))
     chosen = sample(args.seed, args.per_module, names)
     # the unmutated copy must pass every file a mutant runs, or a kill would mean nothing
     every_file = sorted({f for c in chosen for f in tests_for(c.module)})
     if chosen and not run_tests(every_file):
         print("the unmutated copy fails " + " ".join(every_file), file=sys.stderr)
         return 2
-    with ThreadPoolExecutor(max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(JOBS) as pool:
         survived = list(pool.map(
-            lambda c: run_tests(tests_for(c.module), c.module, c.text), chosen))
+            lambda c: run_tests(tests_for(c.module), c.module, c.text()), chosen))
     judged = load_equivalent()
     report = [f"mutation score, seed {args.seed}, up to {args.per_module} mutants per module:", ""]
     for name in names:
