@@ -9,7 +9,6 @@ validation or data error, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from pathlib import Path
@@ -19,8 +18,6 @@ from . import datagen, dot, ingest, markov, writeback
 from .errors import ToolkitError
 from .query import evaluate, parse_query
 from .rdf import parse_ntriples, serialize_ntriples
-
-log = logging.getLogger(__name__)
 
 
 class CliError(ToolkitError):
@@ -64,6 +61,12 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
+def _say(args, message: str) -> None:
+    """With ``--verbose``, one line on stderr: ``INFO``, this module's name and the message."""
+    if args.verbose:
+        print(f"INFO {__name__}: {message}", file=sys.stderr)
+
+
 def _load_query_text(name: str) -> str:
     if Path(name).is_file():
         return _read_text(name)
@@ -74,7 +77,7 @@ def _cmd_gen_data(args) -> int:
     config = datagen.GenConfig(days=args.days, seed=args.seed)
     rows = datagen.generate(config)
     _write_text(args.out, datagen.rows_to_csv(rows))
-    log.info("wrote %d observation rows to %s", len(rows), args.out)
+    _say(args, f"wrote {len(rows)} observation rows to {args.out}")
     return 0
 
 
@@ -82,7 +85,7 @@ def _cmd_ingest(args) -> int:
     rows = datagen.rows_from_csv(_read_text(args.csv))
     graph = ingest.ingest_rows(rows)
     _write_text(args.out, serialize_ntriples(graph))
-    log.info("wrote %d triples to %s", len(graph), args.out)
+    _say(args, f"wrote {len(graph)} triples to {args.out}")
     return 0
 
 
@@ -110,8 +113,8 @@ def _cmd_estimate(args) -> int:
         counts = markov.count_pair_transitions(labels)
         matrix = markov.estimate_second_order(counts)
     _write_text(args.out, markov.dumps_matrix(matrix, counts))
-    log.info("estimated an order-%d chain over %d states from %d observations",
-             matrix.order, len(matrix.space), len(sequence))
+    _say(args, f"estimated an order-{matrix.order} chain over {len(matrix.space)} states "
+               f"from {len(sequence)} observations")
     return 0
 
 
@@ -155,7 +158,7 @@ def _cmd_writeback(args) -> int:
     else:
         writeback.writeback_cco_model(graph, counts, args.state, args.day)
     _write_text(args.out, serialize_ntriples(graph))
-    log.info("added %d triples, wrote %s", len(graph) - before, args.out)
+    _say(args, f"added {len(graph) - before} triples, wrote {args.out}")
     return 0
 
 
@@ -168,7 +171,7 @@ def _cmd_export_dot(args) -> int:
         fragment = dot.writeback_subgraph(graph)
         name = "writeback"
     _write_text(args.out, dot.graph_to_dot(fragment, name))
-    log.info("wrote DOT for %s to %s", name, args.out)
+    _say(args, f"wrote DOT for {name} to {args.out}")
     return 0
 
 
@@ -234,10 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        logging.basicConfig(
-            level=logging.INFO if args.verbose else logging.WARNING,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
         return args.func(args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,10 +7,11 @@ was never observed leaving are flagged ``unobserved`` and left as zeros
 rather than silently made uniform; powering and prediction refuse to touch
 them.
 
-numpy is imported by the first call that builds or reads an array, not when
-this module loads, so a process that never estimates, powers, predicts or
-writes back (``gen-data``, ``ingest``, ``query``, ``export-dot``) never pays
-for it.
+Counts, matrices and distributions keep their rows as tuples of Python ints
+or floats, so counting, estimation, the file format and one-step prediction
+never import numpy.  numpy loads only to multiply matrices in
+``matrix_power``, or when a caller reads the ``matrix``, ``p`` or ``mass``
+view: a read-only numpy array of the rows, built at its first read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from __future__ import annotations
 import json
 import math
 import sys
+from functools import cached_property
 from itertools import zip_longest
+from numbers import Real
 from typing import Optional, Sequence
 
 from .errors import ToolkitError
@@ -37,34 +40,35 @@ _ENTRY_SLACK = 1e-12
 _INT64_MAX = 2**63 - 1
 
 
-class _Numpy:
-    """Stands in for numpy until an attribute is first read, which imports it
-    and puts the module itself in ``np`` for every later call."""
-
-    def __getattr__(self, name):
-        global np
-        import numpy
-        np = numpy
-        return getattr(numpy, name)
-
-
-np = _Numpy()
+def _frozen(rows, dtype="float64"):
+    """``rows`` as a read-only numpy array; the only place this module imports numpy."""
+    import numpy
+    array = numpy.array(rows, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
 class MarkovError(ToolkitError):
     """Invalid chain data or an operation the data cannot support."""
 
 
-def _check_mass(rows: np.ndarray, tol: float, what: str, numbers=None) -> None:
+def _check_numbers(rows, what: str) -> None:
+    if not all(isinstance(x, Real) for row in rows for x in row):
+        raise MarkovError(f"{what} entries must be numbers")
+
+
+def _check_mass(rows, tol: float, what: str, numbers=None) -> None:
     """Refuse the first of ``rows`` not finite, in [0, 1] and summing to 1 within ``tol``."""
-    if not np.all(np.isfinite(rows)):
+    if not all(math.isfinite(x) for row in rows for x in row):
         raise MarkovError(f"{what} entries must be finite")
-    outside = np.any((rows < -_ENTRY_SLACK) | (rows > 1.0 + tol + _ENTRY_SLACK), axis=1)
-    sums = rows.sum(axis=1)
-    for i in np.flatnonzero(outside | (np.abs(sums - 1.0) > tol))[:1]:
-        where = what if numbers is None else f"{what}: row {numbers[i]}"
-        raise MarkovError(f"{where} has an entry outside [0, 1]" if outside[i]
-                          else f"{where} sums to {sums[i]}, not 1")
+    for i, row in enumerate(rows):
+        outside = any(x < -_ENTRY_SLACK or x > 1.0 + tol + _ENTRY_SLACK for x in row)
+        # fsum, not sum(), which Python 3.12 changed to compensated summation
+        total = math.fsum(row)
+        if outside or abs(total - 1.0) > tol:
+            where = what if numbers is None else f"{what}: row {numbers[i]}"
+            raise MarkovError(f"{where} has an entry outside [0, 1]" if outside
+                              else f"{where} sums to {total}, not 1")
 
 
 class StateSpace:
@@ -116,12 +120,15 @@ class _HistoryRows:
         self.space = space
         self.order = order
 
-    def _table(self, values, kind: str, dtype=None) -> np.ndarray:
-        arr = np.asarray(values, dtype=dtype)
+    def _table(self, rows, kind: str):
         shape = (len(self.space) ** self.order, len(self.space))
-        if arr.shape != shape:
-            raise MarkovError(f"order-{self.order} {kind} must have shape {shape}, got {arr.shape}")
-        return arr
+        # numpy's shape, but a ragged table shows each width, and a non-sequence row None
+        got = (len(rows), *dict.fromkeys(len(row) if hasattr(row, "__len__") else None
+                                         for row in rows)) if hasattr(rows, "__len__") else ()
+        if got != shape:
+            raise MarkovError(f"order-{self.order} {kind} must have shape {shape}, got {got}")
+        _check_numbers(rows, f"order-{self.order} {kind}")
+        return rows
 
     def row_index(self, *history: str) -> int:
         """The row of a history, oldest state first, read as base-n digits."""
@@ -136,37 +143,40 @@ class _HistoryRows:
 
 
 class ChainCounts(_HistoryRows):
-    """How often each state followed each history of ``order`` states."""
+    """How often each state followed each history of ``order`` states, as ``rows`` of Python
+    ints; ``matrix`` is the same table as a read-only int64 numpy array."""
 
     def __init__(self, space: StateSpace, matrix, order: int):
         super().__init__(space, order)
         what = f"order-{self.order} count matrix"
-        # checked as Python numbers, which neither overflow nor wrap as int64 does
-        values = self._table(matrix, "count matrix").tolist()
-        if not all(x % 1 == 0 for row in values for x in row):
+        rows = self._table(matrix, "count matrix")
+        if not all(x % 1 == 0 for row in rows for x in row):
             raise MarkovError(f"{what} entries must be integers")
-        if any(x < 0 for row in values for x in row):
+        if any(x < 0 for row in rows for x in row):
             raise MarkovError(f"{what} entries must be non-negative")
-        for i, row in enumerate(values):
-            if sum(map(int, row)) > _INT64_MAX:
+        self.rows = tuple(tuple(map(int, row)) for row in rows)
+        # summed as Python ints, which neither overflow nor wrap as int64 does
+        for i, row in enumerate(self.rows):
+            if sum(row) > _INT64_MAX:
                 raise MarkovError(f"{what}: the total of row {i} does not fit in int64")
-        self.matrix = np.array(values, dtype=np.int64)
+
+    matrix = cached_property(lambda self: _frozen(self.rows, "int64"))
 
     def count(self, *states: str) -> int:
         """How often the last state followed the history the others form."""
-        return int(self.matrix[self.row_index(*states[:-1]), self.space.index(states[-1])])
+        return self.rows[self.row_index(*states[:-1])][self.space.index(states[-1])]
 
     def row_total(self, *history: str) -> int:
-        return int(self.matrix[self.row_index(*history)].sum())
+        return sum(self.rows[self.row_index(*history)])
 
     def total(self) -> int:
-        return int(self.matrix.sum())
+        return sum(map(sum, self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, ChainCounts):
             return NotImplemented
         return (self.order == other.order and self.space == other.space
-                and np.array_equal(self.matrix, other.matrix))
+                and self.rows == other.rows)
 
 
 def _count(labels: Sequence[str], space: Optional[StateSpace], order: int) -> ChainCounts:
@@ -174,12 +184,12 @@ def _count(labels: Sequence[str], space: Optional[StateSpace], order: int) -> Ch
         space = StateSpace.from_observations(labels)
     n = len(space)
     rows = n ** order
-    matrix = np.zeros((rows, n), dtype=np.int64)
+    matrix = [[0] * n for _ in range(rows)]
     history = 0
     for t, label in enumerate(labels):
         state = space.index(label)
         if t >= order:
-            matrix[history, state] += 1
+            matrix[history][state] += 1
         # keep only the last `order` states: drop the oldest base-n digit
         history = (history * n + state) % rows
     return ChainCounts(space, matrix, order)
@@ -197,24 +207,27 @@ def count_pair_transitions(labels: Sequence[str], space: Optional[StateSpace] = 
 
 class ChainMatrix(_HistoryRows):
     """A matrix with one row per history of ``order`` states.  Every row is stochastic, or all
-    zero for a history never observed leaving, which ``row_status`` marks unobserved."""
+    zero for a history never observed leaving, which ``row_status`` marks unobserved.  ``rows``
+    holds the floats; ``p`` is the same table as a read-only float64 numpy array."""
 
     def __init__(self, space: StateSpace, p, order: int,
                  row_sum_tol: float = DEFAULT_ROW_SUM_TOL):
         super().__init__(space, order)
-        self.p = self._table(p, "matrix", np.float64)
+        self.rows = tuple(tuple(map(float, row)) for row in self._table(p, "matrix"))
         self.row_sum_tol = float(row_sum_tol)
-        observed = self.p.any(axis=1)
-        self.row_status = tuple(OBSERVED if seen else UNOBSERVED for seen in observed)
-        numbers = np.flatnonzero(observed)
-        _check_mass(self.p[numbers], self.row_sum_tol, f"order-{self.order} matrix", numbers)
+        self.row_status = tuple(OBSERVED if any(row) else UNOBSERVED for row in self.rows)
+        numbers = [i for i, status in enumerate(self.row_status) if status == OBSERVED]
+        _check_mass([self.rows[i] for i in numbers], self.row_sum_tol,
+                    f"order-{self.order} matrix", numbers)
+
+    p = cached_property(lambda self: _frozen(self.rows))
 
     def probability(self, *states: str) -> float:
         """The probability that the last state follows the history the others form."""
-        return float(self.p[self.row_index(*states[:-1]), self.space.index(states[-1])])
+        return self.rows[self.row_index(*states[:-1])][self.space.index(states[-1])]
 
-    def row(self, *history: str) -> np.ndarray:
-        return self.p[self.row_index(*history)].copy()
+    def row(self, *history: str) -> tuple[float, ...]:
+        return self.rows[self.row_index(*history)]
 
     def fully_observed(self) -> bool:
         return all(s == OBSERVED for s in self.row_status)
@@ -224,8 +237,9 @@ def _estimate(counts: ChainCounts, order: int) -> ChainMatrix:
     if counts.order != order:
         raise MarkovError(f"order-{order} estimation needs order-{order} counts, "
                           f"got order {counts.order}")
-    totals = counts.matrix.sum(axis=1, keepdims=True)
-    p = np.divide(counts.matrix, totals, out=np.zeros(counts.matrix.shape), where=totals > 0)
+    # numpy's int64 true division, bit for bit: the exact total rounded once, then divided
+    totals = [float(sum(row)) for row in counts.rows]
+    p = [[float(c) / t if t else 0.0 for c in row] for row, t in zip(counts.rows, totals)]
     return ChainMatrix(counts.space, p, order)
 
 
@@ -238,13 +252,13 @@ def estimate_second_order(counts: ChainCounts) -> ChainMatrix:
     return _estimate(counts, 2)
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product(a, b):
     """``a @ b`` summed over k = 0, 1, ... in turn.  Element-wise multiplies and
     adds round alike on every IEEE-754 machine; ``@`` goes to a BLAS kernel
     chosen per CPU, whose fused multiply-adds change the last bits."""
-    result = np.multiply.outer(a[:, 0], b[0])
+    result = a[:, 0, None] * b[0]
     for k in range(1, len(b)):
-        result += np.multiply.outer(a[:, k], b[k])
+        result += a[:, k, None] * b[k]
     return result
 
 
@@ -264,38 +278,44 @@ def matrix_power(matrix: ChainMatrix, steps: int) -> ChainMatrix:
         raise MarkovError(f"cannot power a matrix with unobserved rows: {', '.join(bad)}")
     # rows off 1 by e (plus each float product's rounding) drift by up to
     # (1 + e)^t - 1 in t steps; from 1 on, a row drained to zero would pass
-    off = float(np.abs(matrix.p.sum(axis=1) - 1.0).max()) + len(matrix.p) * np.finfo(float).eps
+    n = len(matrix.rows)
+    off = max(abs(math.fsum(row) - 1.0) for row in matrix.rows) + n * sys.float_info.epsilon
     growth = steps * math.log1p(off)
     if growth >= math.log(2):
         raise MarkovError(f"cannot power this matrix {steps} steps: its row sums are off 1 "
                           f"by up to {off:.3g}, so a row could drain to zero")
-    result = np.eye(len(matrix.p))
-    base = matrix.p.copy()
+    result = _frozen([[float(i == j) for j in range(n)] for i in range(n)])
+    base = _frozen(matrix.rows)
     exponent = steps
     while exponent:
         if exponent & 1:
             result = _product(result, base)
         base = _product(base, base)
         exponent >>= 1
-    return ChainMatrix(matrix.space, result, 1, row_sum_tol=math.expm1(growth) + 1e-12)
+    return ChainMatrix(matrix.space, result.tolist(), 1, row_sum_tol=math.expm1(growth) + 1e-12)
 
 
 class Distribution:
-    """A probability mass over the state space."""
+    """A probability mass over the state space, as ``values``, a Python float per state;
+    ``mass`` is the same as a read-only float64 numpy array."""
 
     def __init__(self, space: StateSpace, mass, tol: float = DEFAULT_ROW_SUM_TOL):
         self.space = space
-        self.mass = np.asarray(mass, dtype=np.float64)
         self.tol = float(tol)
-        if self.mass.shape != (len(space),):
-            raise MarkovError(f"mass must have shape ({len(space)},), got {self.mass.shape}")
-        _check_mass(self.mass[None], self.tol, "distribution")
+        got = (len(mass),) if hasattr(mass, "__len__") else ()
+        if got != (len(space),):
+            raise MarkovError(f"mass must have shape ({len(space)},), got {got}")
+        _check_numbers([mass], "distribution")
+        self.values = tuple(map(float, mass))
+        _check_mass([self.values], self.tol, "distribution")
+
+    mass = cached_property(lambda self: _frozen(self.values))
 
     def probability(self, state: str) -> float:
-        return float(self.mass[self.space.index(state)])
+        return self.values[self.space.index(state)]
 
     def as_pairs(self) -> list[tuple[str, float]]:
-        return [(s, float(self.mass[i])) for i, s in enumerate(self.space.states)]
+        return list(zip(self.space.states, self.values))
 
 
 def _predict_row(matrix: ChainMatrix, history: tuple[str, ...], steps: int = 1) -> Distribution:
@@ -304,7 +324,7 @@ def _predict_row(matrix: ChainMatrix, history: tuple[str, ...], steps: int = 1) 
         shown = ", ".join(repr(state) for state in history)
         raise MarkovError(f"transitions leaving ({shown}) were never observed; cannot predict")
     powered = matrix if steps == 1 else matrix_power(matrix, steps)
-    return Distribution(matrix.space, powered.p[row].copy(), tol=powered.row_sum_tol)
+    return Distribution(matrix.space, powered.rows[row], tol=powered.row_sum_tol)
 
 
 def predict(matrix: ChainMatrix, current: str, steps: int = 1) -> Distribution:
@@ -355,10 +375,10 @@ def _check_counts_agree(matrix: ChainMatrix, counts: ChainCounts) -> None:
     for i, (want, got) in enumerate(zip(expected.row_status, matrix.row_status)):
         if want != got:
             raise MarkovError(f"matrix file: row {i} is {got}, "
-                              f"but its counts total {counts.matrix[i].sum()}")
-    off = np.flatnonzero(np.any(np.abs(expected.p - matrix.p) > LOADED_ROW_SUM_TOL, axis=1))
-    if off.size:
-        raise MarkovError(f"matrix file: row {off[0]} of p disagrees with its counts")
+                              f"but its counts total {sum(counts.rows[i])}")
+    for i, (want, got) in enumerate(zip(expected.rows, matrix.rows)):
+        if any(abs(a - b) > LOADED_ROW_SUM_TOL for a, b in zip(want, got)):
+            raise MarkovError(f"matrix file: row {i} of p disagrees with its counts")
 
 
 def dumps_matrix(matrix: ChainMatrix, counts: Optional[ChainCounts] = None) -> str:
@@ -370,7 +390,7 @@ def dumps_matrix(matrix: ChainMatrix, counts: Optional[ChainCounts] = None) -> s
         "format": FILE_FORMAT,
         "order": matrix.order,
         "states": list(matrix.space.states),
-        "p": [[float(x) for x in row] for row in matrix.p],
+        "p": matrix.rows,
         "row_status": list(matrix.row_status),
     }
     if counts is not None:
@@ -378,7 +398,7 @@ def dumps_matrix(matrix: ChainMatrix, counts: Optional[ChainCounts] = None) -> s
             raise MarkovError("counts do not match the matrix order")
         if counts.space != matrix.space:
             raise MarkovError("counts and matrix use different state spaces")
-        out["counts"] = [[int(x) for x in row] for row in counts.matrix]
+        out["counts"] = counts.rows
     return json.dumps(out, indent=2) + "\n"
 
 

@@ -84,7 +84,7 @@ def _row_or_error(counts: ChainCounts, current: str, day_index: int) -> tuple[li
                 raise WritebackError(f"state labels {label!r} and {other!r} cannot be "
                                      f"written back together: the IRIs minted for "
                                      f"{other!r} start with those of {label!r}")
-    row = [int(x) for x in counts.matrix[counts.row_index(current)]]
+    row = list(counts.rows[counts.row_index(current)])
     total = sum(row)
     if total == 0:
         raise WritebackError(

@@ -2,7 +2,6 @@ import builtins
 import errno
 import io
 import json
-import logging
 import os
 import random
 import stat
@@ -552,18 +551,17 @@ class TestPredict:
 
 
 class TestWriteback:
-    def test_verbose_lines_count_what_was_done(self, graph_file, tmp_path, caplog):
+    def test_verbose_lines_count_what_was_done(self, graph_file, tmp_path, capsys):
         m, out = tmp_path / "m.json", tmp_path / "wb.nt"
-        with caplog.at_level(logging.INFO, logger="kgmarkov.cli"):
-            assert main(["--verbose", "estimate", "--graph", str(graph_file),
-                         "--out", str(m)]) == 0
-            assert main(["--verbose", "writeback", "--graph", str(graph_file), "--matrix", str(m),
-                         "--state", "location1", "--day", "3", "--model", "profile",
-                         "--out", str(out)]) == 0
+        assert main(["--verbose", "estimate", "--graph", str(graph_file), "--out", str(m)]) == 0
+        assert main(["--verbose", "writeback", "--graph", str(graph_file), "--matrix", str(m),
+                     "--state", "location1", "--day", "3", "--model", "profile",
+                     "--out", str(out)]) == 0
         added = (len(parse_ntriples(out.read_text(encoding="utf-8")))
                  - len(parse_ntriples(graph_file.read_text(encoding="utf-8"))))
-        assert caplog.messages == ["estimated an order-1 chain over 2 states from 3 observations",
-                                   f"added {added} triples, wrote {out}"]
+        assert capsys.readouterr().err == (
+            "INFO kgmarkov.cli: estimated an order-1 chain over 2 states from 3 observations\n"
+            f"INFO kgmarkov.cli: added {added} triples, wrote {out}\n")
 
     def test_profile_model_grows_the_graph(self, graph_file, tmp_path, vocab):
         m = write_example_matrix(tmp_path / "m.json", with_counts=True)
@@ -793,17 +791,30 @@ import kgmarkov.cli
 loaded = {"import": (sorted(m for m in sys.modules if m.startswith("kgmarkov.")),
                      "numpy" in sys.modules)}
 d = sys.argv[1]
-runs = {
-    "gen-data": ["gen-data", "--days", "10", "--out", d + "/obs.csv"],
-    "ingest": ["ingest", "--csv", d + "/obs.csv", "--out", d + "/graph.nt"],
-    "query": ["query", "--graph", d + "/graph.nt", "--query", "transitions"],
-    "export-dot": ["export-dot", "--graph", d + "/graph.nt", "--day", "1", "--out", d + "/d.dot"],
-    "estimate": ["estimate", "--graph", d + "/graph.nt", "--order", "1", "--out", d + "/m.json"],
-}
-for name, args in runs.items():
-    with contextlib.redirect_stdout(io.StringIO()):
-        status = kgmarkov.cli.main(args)
+
+
+def run(name, *args):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        status = kgmarkov.cli.main(list(args))
     loaded[name] = (status, "numpy" in sys.modules)
+
+
+run("gen-data", "--verbose", "gen-data", "--days", "10", "--out", d + "/obs.csv")
+with open(d + "/obs.csv", encoding="utf-8") as f:
+    first, second = [line.split(",")[2].strip() for line in f.readlines()[1:3]]
+g, m1, m2 = d + "/graph.nt", d + "/m1.json", d + "/m2.json"
+run("ingest", "ingest", "--csv", d + "/obs.csv", "--out", g)
+run("query", "query", "--graph", g, "--query", "transitions")
+run("export-dot", "export-dot", "--graph", g, "--day", "1", "--out", d + "/d.dot")
+run("estimate", "estimate", "--graph", g, "--order", "1", "--out", m1)
+run("estimate2", "estimate", "--graph", g, "--order", "2", "--out", m2)
+for model in ("profile", "cco"):
+    run("writeback " + model, "writeback", "--graph", g, "--matrix", m1, "--state", first,
+        "--day", "10", "--model", model, "--out", d + "/wb.nt")
+run("predict", "predict", "--matrix", m1, "--state", first, "--steps", "1")
+run("predict2", "predict", "--matrix", m2, "--prev", first, "--state", second)
+run("power", "power", "--matrix", m1, "--steps", "3")
+loaded["logging"] = "logging" in sys.modules
 print(json.dumps(loaded))
 """
 
@@ -820,8 +831,12 @@ class TestStartup:
         assert {f"kgmarkov.{m}" for m in ("datagen", "dot", "ingest", "markov", "query", "rdf",
                                           "vocab", "writeback")} <= set(modules)
         assert not numpy_loaded
+        # numpy loads only to multiply matrices, and no run, --verbose included, loads logging
         assert loaded == {"gen-data": [0, False], "ingest": [0, False], "query": [0, False],
-                          "export-dot": [0, False], "estimate": [0, True]}
+                          "export-dot": [0, False], "estimate": [0, False],
+                          "estimate2": [0, False], "writeback profile": [0, False],
+                          "writeback cco": [0, False], "predict": [0, False],
+                          "predict2": [0, False], "power": [0, True], "logging": False}
 
 
 _LIBRARY_CHILD = """
@@ -840,12 +855,13 @@ print("numpy" in sys.modules, "logging" in sys.modules)
 
 class TestLibraryImports:
     def test_the_library_never_loads_logging(self):
-        """Only the CLI logs; a process using the library alone pays for no logging import."""
+        """A process that counts, estimates and writes back, linked, loads neither
+        logging nor numpy."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         done = subprocess.run([sys.executable, "-c", _LIBRARY_CHILD], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
-        assert done.stdout == "True False\n"
+        assert done.stdout == "False False\n"
 
 
 class TestAtomicOutput:

@@ -13,12 +13,16 @@ from kgmarkov.datagen import DEFAULT_SEED, GenConfig, generate
 from kgmarkov.dot import day_subgraph, graph_to_dot
 from kgmarkov.ingest import ingest_rows, load_bundled_query, location_sequence
 from kgmarkov.markov import (
+    OBSERVED,
     count_pair_transitions,
     count_transitions,
     dumps_matrix,
     estimate_first_order,
     estimate_second_order,
+    loads_matrix,
     matrix_power,
+    predict,
+    predict_second_order,
 )
 from kgmarkov.query import evaluate, parse_query
 from kgmarkov.rdf import Graph, serialize_ntriples
@@ -36,6 +40,9 @@ ORDER2_MATRIX_SHA = "eb74355d157ca7e01593bc411670687794d238fa25b62d984e172b2bf25
 # `kgmarkov power --steps 5` of the order-1 file; its products sum in a fixed
 # order, so the bytes hold on every CPU
 POWER_SHA = "b228f4423a104469a48429ff3de25625026c7bb1e8cf314b07ee864e4c33f026"
+# every distribution `kgmarkov predict` prints from the two files: each state
+# at 1 and 3 steps, and each observed pair with --prev, at full precision
+PREDICT_SHA = "42b5dc4624c75273a3e8d8d75b5d58f88d98a6710561d2f1bf3e2f71dbf6ae46"
 
 
 def _sha(text: str) -> str:
@@ -106,6 +113,36 @@ def test_day_dot(graph):
 def test_matrix_file(graph, count, estimate, digest):
     c = count([loc.local_name() for _, loc in location_sequence(graph)])
     assert _sha(dumps_matrix(estimate(c), c)) == digest
+
+
+@pytest.fixture(scope="module")
+def matrix_files(graph):
+    labels = [loc.local_name() for _, loc in location_sequence(graph)]
+    return [dumps_matrix(estimate(c), c) for c, estimate in (
+        (count_transitions(labels), estimate_first_order),
+        (count_pair_transitions(labels), estimate_second_order))]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_matrix_file_round_trips(matrix_files, order):
+    text = matrix_files[order - 1]
+    assert dumps_matrix(*loads_matrix(text)) == text
+
+
+def test_predictions(matrix_files):
+    first, _ = loads_matrix(matrix_files[0])
+    second, _ = loads_matrix(matrix_files[1])
+    lines = []
+    for state in first.space:
+        for steps in (1, 3):
+            lines += [f"{state} {steps}: {s} {v!r}"
+                      for s, v in predict(first, state, steps).as_pairs()]
+    for prev in second.space:
+        for state in second.space:
+            if second.row_status[second.row_index(prev, state)] == OBSERVED:
+                lines += [f"{prev} {state}: {s} {v!r}"
+                          for s, v in predict_second_order(second, prev, state).as_pairs()]
+    assert _sha("\n".join(lines) + "\n") == PREDICT_SHA
 
 
 def test_power_file(counts):

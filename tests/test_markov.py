@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -31,6 +33,7 @@ from conftest import EXAMPLE_P, EXAMPLE_P2, LOCATIONS3
 from oracles import naive_power, rational_estimate, row_loop_estimate
 
 SPACE3 = StateSpace(LOCATIONS3)
+AB = StateSpace(["a", "b"])
 
 
 # JSON text for any value: what json.dumps writes (integers past the float
@@ -144,6 +147,9 @@ class TestCounting:
                                               "does not fit in int64"):
             ChainCounts(StateSpace(["a", "b"]), [row, [0, 0]], 1)
 
+    def test_counts_differing_only_in_their_rows_are_unequal(self):
+        assert ChainCounts(AB, [[1, 0], [0, 1]], 1) != ChainCounts(AB, [[0, 1], [0, 1]], 1)
+
     def test_counts_up_to_the_int64_limit_are_kept_exactly(self):
         c = ChainCounts(StateSpace(["a", "b"]), [[2**62, 2**62 - 1], [2**63 - 1, 0]], 1)
         assert c.row_total("a") == c.row_total("b") == 2**63 - 1
@@ -241,6 +247,38 @@ class TestMatrixValidation:
         with pytest.raises(MarkovError):
             ChainMatrix(SPACE3, bad, 1)
 
+    @pytest.mark.parametrize("make,what", [
+        (lambda rows: ChainMatrix(AB, rows, 1), "order-1 matrix"),
+        (lambda rows: ChainCounts(AB, rows, 1), "order-1 count matrix"),
+    ], ids=["matrix", "counts"])
+    @pytest.mark.parametrize("rows,refusal", [
+        ([[1, 0], [1]], "must have shape (2, 2), got (2, 2, 1)"),
+        ([[1, 0], 1], "must have shape (2, 2), got (2, 2, None)"),
+        (None, "must have shape (2, 2), got ()"),
+        ([[1, 0], ["x", 1]], "entries must be numbers"),
+        ([[1, 0], ["1", 0]], "entries must be numbers"),
+        ([[1, 0], [None, 1]], "entries must be numbers"),
+    ], ids=["ragged", "number-for-a-row", "no-rows", "word", "numeric-string", "none"])
+    def test_malformed_rows_are_refused(self, make, what, rows, refusal):
+        """Ragged rows and words died in numpy with a ValueError, and numpy
+        turned a numeric string into its number."""
+        with pytest.raises(MarkovError, match="^" + re.escape(f"{what} {refusal}") + "$"):
+            make(rows)
+
+    @pytest.mark.parametrize("view", ["matrix", "p", "mass"])
+    def test_each_view_is_a_read_only_array_of_the_rows(self, view):
+        counts = ChainCounts(SPACE3, [[12, 9, 11], [5, 5, 0], [1, 2, 3]], 1)
+        matrix = estimate_first_order(counts)
+        owner, want, dtype = {
+            "matrix": (counts, [[12, 9, 11], [5, 5, 0], [1, 2, 3]], np.int64),
+            "p": (matrix, [list(row) for row in matrix.rows], np.float64),
+            "mass": (predict(matrix, "location2"), [0.5, 0.5, 0.0], np.float64)}[view]
+        array = getattr(owner, view)
+        assert array is getattr(owner, view)
+        assert array.dtype == dtype and array.tolist() == want
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
     def test_row_status_is_worked_out_from_p(self):
         p = [[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [-0.0, 0.0, 0.0]]
         assert ChainMatrix(SPACE3, p, 1).row_status == (UNOBSERVED, OBSERVED, UNOBSERVED)
@@ -257,6 +295,13 @@ class TestMatrixValidation:
                   "among-mass": [0.5, bad, 0.5]}[shape]
         with pytest.raises(MarkovError, match="order-1 matrix entries must be finite"):
             ChainMatrix(StateSpace(["a", "b", "c"]), p, 1)
+
+    @pytest.mark.parametrize("row", [[1.0, -1e-12], [1.0 + 0.9995e-9, 0.0]],
+                             ids=["the-slack-below-0", "within-the-tolerance-above-1"])
+    def test_entries_just_outside_0_and_1_are_admitted(self, row):
+        """An entry may sit up to 1e-12 below 0, and above 1 by up to the
+        row tolerance plus 1e-12, when its row still sums to 1 within it."""
+        assert ChainMatrix(AB, [row, [0.0, 1.0]], 1).rows[0] == tuple(row)
 
     def test_loose_tolerance_admits_published_rounding(self):
         m = ChainMatrix(SPACE3, EXAMPLE_P2[:3], 1, row_sum_tol=LOADED_ROW_SUM_TOL)
@@ -392,6 +437,13 @@ class TestPrediction:
             Distribution(SPACE3, [1.5, -0.25, -0.25])
         with pytest.raises(MarkovError, match=r"mass must have shape \(3,\), got \(2,\)"):
             Distribution(SPACE3, [0.5, 0.5])
+        with pytest.raises(MarkovError, match=r"mass must have shape \(3,\), got \(\)"):
+            Distribution(SPACE3, 1.0)
+
+    @pytest.mark.parametrize("mass", [["0.5", "0.5"], [None, 1.0], [[0.5], 0.5]])
+    def test_distribution_refuses_entries_that_are_not_numbers(self, mass):
+        with pytest.raises(MarkovError, match="^distribution entries must be numbers$"):
+            Distribution(AB, mass)
 
     @pytest.mark.parametrize("mass", [[float("nan")] * 2, [float("inf"), 0.0],
                                       [float("nan"), 1.0]])
@@ -556,6 +608,12 @@ class TestFileFormat:
         data[field] = value
         kind = "the integer 1" if field == "format" else "a list"
         with pytest.raises(MarkovError, match=f"matrix file: {field} must be {kind}"):
+            loads_matrix(json.dumps(data))
+
+    def test_the_largest_double_is_a_number_in_a_file(self):
+        data = json.loads(dumps_matrix(example_matrix()))
+        data["p"][0] = [sys.float_info.max, 0.0, 0.0]
+        with pytest.raises(MarkovError, match="^order-1 matrix: row 0 has an entry outside"):
             loads_matrix(json.dumps(data))
 
     def test_counts_within_the_file_tolerance_of_p_load(self):
