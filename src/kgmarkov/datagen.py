@@ -66,6 +66,9 @@ class GenConfig:
     initial_location: Optional[str] = None
 
     def __post_init__(self):
+        for name in ("days", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise DatagenError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.days < 1:
             raise DatagenError(f"days must be at least 1, got {self.days}")
         if self.initial_location is not None and self.initial_location not in LOCATIONS:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import ToolkitError
 from .ingest import default_manifest
-from .rdf import Graph, Iri, Triple, string_literal
+from .rdf import Graph, Iri, Literal, Triple
 from .vocab import _shipped
 from .writeback import PREDICTED_FLAG
 
@@ -65,7 +65,7 @@ def writeback_subgraph(graph: Graph) -> Graph:
     for cls in wb_classes:
         for t in graph.match(None, vocab.type, cls):
             subjects.add(t.subject)
-    for t in graph.match(None, vocab.predicted, string_literal(PREDICTED_FLAG)):
+    for t in graph.match(None, vocab.predicted, Literal(PREDICTED_FLAG)):
         subjects.add(t.subject)
     if not subjects:
         raise DotError("the graph holds no writeback structure")

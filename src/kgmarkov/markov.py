@@ -10,8 +10,8 @@ them.
 Counts, matrices and distributions keep their rows as tuples of Python ints
 or floats, so counting, estimation, the file format and one-step prediction
 never import numpy.  numpy loads only to multiply matrices in
-``matrix_power``, or when a caller reads the ``matrix``, ``p`` or ``mass``
-view: a read-only numpy array of the rows, built at its first read.
+``matrix_power``, or when a caller reads ``ChainMatrix.p``, the one numpy
+view: a read-only array of the rows, built at its first read.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ _ENTRY_SLACK = 1e-12
 _INT64_MAX = 2**63 - 1
 
 
-def _frozen(rows, dtype="float64"):
-    """``rows`` as a read-only numpy array; the only place this module imports numpy."""
+def _frozen(rows):
+    """``rows`` as a read-only float64 numpy array; the only place this module imports numpy."""
     import numpy
-    array = numpy.array(rows, dtype=dtype)
+    array = numpy.array(rows, dtype="float64")
     array.flags.writeable = False
     return array
 
@@ -55,6 +55,13 @@ class MarkovError(ToolkitError):
 def _check_numbers(rows, what: str) -> None:
     if not all(isinstance(x, Real) for row in rows for x in row):
         raise MarkovError(f"{what} entries must be numbers")
+
+
+def _floats(rows, what: str) -> tuple[tuple[float, ...], ...]:
+    try:
+        return tuple(tuple(map(float, row)) for row in rows)
+    except OverflowError:  # an int past the float range
+        raise MarkovError(f"{what} entries must be finite") from None
 
 
 def _check_mass(rows, tol: float, what: str, numbers=None) -> None:
@@ -99,9 +106,6 @@ class StateSpace:
     def __len__(self):
         return len(self.states)
 
-    def __iter__(self):
-        return iter(self.states)
-
     def __eq__(self, other):
         if not isinstance(other, StateSpace):
             return NotImplemented
@@ -144,7 +148,7 @@ class _HistoryRows:
 
 class ChainCounts(_HistoryRows):
     """How often each state followed each history of ``order`` states, as ``rows`` of Python
-    ints; ``matrix`` is the same table as a read-only int64 numpy array."""
+    ints."""
 
     def __init__(self, space: StateSpace, matrix, order: int):
         super().__init__(space, order)
@@ -159,18 +163,6 @@ class ChainCounts(_HistoryRows):
         for i, row in enumerate(self.rows):
             if sum(row) > _INT64_MAX:
                 raise MarkovError(f"{what}: the total of row {i} does not fit in int64")
-
-    matrix = cached_property(lambda self: _frozen(self.rows, "int64"))
-
-    def count(self, *states: str) -> int:
-        """How often the last state followed the history the others form."""
-        return self.rows[self.row_index(*states[:-1])][self.space.index(states[-1])]
-
-    def row_total(self, *history: str) -> int:
-        return sum(self.rows[self.row_index(*history)])
-
-    def total(self) -> int:
-        return sum(map(sum, self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, ChainCounts):
@@ -213,7 +205,7 @@ class ChainMatrix(_HistoryRows):
     def __init__(self, space: StateSpace, p, order: int,
                  row_sum_tol: float = DEFAULT_ROW_SUM_TOL):
         super().__init__(space, order)
-        self.rows = tuple(tuple(map(float, row)) for row in self._table(p, "matrix"))
+        self.rows = _floats(self._table(p, "matrix"), f"order-{self.order} matrix")
         self.row_sum_tol = float(row_sum_tol)
         self.row_status = tuple(OBSERVED if any(row) else UNOBSERVED for row in self.rows)
         numbers = [i for i, status in enumerate(self.row_status) if status == OBSERVED]
@@ -228,9 +220,6 @@ class ChainMatrix(_HistoryRows):
 
     def row(self, *history: str) -> tuple[float, ...]:
         return self.rows[self.row_index(*history)]
-
-    def fully_observed(self) -> bool:
-        return all(s == OBSERVED for s in self.row_status)
 
 
 def _estimate(counts: ChainCounts, order: int) -> ChainMatrix:
@@ -271,10 +260,12 @@ def matrix_power(matrix: ChainMatrix, steps: int) -> ChainMatrix:
     """
     if matrix.order != 1:
         raise MarkovError(f"only first-order chains can be powered, got order {matrix.order}")
+    if type(steps) is not int:
+        raise MarkovError(f"steps must be an integer, not {steps!r}")
     if steps < 0:
         raise MarkovError("steps must be non-negative")
-    if not matrix.fully_observed():
-        bad = [matrix.space.states[i] for i, s in enumerate(matrix.row_status) if s == UNOBSERVED]
+    bad = [matrix.space.states[i] for i, s in enumerate(matrix.row_status) if s == UNOBSERVED]
+    if bad:
         raise MarkovError(f"cannot power a matrix with unobserved rows: {', '.join(bad)}")
     # rows off 1 by e (plus each float product's rounding) drift by up to
     # (1 + e)^t - 1 in t steps; from 1 on, a row drained to zero would pass
@@ -296,8 +287,7 @@ def matrix_power(matrix: ChainMatrix, steps: int) -> ChainMatrix:
 
 
 class Distribution:
-    """A probability mass over the state space, as ``values``, a Python float per state;
-    ``mass`` is the same as a read-only float64 numpy array."""
+    """A probability mass over the state space, as ``values``, a Python float per state."""
 
     def __init__(self, space: StateSpace, mass, tol: float = DEFAULT_ROW_SUM_TOL):
         self.space = space
@@ -306,10 +296,8 @@ class Distribution:
         if got != (len(space),):
             raise MarkovError(f"mass must have shape ({len(space)},), got {got}")
         _check_numbers([mass], "distribution")
-        self.values = tuple(map(float, mass))
+        self.values = _floats([mass], "distribution")[0]
         _check_mass([self.values], self.tol, "distribution")
-
-    mass = cached_property(lambda self: _frozen(self.values))
 
     def probability(self, state: str) -> float:
         return self.values[self.space.index(state)]
@@ -329,6 +317,8 @@ def _predict_row(matrix: ChainMatrix, history: tuple[str, ...], steps: int = 1) 
 
 def predict(matrix: ChainMatrix, current: str, steps: int = 1) -> Distribution:
     """Where the chain will be after a number of steps from a known state."""
+    if type(steps) is not int:
+        raise MarkovError(f"steps must be an integer, not {steps!r}")
     if steps < 1:
         raise MarkovError("steps must be at least 1")
     return _predict_row(matrix, (current,), steps)

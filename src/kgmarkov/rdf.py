@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import Decimal
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import ToolkitError
 
@@ -131,10 +131,6 @@ class Triple:
             raise TermError("triple object must be an IRI or literal")
 
 
-def string_literal(value: str) -> Literal:
-    return Literal(value, STRING)
-
-
 def integer_literal(value: int) -> Literal:
     return Literal(str(int(value)), INTEGER)
 
@@ -241,7 +237,7 @@ class Graph:
     drop or update the holder, whose state it would no longer contain.
     """
 
-    def __init__(self, triples: Iterable[Triple] = ()):
+    def __init__(self):
         self._terms: dict[str, Term] = {}  # key -> the first term stored under it
         # innermost buckets: a 1-tuple for one key, a set for more
         self._spo: dict[str, dict[str, Union[tuple[str], set[str]]]] = {}
@@ -254,8 +250,6 @@ class Graph:
         # from one state shares, holding that state's sorted lines once built
         self._base: Optional[list[Optional[list[str]]]] = None
         self._added: list[tuple[str, str, str]] = []  # key triples added since
-        for t in triples:
-            self.insert(t)
 
     def insert(self, triple: Triple) -> bool:
         """Add a triple.  Returns False if it was already present."""

@@ -29,7 +29,6 @@ from .rdf import (
     Triple,
     decimal_literal,
     integer_literal,
-    string_literal,
 )
 from .vocab import Vocab, _shipped
 
@@ -63,6 +62,8 @@ def _detokenize(token: str) -> str:
 
 def _row_or_error(counts: ChainCounts, current: str, day_index: int) -> tuple[list[int], int, str]:
     """The checks both models open with; the from-state's count row, total and IRI token."""
+    if type(day_index) is not int:
+        raise WritebackError(f"day_index must be an integer, not {day_index!r}")
     if day_index < 0:
         raise WritebackError("day_index must be non-negative")
     # read_probabilities would rename a label whose minted IRIs read back as
@@ -117,14 +118,14 @@ def writeback_profile_model(
     target state, count and total ICEs (counts always, zeros included), and
     a PMICE per nonzero target.  With link_realizations, each historical day
     whose transition leaves ``current`` for a listed state also gains a
-    realizes edge from its arriving trip part: ``counts.row_total(current)``
-    edges for counts taken from this graph.  Locations match by local name,
+    realizes edge from its arriving trip part, as many edges as the from-state's
+    row total for counts taken from this graph.  Locations match by local name,
     the labels ``estimate`` uses; ``location_sequence`` refuses a graph where
     one is empty or names two locations, and a matching day whose trip part
     is the subject of no triple is refused, both before any write.
     day_index names the day being predicted; profile IRIs do not depend on
-    it, but a negative one is refused as in the cco model, so both model
-    calls stay interchangeable.
+    it, but one that is not an int, or is negative, is refused as in the cco
+    model, so both model calls stay interchangeable.
     """
     manifest = default_manifest()
     vocab = _shipped()
@@ -212,7 +213,7 @@ def writeback_cco_model(
 
     future = manifest.future_trip_part(day_index + 1)
     add(Triple(future, vocab.type, vocab.Process))
-    add(Triple(future, vocab.predicted, string_literal(PREDICTED_FLAG)))
+    add(Triple(future, vocab.predicted, Literal(PREDICTED_FLAG)))
 
     for pmice, count, value in zip(pmices, row, values):
         if count == 0:
@@ -258,7 +259,7 @@ def _read_cco(graph: Graph, current: str) -> dict[str, float]:
     prefix = f"markovPMICE_{s_tok}to"
     values: dict[str, float] = {}
     futures = []
-    for t in graph.match(None, vocab.predicted, string_literal(PREDICTED_FLAG)):
+    for t in graph.match(None, vocab.predicted, Literal(PREDICTED_FLAG)):
         for m in graph.match(None, vocab.modally_about, t.subject):
             local = m.subject.local_name()
             if not local.startswith(prefix):

@@ -4,6 +4,7 @@ import pytest
 
 from kgmarkov.datagen import ObservationRow
 from kgmarkov.ingest import ingest_rows
+from kgmarkov.rdf import Graph
 from kgmarkov.vocab import Vocab
 
 LOCATIONS3 = ("location1", "location2", "location3")
@@ -42,6 +43,14 @@ THREE_DAY_ROWS = (
     ObservationRow(datetime(2023, 4, 9, 12, 0, 0), "location1"),
     ObservationRow(datetime(2023, 4, 10, 12, 0, 0), "location3"),
 )
+
+
+def graph_of(triples) -> Graph:
+    """A graph holding ``triples``, inserted one at a time."""
+    graph = Graph()
+    for t in triples:
+        graph.insert(t)
+    return graph
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,6 @@ from kgmarkov.rdf import (
     Triple,
     datetime_literal,
     integer_literal,
-    string_literal,
 )
 from kgmarkov.vocab import _shipped
 from kgmarkov.writeback import state_token
@@ -90,7 +89,7 @@ def random_graph_and_query(rng: random.Random) -> tuple[Graph, Query]:
     pool = 6 if k == 4 else 8
     iris = [Iri(f"http://example.org/data/t{i}") for i in range(pool)]
     predicates = iris[: max(3, pool // 2)]
-    literals = [integer_literal(0), integer_literal(1), string_literal("x")]
+    literals = [integer_literal(0), integer_literal(1), Literal("x")]
     objects = iris + literals
 
     graph = Graph()

@@ -60,6 +60,15 @@ class TestGenConfig:
         with pytest.raises(DatagenError):
             GenConfig(days=days)
 
+    @pytest.mark.parametrize("field,value", [
+        ("days", 1.5), ("days", True), ("days", "3"), ("seed", 1.5), ("seed", "7"),
+        ("seed", False)])
+    def test_days_and_seed_must_be_ints(self, field, value):
+        """days=1.5 was accepted and generate died with a TypeError, days=True
+        gave one day, and a float or string seed died inside SplitMix64."""
+        with pytest.raises(DatagenError, match=f"^{field} must be an integer, not {value!r}$"):
+            GenConfig(**{"days": 3, field: value})
+
     def test_rejects_unknown_initial_location(self):
         with pytest.raises(DatagenError):
             GenConfig(days=1, initial_location="atlantis")
@@ -147,6 +156,11 @@ class TestGenerate:
         # a kernel row may sum to 1 - 1e-12, and a unit draw can exceed that sum
         rng = SimpleNamespace(next_unit=lambda: 1 - 2 ** -53)
         assert _sample_row(rng, (0.5, 0.25, 0.25 - 1e-12)) == 2
+
+    def test_a_draw_on_a_boundary_takes_the_location_below_it(self):
+        # every generated file depends on this tie rule
+        rng = SimpleNamespace(next_unit=lambda: 0.5)
+        assert _sample_row(rng, (0.5, 0.5, 0.0)) == 0
 
     def test_kernel_with_unpinned_start_samples_uniformly_first(self):
         kernel = ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))

@@ -4,7 +4,7 @@ from kgmarkov.datagen import GenConfig, generate
 from kgmarkov.dot import DotError, day_subgraph, graph_to_dot, writeback_subgraph
 from kgmarkov.ingest import ingest_rows
 from kgmarkov.markov import ChainCounts, StateSpace, count_transitions
-from kgmarkov.rdf import Graph, Iri, Triple, string_literal
+from kgmarkov.rdf import Graph, Iri, Literal, Triple
 from kgmarkov.writeback import writeback_cco_model, writeback_profile_model
 
 from conftest import LOCATIONS3, THREE_DAY_ROWS
@@ -68,7 +68,7 @@ class TestWritebackSubgraph:
         writeback_cco_model(g, worked_counts(), "location1", 3)
         sub = writeback_subgraph(g)
         future = Iri("http://example.org/data/fishingTripPart_4")
-        assert Triple(future, vocab.predicted, string_literal("true")) in sub
+        assert Triple(future, vocab.predicted, Literal("true")) in sub
         assert len(sub.match(None, vocab.modally_about, future)) == 3
 
     def test_plain_ingest_has_no_writeback(self, three_day_graph):
@@ -82,7 +82,7 @@ class TestDotRendering:
         a = Iri("http://example.org/data/a")
         b = Iri("http://example.org/data/b")
         g.insert(Triple(a, vocab.precedes, b))
-        g.insert(Triple(a, vocab.has_datetime_value, string_literal("x")))
+        g.insert(Triple(a, vocab.has_datetime_value, Literal("x")))
         assert graph_to_dot(g, "tiny") == (
             'digraph "tiny" {\n'
             "  rankdir=LR;\n"

@@ -25,7 +25,7 @@ from kgmarkov.markov import (
     predict_second_order,
 )
 from kgmarkov.query import evaluate, parse_query
-from kgmarkov.rdf import Graph, serialize_ntriples
+from kgmarkov.rdf import parse_ntriples, serialize_ntriples
 from kgmarkov.vocab import Vocab
 from kgmarkov.writeback import writeback_cco_model, writeback_profile_model
 
@@ -67,7 +67,7 @@ def test_graph_serialization(graph):
 def source(graph):
     """A graph with ``graph``'s triples whose copies share a new, empty holder
     of sorted lines, so each test decides which serialize fills it."""
-    return Graph(graph)
+    return parse_ntriples(serialize_ntriples(graph))
 
 
 # A written copy serializes either by filling its holder of sorted lines
@@ -133,12 +133,12 @@ def test_predictions(matrix_files):
     first, _ = loads_matrix(matrix_files[0])
     second, _ = loads_matrix(matrix_files[1])
     lines = []
-    for state in first.space:
+    for state in first.space.states:
         for steps in (1, 3):
             lines += [f"{state} {steps}: {s} {v!r}"
                       for s, v in predict(first, state, steps).as_pairs()]
-    for prev in second.space:
-        for state in second.space:
+    for prev in second.space.states:
+        for state in second.space.states:
             if second.row_status[second.row_index(prev, state)] == OBSERVED:
                 lines += [f"{prev} {state}: {s} {v!r}"
                           for s, v in predict_second_order(second, prev, state).as_pairs()]

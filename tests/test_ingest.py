@@ -18,7 +18,7 @@ from kgmarkov.ingest import (
 from kgmarkov.query import Var, evaluate, parse_query
 from kgmarkov.rdf import Graph, Iri, Triple, datetime_literal, serialize_ntriples
 
-from conftest import THREE_DAY_ROWS, one_string_per_key
+from conftest import THREE_DAY_ROWS, graph_of, one_string_per_key
 from oracles import reference_timeline, triple_ingest
 
 E = "http://example.org/data/"
@@ -76,7 +76,7 @@ def _edited(rows, edits, vocab):
                      else m.location(label + "/"))
             triples.remove(Triple(m.track_point(day), vocab.spatial_part_of, m.location(label)))
             triples.add(Triple(m.track_point(day), vocab.spatial_part_of, place))
-    return Graph(triples)
+    return graph_of(triples)
 
 
 def _line(s, p, o):
@@ -294,8 +294,8 @@ class TestReadback:
 
     def test_a_track_point_without_a_time_is_refused(self, three_day_graph, vocab):
         """Dropping day 2's time used to make up a step from day 1 to day 3."""
-        gap = Graph(t for t in three_day_graph if (t.subject, t.predicate)
-                    != (Iri(E + "tInstant_d2"), vocab.has_datetime_value))
+        gap = graph_of(t for t in three_day_graph if (t.subject, t.predicate)
+                       != (Iri(E + "tInstant_d2"), vocab.has_datetime_value))
         with pytest.raises(IngestError, match="returned 2 rows for the 3 track points"):
             transition_pairs(gap)
 
@@ -309,8 +309,8 @@ class TestReadback:
     def test_a_day_without_a_time_and_a_day_with_two_are_refused(self, three_day_graph, vocab):
         """Day 2's time dropped and a second time for day 3 used to cancel out
         in the row count: a made-up step from day 1 to day 3, then a self-step."""
-        cancel = Graph(t for t in three_day_graph if (t.subject, t.predicate)
-                       != (Iri(E + "tInstant_d2"), vocab.has_datetime_value))
+        cancel = graph_of(t for t in three_day_graph if (t.subject, t.predicate)
+                          != (Iri(E + "tInstant_d2"), vocab.has_datetime_value))
         cancel.insert(Triple(Iri(E + "tInstant_d3"), vocab.has_datetime_value,
                              datetime_literal(datetime(2023, 4, 10, 18))))
         with pytest.raises(IngestError, match="track point .*/trackPoint_d3 has more than one"):

@@ -33,10 +33,10 @@ from kgmarkov.rdf import (
     Triple,
     datetime_literal,
     integer_literal,
-    string_literal,
 )
 from kgmarkov.vocab import Vocab
 
+from conftest import graph_of
 from oracles import brute_force_rows, random_graph_and_query, scan_tokens
 
 BFO_NS = Vocab().prefixes.namespace("bfo")
@@ -116,7 +116,7 @@ class TestParsing:
 
     def test_plain_literal_objects_are_strings(self):
         q = parse_query('SELECT ?s WHERE { ?s ex:predicted "true" . }')
-        assert q.patterns[0].object == string_literal("true")
+        assert q.patterns[0].object == Literal("true")
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -270,7 +270,7 @@ class TestEvaluation:
 
     def test_bag_semantics_preserves_duplicates(self):
         # two different mid nodes produce two identical projected rows
-        g = Graph(
+        g = graph_of(
             [
                 Triple(iri("s"), iri("p"), iri("m1")),
                 Triple(iri("s"), iri("p"), iri("m2")),
@@ -289,7 +289,7 @@ class TestEvaluation:
         assert table.rows == [(iri("s"), iri("end")), (iri("s"), iri("end"))]
 
     def test_rows_sort_by_serialization_without_order_by(self):
-        g = Graph(
+        g = graph_of(
             [
                 Triple(iri("b"), iri("p"), iri("x")),
                 Triple(iri("a"), iri("p"), iri("y")),
@@ -300,7 +300,7 @@ class TestEvaluation:
         assert [row[0] for row in evaluate(q, g).rows] == [iri("a"), iri("b"), iri("c")]
 
     def test_order_by_overrides_default_order(self):
-        g = Graph(
+        g = graph_of(
             [
                 Triple(iri("a"), iri("p"), datetime_literal(datetime(2023, 4, 10))),
                 Triple(iri("b"), iri("p"), datetime_literal(datetime(2023, 4, 8))),
@@ -312,7 +312,7 @@ class TestEvaluation:
 
     def test_order_by_ties_break_on_projected_row(self):
         when = datetime_literal(datetime(2023, 4, 8))
-        g = Graph(
+        g = graph_of(
             [
                 Triple(iri("b"), iri("p"), when),
                 Triple(iri("a"), iri("p"), when),
@@ -324,8 +324,8 @@ class TestEvaluation:
     def _dated_graph(self):
         """Four subjects on three days; a and d share the 8th."""
         day = {n: datetime_literal(datetime(2023, 4, n)) for n in (8, 9, 10)}
-        return Graph([Triple(iri(s), iri("p"), day[n])
-                      for s, n in (("d", 8), ("c", 9), ("b", 10), ("a", 8))])
+        return graph_of([Triple(iri(s), iri("p"), day[n])
+                         for s, n in (("d", 8), ("c", 9), ("b", 10), ("a", 8))])
 
     def test_one_variable_select_with_and_without_order_by(self):
         g = self._dated_graph()
@@ -358,7 +358,7 @@ class TestEvaluation:
         assert table.as_csv() == "s,o\n"
 
     def test_repeated_variable_within_a_pattern(self):
-        g = Graph(
+        g = graph_of(
             [
                 Triple(iri("loop"), iri("p"), iri("loop")),
                 Triple(iri("s"), iri("p"), iri("o")),
@@ -466,9 +466,9 @@ class TestCompiledJoin:
         ones, and no key or variable name is among its constants."""
         code = "__import__('os').system('x')"
         a, b, p = iri("a#" + code), iri("b)]#"), iri("p'")
-        text = string_literal('"}\n\\ #' + code)
-        graph = Graph([Triple(a, p, b), Triple(b, p, text), Triple(a, p, a),
-                       Triple(b, p, a), Triple(a, iri("q"), text)])
+        text = Literal('"}\n\\ #' + code)
+        graph = graph_of([Triple(a, p, b), Triple(b, p, text), Triple(a, p, a),
+                          Triple(b, p, a), Triple(a, iri("q"), text)])
         r0, e, spo_get, evil = Var("r0"), Var("E"), Var("spo_get"), Var(f"x') or {code} #")
         query = Query((evil, r0, e, spo_get), (
             TriplePattern(a, p, r0),
@@ -503,7 +503,7 @@ class TestCompiledJoin:
         """CPython refuses more than 20 nested ``for`` statements; the join's
         one comprehension takes a clause for each of 30 patterns."""
         nodes = [iri(f"n{i:02}") for i in range(33)]
-        graph = Graph([Triple(s, iri("p"), o) for s, o in zip(nodes, nodes[1:])])
+        graph = graph_of([Triple(s, iri("p"), o) for s, o in zip(nodes, nodes[1:])])
         x = [Var(f"x{i}") for i in range(31)]
         query = Query((x[0], x[30]),
                       tuple(TriplePattern(s, iri("p"), o) for s, o in zip(x, x[1:])))

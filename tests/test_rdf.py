@@ -23,11 +23,10 @@ from kgmarkov.rdf import (
     integer_literal,
     parse_ntriples,
     serialize_ntriples,
-    string_literal,
     unescape_lexical,
 )
 
-from conftest import one_string_per_key
+from conftest import graph_of, one_string_per_key
 from oracles import scan_escapes
 
 EX = "http://example.org/data/"
@@ -105,13 +104,13 @@ class TestTerms:
 
     def test_helper_constructors(self):
         assert integer_literal(7) == Literal("7", INTEGER)
-        assert string_literal("x") == Literal("x", STRING)
+        assert Literal("x") == Literal("x", STRING)
         assert datetime_literal(datetime(2023, 4, 8, 12)) == Literal(
             "2023-04-08T12:00:00", DATETIME
         )
 
     def test_triple_positions_are_validated(self):
-        lit = string_literal("x")
+        lit = Literal("x")
         with pytest.raises(TermError):
             Triple(lit, iri("p"), iri("o"))
         with pytest.raises(TermError):
@@ -137,7 +136,7 @@ class TestEscaping:
         assert unescape_lexical("a\\bb\\fc\\'d") == "a\bb\fc'd"
         assert escape_lexical("a\bb\fc'd") == "a\bb\fc'd"
         g = parse_ntriples(f"<{EX}s> <{EX}p> \"a\\bc\\f\\'\" .")
-        assert list(g) == [Triple(iri("s"), iri("p"), string_literal("a\bc\f'"))]
+        assert list(g) == [Triple(iri("s"), iri("p"), Literal("a\bc\f'"))]
 
     @given(st.text(max_size=50))
     def test_escape_round_trips(self, text):
@@ -197,17 +196,17 @@ class TestGraph:
     def test_equality_is_by_triple_set(self):
         t1 = Triple(iri("s"), iri("p"), iri("o1"))
         t2 = Triple(iri("s"), iri("p"), iri("o2"))
-        assert Graph([t1, t2]) == Graph([t2, t1])
-        assert Graph([t1]) != Graph([t2])
+        assert graph_of([t1, t2]) == graph_of([t2, t1])
+        assert graph_of([t1]) != graph_of([t2])
 
     def test_copy_is_independent(self):
-        g = Graph([Triple(iri("s"), iri("p"), iri("o"))])
+        g = graph_of([Triple(iri("s"), iri("p"), iri("o"))])
         h = g.copy()
         h.insert(Triple(iri("s"), iri("p"), iri("o2")))
         assert len(g) == 1 and len(h) == 2
 
     def test_copy_shares_what_neither_graph_has_written(self):
-        g = Graph(Triple(iri(s), iri("p"), iri("o")) for s in ("s1", "s2", "s3"))
+        g = graph_of(Triple(iri(s), iri("p"), iri("o")) for s in ("s1", "s2", "s3"))
         h = g.copy()
         g.insert(Triple(iri("s1"), iri("p"), iri("o2")))
         h.insert(Triple(iri("s2"), iri("p"), iri("o2")))
@@ -221,7 +220,7 @@ class TestGraph:
         """The first write lands in a set bucket of spo (s1 p -> o1, o2) and
         one of pos (p o3 -> s2, s3) that the copy shares; the second adds a
         key to the inner dict spo[s1] and lands in the set pos[q][o1]."""
-        g = Graph(Triple(iri(s), iri(p), iri(o)) for s, p, o in [
+        g = graph_of(Triple(iri(s), iri(p), iri(o)) for s, p, o in [
             ("s1", "p", "o1"), ("s1", "p", "o2"), ("s2", "p", "o3"), ("s3", "p", "o3"),
             ("s2", "q", "o1"), ("s3", "q", "o1")])
         h = g.copy()
@@ -243,7 +242,7 @@ class TestGraph:
         assert len(target) == 8 and len(other) == 6
 
     def test_copying_again_shares_what_the_original_had_made_its_own(self):
-        g = Graph([Triple(iri("s"), iri("p"), iri("o"))])
+        g = graph_of([Triple(iri("s"), iri("p"), iri("o"))])
         g.copy()
         g.insert(Triple(iri("s"), iri("p"), iri("o2")))
         k = g.copy()
@@ -301,9 +300,9 @@ class TestSerialization:
         assert integer_literal(5).key == '"5"^^<http://www.w3.org/2001/XMLSchema#integer>'
 
     def test_serialize_golden(self):
-        g = Graph(
+        g = graph_of(
             [
-                Triple(iri("b"), iri("p"), string_literal('say "hi"')),
+                Triple(iri("b"), iri("p"), Literal('say "hi"')),
                 Triple(iri("a"), iri("p"), iri("o")),
             ]
         )
@@ -315,11 +314,11 @@ class TestSerialization:
 
     def test_serialize_sorts_by_key_tuple_where_keys_prefix_one_another(self):
         strings = ["a", 'a"', "a\\", "a\t", "a\n", "a\x01", "a\u00e9", "a\U0001F600", "a>"]
-        objects = [*map(string_literal, strings), Literal("1", INTEGER),
+        objects = [*map(Literal, strings), Literal("1", INTEGER),
                    Literal("10", INTEGER), Literal("0.5", DECIMAL), Literal("0.50", DECIMAL),
                    Literal("2023-04-08T12:00:00", DATETIME), *_PREFIX_IRIS]
-        g = Graph(Triple(s, p, o) for s in _PREFIX_IRIS for p in _PREFIX_IRIS[:2]
-                  for o in objects)
+        g = graph_of(Triple(s, p, o) for s in _PREFIX_IRIS for p in _PREFIX_IRIS[:2]
+                     for o in objects)
         text = serialize_ntriples(g)
         assert text == _text_in_key_order(g)
         subjects = [line.split(" ", 1)[0] for line in text.split("\n")[:-1]]
@@ -340,12 +339,12 @@ class TestSerialization:
         )
         g = parse_ntriples(text)
         assert len(g) == 4
-        assert Triple(iri("s"), iri("p"), string_literal("x # y")) in g
+        assert Triple(iri("s"), iri("p"), Literal("x # y")) in g
 
     def test_parse_plain_literal_is_string(self):
         g = parse_ntriples(f'<{EX}s> <{EX}p> "plain" .')
         [t] = list(g)
-        assert t.object == string_literal("plain")
+        assert t.object == Literal("plain")
 
     @pytest.mark.parametrize(
         "line,lineno",
@@ -371,7 +370,7 @@ class TestSerialization:
     def test_parse_decodes_unicode_escapes_and_writes_raw_characters(self):
         g = parse_ntriples(f'<{EX}s> <{EX}p> "A\\U0001F600" .\n')
         [t] = list(g)
-        assert t.object == string_literal("A\U0001F600")
+        assert t.object == Literal("A\U0001F600")
         assert serialize_ntriples(g) == (
             f'<{EX}s> <{EX}p> "A\U0001F600"^^<http://www.w3.org/2001/XMLSchema#string> .\n'
         )
@@ -409,7 +408,7 @@ class TestSerialization:
     def test_nel_and_line_separator_stay_inside_a_literal(self):
         """str.splitlines() would break the line at both."""
         g = parse_ntriples(f'<{EX}s> <{EX}p> "a\x85b\u2028c" .\n')
-        assert list(g) == [Triple(iri("s"), iri("p"), string_literal("a\x85b\u2028c"))]
+        assert list(g) == [Triple(iri("s"), iri("p"), Literal("a\x85b\u2028c"))]
 
 
 _POOL_IRIS = [Iri(EX + name) for name in "abcdef"]
@@ -417,7 +416,7 @@ _POOL_PREDS = [Iri(EX + name) for name in ("p", "q", "r")]
 
 _literals = st.one_of(
     st.integers(-100, 100).map(integer_literal),
-    st.text(max_size=8).map(string_literal),
+    st.text(max_size=8).map(Literal),
     st.floats(0, 1, allow_nan=False).map(decimal_literal),
     st.datetimes(datetime(2000, 1, 1), datetime(2050, 1, 1)).map(
         lambda d: datetime_literal(d.replace(microsecond=0))
@@ -429,7 +428,7 @@ _triples = st.builds(
     st.sampled_from(_POOL_PREDS),
     st.one_of(st.sampled_from(_POOL_IRIS), _literals),
 )
-_graphs = st.lists(_triples, max_size=40).map(Graph)
+_graphs = st.lists(_triples, max_size=40).map(graph_of)
 _gaps = st.sampled_from(["", " ", "\t", " \t "])
 # what may follow a triple's '.': nothing, or a comment
 _comments = st.sampled_from(["", "", " # note", "\t#<a> <b> <c> .", "#"])
@@ -445,7 +444,7 @@ _tricky_text = st.text(
     max_size=4,
 )
 _tricky_literals = st.one_of(
-    _tricky_text.map(string_literal),
+    _tricky_text.map(Literal),
     st.sampled_from(["1", "10", "-1", "+1", "01", "100"]).map(lambda x: Literal(x, INTEGER)),
     st.sampled_from(["0.5", "0.50", "0.05", "1", "1.", ".5"]).map(lambda x: Literal(x, DECIMAL)),
     st.sampled_from(["2023-04-08T12:00:00", "2023-04-08T02:00:00"]).map(
@@ -455,7 +454,7 @@ _prefix_graphs = st.lists(
     st.builds(Triple, st.sampled_from(_PREFIX_IRIS), st.sampled_from(_PREFIX_IRIS),
               st.one_of(st.sampled_from(_PREFIX_IRIS), _tricky_literals)),
     max_size=40,
-).map(Graph)
+).map(graph_of)
 
 
 def _text_in_key_order(g: Graph) -> str:
@@ -572,11 +571,11 @@ class TestProperties:
                 t in model for t in _SMALL_ALL_TRIPLES]
             assert graph.match() == sorted(model, key=nt_key)
             assert serialize_ntriples(graph) == text(model)
-            assert graph == Graph(model)
+            assert graph == graph_of(model)
             assert _one_key_buckets_are_1_tuples(graph)
             assert one_string_per_key(graph)
 
-        graphs, models = [Graph(triples)], [set(triples)]
+        graphs, models = [graph_of(triples)], [set(triples)]
         check(graphs[0], models[0])
         for _ in range(data.draw(st.integers(1, 24))):
             i = data.draw(st.integers(0, len(graphs) - 1))
