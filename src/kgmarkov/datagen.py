@@ -94,13 +94,18 @@ def _sample_uniform(rng: SplitMix64) -> int:
 
 
 def _sample_row(rng: SplitMix64, row: Sequence[float]) -> int:
+    """The first location of nonzero probability whose running sum reaches a
+    unit draw, or the last such location for a draw past the row's sum."""
     u = rng.next_unit()
     acc = 0.0
     for k, p in enumerate(row):
+        if p == 0.0:  # a draw of 0.0, or on the sum before it, must not land here
+            continue
         acc += p
+        last = k
         if u <= acc:
             return k
-    return len(row) - 1
+    return last
 
 
 def generate(config: GenConfig) -> list[ObservationRow]:

@@ -9,7 +9,7 @@ and edges by property local name, sorted so files diff cleanly.
 from __future__ import annotations
 
 from .errors import ToolkitError
-from .ingest import default_manifest
+from .ingest import PLACE, TIME, TRIP_PART, _day_query, default_manifest
 from .rdf import Graph, Iri, Literal, Triple
 from .vocab import _shipped
 from .writeback import PREDICTED_FLAG
@@ -20,25 +20,22 @@ class DotError(ToolkitError):
 
 
 def day_subgraph(graph: Graph, day: int) -> Graph:
-    """The triples describing a single observed day, vessel and trip included."""
-    manifest = default_manifest()
-    vocab = _shipped()
-    part = manifest.trip_part(day)
-    if not graph.match_keys(part.key):
+    """The triples describing a single observed day.
+
+    Its nodes are ``day.rq``'s on that day: the constant subjects (the
+    vessel and the trip), the individual minted for each variable, and the
+    location that ``?location`` binds."""
+    manifest, vocab = default_manifest(), _shipped()
+    patterns = _day_query(vocab).patterns
+    minted = {var: Iri(manifest.minted(var.name, day))
+              for p in patterns for var in p.variables() if var not in (TIME, PLACE)}
+    if not graph.match_keys(minted[TRIP_PART].key):
         raise DotError(f"day {day} is not present in the graph")
-    track_point = manifest.track_point(day)
-    nodes = {
-        part,
-        manifest.observation(day),
-        manifest.st_instant(day),
-        manifest.t_instant(day),
-        track_point,
-        manifest.vessel,
-        manifest.trip,
-    }
-    for t in graph.match(track_point, vocab.spatial_part_of, None):
-        if isinstance(t.object, Iri):
-            nodes.add(t.object)
+    nodes = {*minted.values(), *(p.subject for p in patterns if isinstance(p.subject, Iri))}
+    for p in patterns:
+        if p.object == PLACE:
+            nodes.update(t.object for t in graph.match(minted[p.subject], p.predicate, None)
+                         if isinstance(t.object, Iri))
     keep = {node.key for node in nodes | vocab.class_iris()}
     term = graph.term
     out = Graph()

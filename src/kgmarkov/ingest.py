@@ -3,7 +3,9 @@
 Each observed day becomes a bundle of individuals: a trip part containing
 an instantaneous observation, the spatiotemporal instant it occupies, that
 instant's spatial and temporal projections, and the vessel's occupation of
-the track point.  Consecutive trip parts are chained with ``precedes``.
+the track point.  The bundled ``day.rq`` states that shape once: ingest
+writes each day from its patterns, and the other bundled queries read a
+part of it.  Consecutive trip parts are chained with ``precedes``.
 Reading happens through the bundled location query, not ad hoc traversal;
 transitions are the consecutive pairs of its chronological rows.
 """
@@ -22,7 +24,9 @@ from .query import Query, Var, evaluate, parse_query
 from .rdf import DATETIME, Graph, Iri, Literal, TermError, datetime_literal
 from .vocab import Vocab, _shipped
 
-BUNDLED_QUERIES = ("location_by_time", "transitions")
+BUNDLED_QUERIES = ("day", "location_by_time", "transitions")
+# day.rq's variables that an observation row binds; ingest mints the others, such as the trip part
+TIME, PLACE, TRIP_PART = Var("datetime"), Var("location"), Var("fishingTripPart")
 
 class IngestError(ToolkitError):
     """Observation rows unsuitable for graph construction."""
@@ -38,30 +42,18 @@ def load_bundled_query(name: str) -> str:
 
 @dataclass(frozen=True)
 class IngestManifest:
-    """Naming policy for every individual the ingest step mints."""
+    """Naming policy for every individual the ingest step mints.
+
+    One rule, ``minted``, names each individual of an observed day after
+    the ``day.rq`` variable that stands for it."""
 
     vessel: Iri
     trip: Iri
     namespace: str
 
-    def trip_part(self, day: int) -> Iri:
-        return Iri(self.trip_part_key(day)[1:-1])
-
-    def trip_part_key(self, day: int) -> str:
-        """``trip_part(day).key``, spelled without building and validating the IRI."""
-        return f"<{self.namespace}fishingTripPart_d{day}>"
-
-    def observation(self, day: int) -> Iri:
-        return Iri(f"{self.namespace}beingObserved_d{day}")
-
-    def st_instant(self, day: int) -> Iri:
-        return Iri(f"{self.namespace}stInstant_d{day}")
-
-    def t_instant(self, day: int) -> Iri:
-        return Iri(f"{self.namespace}tInstant_d{day}")
-
-    def track_point(self, day: int) -> Iri:
-        return Iri(f"{self.namespace}trackPoint_d{day}")
+    def minted(self, variable: str, day: int) -> str:
+        """The IRI text of ``day.rq``'s ``?variable`` on observed day ``day``."""
+        return f"{self.namespace}{variable}_d{day}"
 
     def location(self, label: str) -> Iri:
         return Iri(f"{self.namespace}{label}")
@@ -69,7 +61,7 @@ class IngestManifest:
     def future_trip_part(self, day: int) -> Iri:
         """Trip part for a day that has not happened yet, named without the
         observed-day marker."""
-        return Iri(f"{self.namespace}fishingTripPart_{day}")
+        return Iri(f"{self.namespace}{TRIP_PART.name}_{day}")
 
 
 def default_manifest() -> IngestManifest:
@@ -81,10 +73,11 @@ def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
     """Build the full activity graph for a sequence of daily observations.
 
     For n rows over L distinct locations the result holds exactly
-    13n + (n - 1) + 3 + L triples.  The 13 writes in the day loop are the
-    one place in the code that states a day's shape, and the bundled
-    ``.rq`` queries read that shape back.  Every term is built by its
-    validating constructor, which sets its key, and stored by
+    13n + (n - 1) + 3 + L triples.  Each day is the 13 patterns of the
+    bundled ``day.rq`` with its variables bound: ``?datetime`` and
+    ``?location`` to the row's time and location, every other ``?v`` to
+    the individual ``IngestManifest.minted(v, day)``.  Every term is built
+    by its validating constructor, which sets its key, and stored by
     ``Graph._key``; triples are written as keys.
     """
     if not rows:
@@ -112,35 +105,24 @@ def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
             day = next(day for day, row in enumerate(rows, start=1) if row.location == label)
             raise IngestError(f"Day{day}: location {label!r} is not the local name of an IRI")
         locations[label] = key(iri)
-    has_part, occupies_st = key(v.has_occurrent_part), key(v.occupies_spatiotemporal_region)
-    boundary, st_class = key(v.ProcessBoundary), key(v.SpatiotemporalInstant)
-    projects_s, projects_t = key(v.spatially_projects_onto), key(v.temporally_projects_onto)
-    t_class, has_time = key(v.TemporalInstant), key(v.has_datetime_value)
-    point_class, part_of = key(v.VehicleTrackPoint), key(v.spatial_part_of)
-    occupies = key(v.occupies_spatial_region)
-    parts = []
+    # a day's terms by slot: the template's constants, the row's time and place, the minted
+    patterns = _day_query(v).patterns
+    positions = dict.fromkeys(t for p in patterns for t in (p.subject, p.predicate, p.object))
+    constants = {t: key(t) for t in positions if not isinstance(t, Var)}
+    minted = [t for t in positions if isinstance(t, Var) and t not in (TIME, PLACE)]
+    slot = {t: i for i, t in enumerate([*constants, TIME, PLACE, *minted])}
+    writes = [(slot[p.subject], slot[p.predicate], slot[p.object]) for p in patterns]
+    first, part, parts = list(constants.values()), slot[TRIP_PART], []
     for day, row in enumerate(rows, start=1):
-        part, observation = key(m.trip_part(day)), key(m.observation(day))
-        st_instant, t_instant = key(m.st_instant(day)), key(m.t_instant(day))
-        point = key(m.track_point(day))
-        parts.append(part)
-        write(part, rdf_type, process)
-        write(trip, has_part, part)
-        write(part, has_part, observation)
-        write(observation, rdf_type, boundary)
-        write(observation, occupies_st, st_instant)
-        write(st_instant, rdf_type, st_class)
-        write(st_instant, projects_s, point)
-        write(st_instant, projects_t, t_instant)
-        write(t_instant, rdf_type, t_class)
-        write(t_instant, has_time, key(datetime_literal(row.time)))
-        write(point, rdf_type, point_class)
-        write(point, part_of, locations[row.location])
-        write(vessel, occupies, point)
+        terms = [*first, key(datetime_literal(row.time)), locations[row.location],
+                 *[key(Iri(m.minted(var.name, day))) for var in minted]]
+        for s, p, o in writes:
+            write(terms[s], terms[p], terms[o])
+        parts.append(terms[part])
     if len(parts) > 1:  # a one-day graph has no precedes edge, so no such key
         precedes = key(v.precedes)
-        for part, next_part in zip(parts, parts[1:]):
-            write(part, precedes, next_part)
+        for earlier, later in zip(parts, parts[1:]):
+            write(earlier, precedes, later)
     region = key(v.SpatialRegion)
     for location in locations.values():
         write(location, rdf_type, region)
@@ -148,10 +130,16 @@ def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
 
 
 @functools.cache
+def _day_query(vocab: Vocab) -> Query:
+    """The bundled day template, parsed once per vocabulary."""
+    return parse_query(load_bundled_query("day"), vocab.prefixes)
+
+
+@functools.cache
 def _location_query(vocab: Vocab) -> Query:
     """The bundled location query, parsed once per vocabulary, also projecting the track point."""
     query = parse_query(load_bundled_query("location_by_time"), vocab.prefixes)
-    return replace(query, projection=(*query.projection, Var("fishingVesselTrackPoint")))
+    return replace(query, projection=(*query.projection, Var("trackPoint")))
 
 
 def location_sequence(graph: Graph) -> list[tuple[datetime, Iri]]:

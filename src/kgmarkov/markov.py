@@ -64,6 +64,13 @@ def _floats(rows, what: str) -> tuple[tuple[float, ...], ...]:
         raise MarkovError(f"{what} entries must be finite") from None
 
 
+def _tolerance(value, name: str) -> float:
+    """``value`` as a float; a NaN tolerance would admit any mass, and one below 0 refuse all."""
+    if not (isinstance(value, Real) and 0 <= value <= sys.float_info.max):
+        raise MarkovError(f"{name} must be a finite non-negative number, not {value!r}")
+    return float(value)
+
+
 def _check_mass(rows, tol: float, what: str, numbers=None) -> None:
     """Refuse the first of ``rows`` not finite, in [0, 1] and summing to 1 within ``tol``."""
     if not all(math.isfinite(x) for row in rows for x in row):
@@ -206,7 +213,7 @@ class ChainMatrix(_HistoryRows):
                  row_sum_tol: float = DEFAULT_ROW_SUM_TOL):
         super().__init__(space, order)
         self.rows = _floats(self._table(p, "matrix"), f"order-{self.order} matrix")
-        self.row_sum_tol = float(row_sum_tol)
+        self.row_sum_tol = _tolerance(row_sum_tol, "row_sum_tol")
         self.row_status = tuple(OBSERVED if any(row) else UNOBSERVED for row in self.rows)
         numbers = [i for i, status in enumerate(self.row_status) if status == OBSERVED]
         _check_mass([self.rows[i] for i in numbers], self.row_sum_tol,
@@ -291,7 +298,7 @@ class Distribution:
 
     def __init__(self, space: StateSpace, mass, tol: float = DEFAULT_ROW_SUM_TOL):
         self.space = space
-        self.tol = float(tol)
+        self.tol = _tolerance(tol, "tol")
         got = (len(mass),) if hasattr(mass, "__len__") else ()
         if got != (len(space),):
             raise MarkovError(f"mass must have shape ({len(space)},), got {got}")

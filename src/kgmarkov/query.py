@@ -206,7 +206,8 @@ def _parse_pattern_term(stream: _Stream, prefixes: PrefixTable, position: str) -
         if position != "object":
             raise stream.error(tok, "literals may only appear in object position")
         return _parse_literal(stream, tok, prefixes)
-    raise stream.error(tok, f"expected a {position} term, found {tok.text!r}")
+    article = "an" if position == "object" else "a"
+    raise stream.error(tok, f"expected {article} {position} term, found {tok.text!r}")
 
 
 def parse_query(text: str, prefixes: Optional[PrefixTable] = None) -> Query:

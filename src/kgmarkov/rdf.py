@@ -67,8 +67,6 @@ class Iri:
     key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.value:
-            raise TermError("IRI must be non-empty")
         if _IRI_BAD_RE.search(self.value):
             raise TermError(f"IRI contains a forbidden character: {self.value!r}")
         if ":" not in self.value:

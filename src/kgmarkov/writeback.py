@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .errors import ToolkitError
-from .ingest import default_manifest, location_sequence
+from .ingest import TRIP_PART, default_manifest, location_sequence
 from .markov import ChainCounts, Distribution, StateSpace
 from .rdf import (
     DECIMAL,
@@ -144,11 +144,12 @@ def writeback_profile_model(
         names = {key: graph.term(key).local_name() for key in set(keys)}
         for day, (start, end) in enumerate(zip(keys, keys[1:]), start=2):
             if names[start] == current and names[end] in counts.space.states:
-                # the step into a day happens during its part; a stored key's term was validated
-                day_part = manifest.trip_part_key(day)
+                # the step into a day happens during its part, spelled as its Iri's key
+                # without building one per day; a stored key's term was validated
+                day_part = f"<{manifest.minted(TRIP_PART.name, day)}>"
                 if day_part not in graph._spo:
                     raise WritebackError(f"cannot link a realization: the graph has no trip part "
-                                         f"{manifest.trip_part(day).local_name()!r}")
+                                         f"{Iri(day_part[1:-1]).local_name()!r}")
                 realized.setdefault(names[end], []).append(graph.term(day_part).key)
 
     pol = Iri(f"{ns}{manifest.vessel.local_name()}_PoL")

@@ -160,18 +160,24 @@ def row_loop_estimate(counts: np.ndarray) -> tuple[np.ndarray, list[str]]:
     return p, status
 
 
+def day_individual(stem: str, day: int) -> Iri:
+    """The individual ingest mints for ``stem`` on observed day ``day``, named
+    here without the manifest: ``ex:{stem}_d{day}``."""
+    return Iri(f"{default_manifest().namespace}{stem}_d{day}")
+
+
 def match_day_subgraph(graph: Graph, day: int) -> Graph:
     """One day's DOT fragment, selected term by term through ``Graph.match``:
     every triple about one of the day's nodes whose object is a literal, one
     of those nodes, or a vocabulary class."""
     manifest = default_manifest()
     vocab = _shipped()
-    track_point = manifest.track_point(day)
+    track_point = day_individual("trackPoint", day)
     nodes = {
-        manifest.trip_part(day),
-        manifest.observation(day),
-        manifest.st_instant(day),
-        manifest.t_instant(day),
+        day_individual("fishingTripPart", day),
+        day_individual("beingObserved", day),
+        day_individual("stInstant", day),
+        day_individual("tInstant", day),
         track_point,
         manifest.vessel,
         manifest.trip,
@@ -228,7 +234,7 @@ def reference_realizations(graph: Graph, counts, current: str) -> set[Triple]:
 
     def disposition(to):
         return Iri(f"{manifest.namespace}{state_token(current)}to{state_token(to)}_Disposition")
-    return {Triple(manifest.trip_part(d + 1), vocab.realizes, disposition(to))
+    return {Triple(day_individual("fishingTripPart", d + 1), vocab.realizes, disposition(to))
             for d, (start, to) in enumerate(zip(names, names[1:]), start=1)
             if start == current and to in counts.space.states}
 
@@ -244,11 +250,11 @@ def triple_ingest(rows) -> Graph:
     add(Triple(manifest.vessel, vocab.participates_in, manifest.trip))
     add(Triple(manifest.trip, vocab.type, vocab.Process))
     for day, row in enumerate(rows, start=1):
-        part = manifest.trip_part(day)
-        observation = manifest.observation(day)
-        st_instant = manifest.st_instant(day)
-        t_instant = manifest.t_instant(day)
-        track_point = manifest.track_point(day)
+        part = day_individual("fishingTripPart", day)
+        observation = day_individual("beingObserved", day)
+        st_instant = day_individual("stInstant", day)
+        t_instant = day_individual("tInstant", day)
+        track_point = day_individual("trackPoint", day)
         location = manifest.location(row.location)
         add(Triple(part, vocab.type, vocab.Process))
         add(Triple(manifest.trip, vocab.has_occurrent_part, part))
@@ -264,7 +270,8 @@ def triple_ingest(rows) -> Graph:
         add(Triple(track_point, vocab.spatial_part_of, location))
         add(Triple(manifest.vessel, vocab.occupies_spatial_region, track_point))
     for day in range(1, len(rows)):
-        add(Triple(manifest.trip_part(day), vocab.precedes, manifest.trip_part(day + 1)))
+        add(Triple(day_individual("fishingTripPart", day), vocab.precedes,
+                   day_individual("fishingTripPart", day + 1)))
     for label in sorted({row.location for row in rows}):
         add(Triple(manifest.location(label), vocab.type, vocab.SpatialRegion))
     return graph

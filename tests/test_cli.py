@@ -185,7 +185,7 @@ class TestQuery:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: no bundled query named 'transitions.rq' "
-                                "(bundled: location_by_time, transitions)\n")
+                                "(bundled: day, location_by_time, transitions)\n")
 
     def test_malformed_query_exits_1_with_position(self, graph_file, tmp_path, capsys):
         q = tmp_path / "broken.rq"
@@ -194,6 +194,15 @@ class TestQuery:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "line 1:" in captured.err
+
+    def test_a_pattern_missing_its_object_exits_1_with_one_error_line(self, graph_file,
+                                                                      tmp_path, capsys):
+        q = tmp_path / "short.rq"
+        q.write_text("SELECT ?s WHERE { ?s <http://e/p> . }")
+        assert main(["query", "--graph", str(graph_file), "--query", str(q)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1:35: expected an object term, found '.'\n"
 
 
 class TestEstimate:
@@ -220,11 +229,15 @@ class TestEstimate:
         matrix, _ = loads_matrix(out.read_text(encoding="utf-8"))
         assert matrix.probability("location3", "location1", "location3") == 1.0
 
-    def test_empty_graph_exits_1(self, tmp_path):
+    def test_empty_graph_exits_1(self, tmp_path, capsys):
         empty = tmp_path / "empty.nt"
         empty.write_text("")
         assert main(["estimate", "--graph", str(empty),
                      "--out", str(tmp_path / "m.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the graph contains no observations to estimate from\n"
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize(
         "moved,named",
@@ -538,6 +551,8 @@ class TestPredict:
         m2 = tmp_path / "m2.json"
         m2.write_text(dumps_matrix(estimate_second_order(pc)), encoding="utf-8")
         assert main(["predict", "--matrix", str(m2), "--state", "a"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: second-order matrices need --prev\n")
         assert main(["predict", "--matrix", str(m2), "--state", "a",
                      "--prev", "b", "--steps", "3"]) == 1
         assert main(["predict", "--matrix", str(m2), "--state", "b",

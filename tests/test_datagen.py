@@ -162,6 +162,20 @@ class TestGenerate:
         rng = SimpleNamespace(next_unit=lambda: 0.5)
         assert _sample_row(rng, (0.5, 0.5, 0.0)) == 0
 
+    def test_a_location_of_probability_0_is_never_drawn(self):
+        """This seed's first kernel draw is exactly 0.0, which took location1
+        although the kernel gives it probability 0."""
+        kernel = ((0.0, 1.0, 0.0),) * 3
+        rows = generate(GenConfig(days=2, seed=9496213449905971121, kernel=kernel,
+                                  initial_location="location2"))
+        assert [r.location for r in rows] == ["location2", "location2"]
+        assert _sample_row(SimpleNamespace(next_unit=lambda: 0.0), (0.0, 1.0, 0.0)) == 1
+
+    def test_a_draw_past_the_sum_takes_the_last_location_of_nonzero_probability(self):
+        # the row sums to 1 - 1e-12, and its last entry is 0
+        rng = SimpleNamespace(next_unit=lambda: 1 - 2 ** -53)
+        assert _sample_row(rng, (0.5, 0.5 - 1e-12, 0.0)) == 1
+
     def test_kernel_with_unpinned_start_samples_uniformly_first(self):
         kernel = ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
         rows = generate(GenConfig(days=2, seed=8, kernel=kernel))

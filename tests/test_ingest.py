@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kgmarkov.datagen import GenConfig, ObservationRow, generate
 from kgmarkov.ingest import (
     BUNDLED_QUERIES,
+    PLACE,
     IngestError,
     default_manifest,
     ingest_rows,
@@ -15,7 +16,7 @@ from kgmarkov.ingest import (
     location_sequence,
     transition_pairs,
 )
-from kgmarkov.query import Var, evaluate, parse_query
+from kgmarkov.query import TriplePattern, Var, evaluate, parse_query
 from kgmarkov.rdf import Graph, Iri, Triple, datetime_literal, serialize_ntriples
 
 from conftest import THREE_DAY_ROWS, graph_of, one_string_per_key
@@ -58,7 +59,8 @@ def _edited(rows, edits, vocab):
     m = default_manifest()
     triples = set(ingest_rows(rows))
     for day, (kind, other, hours) in enumerate(edits[:len(rows)], start=1):
-        time_of_day = (m.t_instant(day), vocab.has_datetime_value)
+        time_of_day = (Iri(m.minted("tInstant", day)), vocab.has_datetime_value)
+        point = Iri(m.minted("trackPoint", day))
         if kind in ("drop time", "share time"):
             triples = {t for t in triples if (t.subject, t.predicate) != time_of_day}
         if kind == "second time":
@@ -68,14 +70,13 @@ def _edited(rows, edits, vocab):
             other_time = rows[min(other, len(rows)) - 1].time
             triples.add(Triple(*time_of_day, datetime_literal(other_time)))
         elif kind == "second place":
-            triples.add(Triple(m.track_point(day), vocab.spatial_part_of,
-                               m.location(f"location{hours % 4}")))
+            triples.add(Triple(point, vocab.spatial_part_of, m.location(f"location{hours % 4}")))
         elif kind in ("other namespace", "empty name"):
             label = rows[day - 1].location
             place = (Iri(f"http://example.org/alt/{label}") if kind == "other namespace"
                      else m.location(label + "/"))
-            triples.remove(Triple(m.track_point(day), vocab.spatial_part_of, m.location(label)))
-            triples.add(Triple(m.track_point(day), vocab.spatial_part_of, place))
+            triples.remove(Triple(point, vocab.spatial_part_of, m.location(label)))
+            triples.add(Triple(point, vocab.spatial_part_of, place))
     return graph_of(triples)
 
 
@@ -161,9 +162,10 @@ class TestIngest:
         assert one_string_per_key(g)
 
     def test_every_bundled_query_pattern_matches_a_two_day_ingest(self):
-        """ingest_rows's day loop and the .rq files state one shape; a one-day
-        ingest has no precedes edge, so two days are the least that can
-        match every pattern."""
+        """Every pattern ingest_rows writes from day.rq, and every pattern the
+        other .rq files read, is in the graph; a one-day ingest has no
+        precedes edge, so two days are the least that can match every
+        pattern."""
         g = ingest_rows(list(THREE_DAY_ROWS[:2]))
         for name in BUNDLED_QUERIES:
             for pattern in parse_query(load_bundled_query(name)).patterns:
@@ -187,12 +189,9 @@ class TestIngest:
         m = default_manifest()
         assert m.vessel == Iri(E + "fishingVessel")
         assert m.trip == Iri(E + "fishingTrip")
-        assert m.trip_part(7) == Iri(E + "fishingTripPart_d7")
-        assert m.trip_part_key(7) == m.trip_part(7).key == f"<{E}fishingTripPart_d7>"
-        assert m.observation(7) == Iri(E + "beingObserved_d7")
-        assert m.st_instant(7) == Iri(E + "stInstant_d7")
-        assert m.t_instant(7) == Iri(E + "tInstant_d7")
-        assert m.track_point(7) == Iri(E + "trackPoint_d7")
+        # one rule names every individual of an observed day, by its day.rq variable
+        for stem in ("fishingTripPart", "beingObserved", "stInstant", "tInstant", "trackPoint"):
+            assert m.minted(stem, 7) == E + stem + "_d7"
         assert m.location("location2") == Iri(E + "location2")
         assert m.future_trip_part(101) == Iri(E + "fishingTripPart_101")
 
@@ -261,6 +260,64 @@ class TestIngest:
         g = ingest_rows(rows)
         n = len(labels)
         assert len(g) == 13 * n + (n - 1) + 3 + len(set(labels))
+
+
+def _parsed(name):
+    return parse_query(load_bundled_query(name))
+
+
+class TestDayTemplate:
+    """day.rq is the one statement of a day's shape; the other bundled
+    queries read parts of it, under its variable names."""
+
+    def test_the_location_query_reads_only_patterns_of_the_day(self):
+        assert set(_parsed("location_by_time").patterns) <= set(_parsed("day").patterns)
+
+    def test_each_side_of_a_transition_is_a_part_of_the_day_and_precedes_joins_them(
+            self, vocab):
+        transitions = _parsed("transitions")
+        start, end = transitions.projection
+        # a variable's side is its 1 or 2 suffix; a projected location is ?location
+        sides = {start: (PLACE, "1"), end: (PLACE, "2")}
+
+        def split(term):
+            if not isinstance(term, Var):
+                return term, None
+            return sides.get(term, (Var(term.name[:-1]), term.name[-1]))
+
+        halves, between = {"1": set(), "2": set()}, []
+        for pattern in transitions.patterns:
+            (s, s_side), (p, p_side), (o, o_side) = map(
+                split, (pattern.subject, pattern.predicate, pattern.object))
+            touched = {s_side, p_side, o_side} - {None}
+            if len(touched) == 1:
+                halves[touched.pop()].add(TriplePattern(s, p, o))
+            else:
+                between.append(pattern)
+        assert halves["1"] == halves["2"] <= set(_parsed("day").patterns)
+        assert len(halves["1"]) == 4
+        assert between == [TriplePattern(Var("fishingTripPart1"), vocab.precedes,
+                                         Var("fishingTripPart2"))]
+        assert vocab.precedes not in {p.predicate for p in _parsed("day").patterns}
+
+    def test_the_days_constant_individuals_are_the_vessel_and_the_trip(self, vocab):
+        m, day = default_manifest(), _parsed("day")
+        terms = [t for p in day.patterns for t in (p.subject, p.predicate, p.object)]
+        assert all(isinstance(p.predicate, Iri) for p in day.patterns)
+        assert {t for t in terms if isinstance(t, Iri)} - vocab.class_iris() - {
+            p.predicate for p in day.patterns} == {m.vessel, m.trip}
+
+    @given(_labels, _gaps_hours)
+    @settings(max_examples=20)
+    def test_the_day_query_gives_each_row_its_minted_individuals_in_time_order(
+            self, labels, gaps_hours):
+        rows, m = _rows(labels, gaps_hours), default_manifest()
+        table = evaluate(_parsed("day"), ingest_rows(rows))
+        stems = ["fishingTripPart", "beingObserved", "stInstant", "tInstant", "trackPoint"]
+        assert [v.name for v in table.variables] == ["datetime", "location", *stems]
+        assert table.rows == [(datetime_literal(row.time), m.location(row.location),
+                               *(Iri(m.minted(stem, day)) for stem in stems))
+                              for day, row in enumerate(rows, start=1)]
 
 
 class TestReadback:

@@ -300,6 +300,24 @@ class TestMatrixValidation:
         with pytest.raises(MarkovError):
             ChainMatrix(SPACE3, EXAMPLE_P2[:3], 1, row_sum_tol=1e-9)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 10**400, "0.1"],
+                             ids=["nan", "inf", "-1", "10**400", "string"])
+    @pytest.mark.parametrize("p", [[[0.5, 0.0], [0, 1]], [[0.5, 0.5], [0, 1]]],
+                             ids=["half-mass", "stochastic"])
+    def test_a_tolerance_that_is_not_finite_or_is_negative_is_refused(self, tol, p):
+        """A NaN tolerance admitted a row of half the mass, and a negative one
+        refused every row as outside [0, 1]; an int past the float range died
+        in float(), and a string was converted."""
+        with pytest.raises(MarkovError, match=re.escape(
+                f"row_sum_tol must be a finite non-negative number, not {tol!r}")):
+            ChainMatrix(AB, p, 1, row_sum_tol=tol)
+
+    def test_a_zero_tolerance_admits_only_rows_summing_to_exactly_1(self):
+        assert ChainMatrix(AB, [[0.5, 0.5], [0, 1]], 1, row_sum_tol=0).row_sum_tol == 0.0
+        assert Distribution(AB, [0.25, 0.75], tol=0.0).tol == 0.0
+        with pytest.raises(MarkovError, match="sums to"):
+            Distribution(AB, [0.1, 0.2 + 0.7], tol=0.0)
+
 
 class TestPower:
     def test_zero_steps_is_identity(self):
@@ -456,6 +474,14 @@ class TestPrediction:
     def test_distribution_refuses_non_finite_mass(self, mass):
         with pytest.raises(MarkovError, match="distribution entries must be finite"):
             Distribution(StateSpace(["a", "b"]), mass)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 10**400, "0.1"],
+                             ids=["nan", "inf", "-1", "10**400", "string"])
+    @pytest.mark.parametrize("mass", [[0.2, 0.1], [0.5, 0.5]], ids=["short", "whole"])
+    def test_distribution_refuses_a_tolerance_not_finite_or_negative(self, tol, mass):
+        with pytest.raises(MarkovError, match="^" + re.escape(
+                f"tol must be a finite non-negative number, not {tol!r}")):
+            Distribution(AB, mass, tol=tol)
 
 
 class TestDisplay:

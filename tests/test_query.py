@@ -166,6 +166,10 @@ class TestParsing:
             ("SELECT ?s WHERE { ?s ?p ?o . } limit",
              "line 1:32: unexpected content after query: 'limit'"),
             ("SELECT ?s WHERE ?s ?p ?o }", "line 1:17: expected '{', found '?s'"),
+            ("SELECT ?s WHERE { ?s <http://e/p> . }",
+             "line 1:35: expected an object term, found '.'"),
+            ("SELECT ?s WHERE { . }", "line 1:19: expected a subject term, found '.'"),
+            ("SELECT ?s WHERE { ?s }", "line 1:22: expected a predicate term, found '}'"),
         ],
     )
     def test_error_messages_name_line_and_column(self, text, message):

@@ -294,7 +294,7 @@ class TestProfileModel:
         counts = count_transitions(labels)
         day = labels.index("location2") + 2  # the day after the first in location2
         assert day <= len(rows)
-        part = default_manifest().trip_part(day)
+        part = Iri(default_manifest().minted("fishingTripPart", day))
         graph = graph_of(t for t in ingest_rows(rows) if t.subject != part)
         assert len(graph.match(None, None, part)) == 2 and not graph.match(part, None, None)
         text = serialize_ntriples(graph)
