@@ -21,7 +21,7 @@ from typing import Sequence
 from .datagen import ObservationRow
 from .errors import ToolkitError
 from .query import Query, Var, evaluate, parse_query
-from .rdf import DATETIME, Graph, Iri, Literal, TermError, datetime_literal
+from .rdf import DATETIME, Graph, Iri, Literal, Term, TermError, datetime_literal
 from .vocab import Vocab, _shipped
 
 BUNDLED_QUERIES = ("day", "location_by_time", "transitions")
@@ -151,6 +151,12 @@ def location_sequence(graph: Graph) -> list[tuple[datetime, Iri]]:
     would drop or repeat its day, and a location whose local name, the state
     label every chain reads, is empty or also names another location.
     """
+    return _timeline(graph)[0]
+
+
+def _timeline(graph: Graph) -> tuple[list[tuple[datetime, Iri]], list[tuple[Term, Term, Iri]]]:
+    """``location_sequence``'s rows, and the location query's (time, place,
+    track point) row that each was read from."""
     rows = evaluate(_location_query(_shipped()), graph).rows
     times, places, seen, repeated, labels = [], [], set(), None, {}
     for when, where, point in rows:
@@ -183,7 +189,7 @@ def location_sequence(graph: Graph) -> list[tuple[datetime, Iri]]:
         if first.setdefault(label, key) != key:
             raise IngestError(f"locations {first[label]} and {key} "
                               f"share the local name {label!r}")
-    return list(zip(map(datetime.fromisoformat, times), places))
+    return list(zip(map(datetime.fromisoformat, times), places)), rows
 
 
 def transition_pairs(graph: Graph) -> list[tuple[Iri, Iri]]:

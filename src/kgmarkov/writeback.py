@@ -11,15 +11,18 @@ Two target shapes are supported and kept deliberately comparable:
   and nothing points at a future process.
 
 Counts and totals are stored as integer ICEs so each probability's exact
-fraction stays recoverable from the graph.
+fraction stays recoverable from the graph.  Minted IRIs spell the from- and
+to-states by ``state_token``, one token per label, so readback recovers the
+labels from the names, and writebacks of distinct from-states share no IRI.
 """
 
 from __future__ import annotations
 
 import re
+from urllib.parse import unquote
 
 from .errors import ToolkitError
-from .ingest import TRIP_PART, default_manifest, location_sequence
+from .ingest import _timeline, default_manifest
 from .markov import ChainCounts, Distribution, StateSpace
 from .rdf import (
     DECIMAL,
@@ -36,8 +39,8 @@ MODEL_CCO = "cco"
 MODEL_PROFILE = "profile"
 MODELS = (MODEL_CCO, MODEL_PROFILE)
 
-_LOCATION_LABEL_RE = re.compile(r"^location([0-9]+)$")
-_DAY_SUFFIX_RE = re.compile(r"_d[0-9]+$")  # ends a cco PMICE's local name
+_LOCATION_LABEL_RE = re.compile(r"location([0-9]+)")
+_ESCAPED_RE = re.compile(r"^[0-9]|t(?=o)|_(?=d[0-9]+\Z)|[^A-Za-z0-9_]")
 PREDICTED_FLAG = "true"
 
 
@@ -46,18 +49,21 @@ class WritebackError(ToolkitError):
 
 
 def state_token(label: str) -> str:
-    """Short token used inside minted IRIs: locationN collapses to N,
-    anything else keeps its identifier characters."""
-    m = _LOCATION_LABEL_RE.match(label)
+    """The label's token in minted IRIs, one per label: locationN gives N; any
+    other label keeps letters, digits and _, and writes %XX per UTF-8 byte
+    (RFC 3987's pct-encoded form) for every other character, a leading digit,
+    each t before o and the _ of a trailing _d<digits>.  So no token holds
+    "to" or ends like a cco PMICE's day, and only location tokens start with a digit."""
+    m = _LOCATION_LABEL_RE.fullmatch(label)
     if m:
         return m.group(1)
-    return re.sub(r"[^A-Za-z0-9_]", "_", label)
+    return _ESCAPED_RE.sub(lambda c: "".join(f"%{b:02X}" for b in c.group().encode()), label)
 
 
 def _detokenize(token: str) -> str:
     if token.isdigit():
         return "location" + token
-    return token
+    return unquote(token)
 
 
 def _row_or_error(counts: ChainCounts, current: str, day_index: int) -> tuple[list[int], int, str]:
@@ -66,37 +72,23 @@ def _row_or_error(counts: ChainCounts, current: str, day_index: int) -> tuple[li
         raise WritebackError(f"day_index must be an integer, not {day_index!r}")
     if day_index < 0:
         raise WritebackError("day_index must be non-negative")
-    # read_probabilities would rename a label whose minted IRIs read back as
-    # another label, or merge it with that label
-    tokens = {label: state_token(label) for label in counts.space.states}
-    for label, token in tokens.items():
-        if _detokenize(token) != label:
-            raise WritebackError(f"state label {label!r} cannot be written back: its "
-                                 f"IRIs read back as {_detokenize(token)!r}")
-        # a profile PMICE "{s}to{j}" would be a cco one "{s}to{k}_d{n}" if j = k_d{n}
-        if _DAY_SUFFIX_RE.search(token):
-            raise WritebackError(f"state label {label!r} cannot be written back: it ends "
-                                 f"in _d and digits, like a cco PMICE's day")
-    # "{s}to{j}" names are distinct, and "{s}to" prefixes only s's names,
-    # exactly when no token starts with another token followed by "to"
-    for label, token in tokens.items():
-        for other, other_token in tokens.items():
-            if other_token.startswith(token + "to"):
-                raise WritebackError(f"state labels {label!r} and {other!r} cannot be "
-                                     f"written back together: the IRIs minted for "
-                                     f"{other!r} start with those of {label!r}")
     row = list(counts.rows[counts.row_index(current)])
     total = sum(row)
     if total == 0:
         raise WritebackError(
             f"no observed transitions leave {current!r}; nothing to normalize"
         )
-    return row, total, tokens[current]
+    return row, total, state_token(current)
 
 
-def _refuse_a_different_rewrite(graph: Graph, model: str, current: str, predicate: Iri,
+def _refuse_a_different_rewrite(graph: Graph, model: str, current: str, reached: dict[str, Iri],
+                                counts: ChainCounts, predicate: Iri,
                                 expected: dict[Iri, Literal]) -> None:
     # readback would mix the old and new rows; replacing them is not supported
+    lacking = reached.keys() - set(counts.space.states)
+    if lacking:
+        raise WritebackError(f"the graph already holds a {model} writeback for {current!r} "
+                             f"that reaches {min(lacking)!r}, which this state space lacks")
     for subject, value in expected.items():
         for t in graph.match(subject, predicate, None):
             if t.object != value:
@@ -116,13 +108,15 @@ def writeback_profile_model(
 
     Mints the pattern-of-life individual, a profile part and disposition per
     target state, count and total ICEs (counts always, zeros included), and
-    a PMICE per nonzero target.  With link_realizations, each historical day
-    whose transition leaves ``current`` for a listed state also gains a
+    a PMICE per nonzero target.  With link_realizations, each step of the
+    timeline that leaves ``current`` for a listed state also gains a
     realizes edge from its arriving trip part, as many edges as the from-state's
-    row total for counts taken from this graph.  Locations match by local name,
-    the labels ``estimate`` uses; ``location_sequence`` refuses a graph where
-    one is empty or names two locations, and a matching day whose trip part
-    is the subject of no triple is refused, both before any write.
+    row total for counts taken from this graph.  The timeline is read, and
+    refused, as ``location_sequence`` reads it, and locations match by local
+    name, the labels ``estimate`` uses.  Each arriving part is reached by edges
+    from the arriving row's track point, back along spatially_projects_onto,
+    occupies_spatiotemporal_region and has_occurrent_part; a hop that finds no
+    subject or several is refused before any write, naming the node and edge.
     day_index names the day being predicted; profile IRIs do not depend on
     it, but one that is not an int, or is negative, is refused as in the cco
     model, so both model calls stay interchangeable.
@@ -136,21 +130,27 @@ def writeback_profile_model(
     total_ice = Iri(f"{ns}total{s_tok}toXTransitions")
     count_ices = [Iri(f"{ns}{s_tok}to{state_token(to_state)}TransitionCount")
                   for to_state in counts.space.states]
-    _refuse_a_different_rewrite(graph, MODEL_PROFILE, current, vocab.has_integer_value, {
+    _refuse_a_different_rewrite(graph, MODEL_PROFILE, current, _profile_parts(graph, current),
+                                counts, vocab.has_integer_value, {
         ice: integer_literal(value) for ice, value in zip([total_ice, *count_ices], [total, *row])})
     realized: dict[str, list[str]] = {}  # to-state -> keys of the trip parts that realize it
     if link_realizations:
-        keys = [where.key for _, where in location_sequence(graph)]
+        timeline, rows = _timeline(graph)
+        keys = [where.key for _, where in timeline]
         names = {key: graph.term(key).local_name() for key in set(keys)}
-        for day, (start, end) in enumerate(zip(keys, keys[1:]), start=2):
+        # the step into a row happens during the trip part its track point was observed in
+        hops = [(graph._pos.get(edge.key, {}), edge) for edge in (vocab.spatially_projects_onto,
+                vocab.occupies_spatiotemporal_region, vocab.has_occurrent_part)]
+        for start, end, (_, _, point) in zip(keys, keys[1:], rows[1:]):
             if names[start] == current and names[end] in counts.space.states:
-                # the step into a day happens during its part, spelled as its Iri's key
-                # without building one per day; a stored key's term was validated
-                day_part = f"<{manifest.minted(TRIP_PART.name, day)}>"
-                if day_part not in graph._spo:
-                    raise WritebackError(f"cannot link a realization: the graph has no trip part "
-                                         f"{Iri(day_part[1:-1]).local_name()!r}")
-                realized.setdefault(names[end], []).append(graph.term(day_part).key)
+                node = point.key
+                for by_object, edge in hops:
+                    subjects = by_object.get(node, ())
+                    if len(subjects) != 1:
+                        raise WritebackError(f"cannot link a realization: {node} is the object "
+                                             f"of {len(subjects)} {edge.key} triples, not 1")
+                    (node,) = subjects
+                realized.setdefault(names[end], []).append(node)
 
     pol = Iri(f"{ns}{manifest.vessel.local_name()}_PoL")
     add(Triple(pol, vocab.type, vocab.PatternOfLife))
@@ -209,10 +209,10 @@ def writeback_cco_model(
               for to_state in counts.space.states]
     # a zero-count target has no PMICE, so any value an earlier writeback left differs
     values = [decimal_literal(count / total) for count in row]
-    _refuse_a_different_rewrite(graph, MODEL_CCO, current, vocab.has_decimal_value,
-                                dict(zip(pmices, values)))
-
     future = manifest.future_trip_part(day_index + 1)
+    _refuse_a_different_rewrite(graph, MODEL_CCO, current, _cco_pmices(graph, current, future),
+                                counts, vocab.has_decimal_value, dict(zip(pmices, values)))
+
     add(Triple(future, vocab.type, vocab.Process))
     add(Triple(future, vocab.predicted, Literal(PREDICTED_FLAG)))
 
@@ -233,21 +233,36 @@ def _decimal_value(graph: Graph, pmice: Iri, vocab: Vocab) -> float:
     return float(values[0].lexical)
 
 
-def _read_profile(graph: Graph, current: str) -> dict[str, float]:
+def _profile_parts(graph: Graph, current: str) -> dict[str, Iri]:
+    """The profile parts of ``current``'s writeback in the graph, by to-state."""
     manifest = default_manifest()
-    vocab = _shipped()
-    s_tok = state_token(current)
-    prefix = f"{s_tok}to"
-    suffix = "_PoL_Part"
+    prefix, suffix = f"{state_token(current)}to", "_PoL_Part"
     pol = Iri(f"{manifest.namespace}{manifest.vessel.local_name()}_PoL")
-    values: dict[str, float] = {}
-    for t in graph.match(None, vocab.occurrent_part_of, pol):
+    parts = {}
+    for t in graph.match(None, _shipped().occurrent_part_of, pol):
         local = t.subject.local_name()
-        if not (local.startswith(prefix) and local.endswith(suffix)):
-            continue
-        to_state = _detokenize(local[len(prefix):-len(suffix)])
+        if local.startswith(prefix) and local.endswith(suffix):
+            parts[_detokenize(local[len(prefix):-len(suffix)])] = t.subject
+    return parts
+
+
+def _cco_pmices(graph: Graph, current: str, future: Iri) -> dict[str, Iri]:
+    """The PMICEs of ``current``'s cco writeback about one future part, by to-state."""
+    prefix = f"markovPMICE_{state_token(current)}to"
+    pmices = {}
+    for t in graph.match(None, _shipped().modally_about, future):
+        local = t.subject.local_name()
+        if local.startswith(prefix):
+            pmices[_detokenize(local[len(prefix):].rpartition("_d")[0])] = t.subject
+    return pmices
+
+
+def _read_profile(graph: Graph, current: str) -> dict[str, float]:
+    vocab = _shipped()
+    values: dict[str, float] = {}
+    for to_state, part in _profile_parts(graph, current).items():
         values[to_state] = 0.0
-        for m in graph.match(None, vocab.is_a_measurement_of, t.subject):
+        for m in graph.match(None, vocab.is_a_measurement_of, part):
             if Triple(m.subject, vocab.type, vocab.MarkovPMICE) not in graph:
                 continue
             values[to_state] = _decimal_value(graph, m.subject, vocab)
@@ -256,20 +271,14 @@ def _read_profile(graph: Graph, current: str) -> dict[str, float]:
 
 def _read_cco(graph: Graph, current: str) -> dict[str, float]:
     vocab = _shipped()
-    s_tok = state_token(current)
-    prefix = f"markovPMICE_{s_tok}to"
     values: dict[str, float] = {}
     futures = []
     for t in graph.match(None, vocab.predicted, Literal(PREDICTED_FLAG)):
-        for m in graph.match(None, vocab.modally_about, t.subject):
-            local = m.subject.local_name()
-            if not local.startswith(prefix):
-                continue
-            token = local[len(prefix):]
-            token = _DAY_SUFFIX_RE.sub("", token)
-            values[_detokenize(token)] = _decimal_value(graph, m.subject, vocab)
-            if t.subject not in futures:
-                futures.append(t.subject)
+        pmices = _cco_pmices(graph, current, t.subject)
+        for to_state, pmice in pmices.items():
+            values[to_state] = _decimal_value(graph, pmice, vocab)
+        if pmices:
+            futures.append(t.subject)
     if len(futures) > 1:
         raise WritebackError(f"the graph holds cco writebacks for {current!r} on more "
                              f"than one predicted day: "

@@ -5,8 +5,9 @@ query evaluation, a plain multiplication loop for matrix powers, exact
 rational arithmetic and a row-at-a-time division loop for probability
 estimation, a term-level, sorted ``Graph.match`` walk for the DOT day
 fragment, an ingest that inserts one ``Triple`` at a time, a
-``Graph.match`` walk from each track point to the vessel's timeline and
-the realizations read off it, and front-to-back index loops that decode
+``Graph.match`` walk from each track point to the vessel's timeline, the
+realizations read off it at the trip parts a scan of every triple finds
+observed at each arriving time, and front-to-back index loops that decode
 N-Triples escapes and split a query into tokens.
 """
 
@@ -226,17 +227,38 @@ def reference_timeline(graph: Graph):
 
 def reference_realizations(graph: Graph, counts, current: str) -> set[Triple]:
     """The realizes edges a linked profile writeback for ``current`` adds:
-    for each step d of ``reference_timeline`` whose from-place has local name
+    for each step of ``reference_timeline`` whose from-place has local name
     ``current`` and whose to-place's local name j is a state of ``counts``,
-    (fishingTripPart_d{d+1}, realizes, {s}to{j}_Disposition)."""
+    (part, realizes, {s}to{j}_Disposition), where part is the one trip part
+    whose observation's instant carries the step's arriving time, found by a
+    scan of every chain of has_occurrent_part, occupies_spatiotemporal_region,
+    temporally_projects_onto and has_datetime_value triples."""
     manifest, vocab = default_manifest(), _shipped()
-    names = [place.local_name() for _, place in reference_timeline(graph)]
+    part_of, occupies, projects, time_of = (
+        [(t.subject, t.object) for t in graph if t.predicate == p]
+        for p in (vocab.has_occurrent_part, vocab.occupies_spatiotemporal_region,
+                  vocab.temporally_projects_onto, vocab.has_datetime_value))
+    parts_at = {}  # time literal -> the trip parts whose observation's instant carries it
+    for part, observation in part_of:
+        for occupant, st_instant in occupies:
+            if occupant != observation:
+                continue
+            for projected, t_instant in projects:
+                if projected != st_instant:
+                    continue
+                for instant, time in time_of:
+                    if instant == t_instant:
+                        parts_at.setdefault(time, []).append(part)
+    timeline = reference_timeline(graph)
 
     def disposition(to):
         return Iri(f"{manifest.namespace}{state_token(current)}to{state_token(to)}_Disposition")
-    return {Triple(day_individual("fishingTripPart", d + 1), vocab.realizes, disposition(to))
-            for d, (start, to) in enumerate(zip(names, names[1:]), start=1)
-            if start == current and to in counts.space.states}
+    edges = set()
+    for (_, start), (when, to) in zip(timeline, timeline[1:]):
+        if start.local_name() == current and to.local_name() in counts.space.states:
+            (part,) = parts_at[datetime_literal(when)]
+            edges.add(Triple(part, vocab.realizes, disposition(to.local_name())))
+    return edges
 
 
 def triple_ingest(rows) -> Graph:

@@ -3,7 +3,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgmarkov.datagen import GenConfig, generate
@@ -37,6 +37,7 @@ from kgmarkov.writeback import (
     MODELS,
     PREDICTED_FLAG,
     WritebackError,
+    _detokenize,
     read_probabilities,
     state_token,
     writeback_cco_model,
@@ -44,9 +45,11 @@ from kgmarkov.writeback import (
 )
 
 from conftest import LOCATIONS3, THREE_DAY_ROWS, graph_of, one_string_per_key
-from oracles import reference_realizations
+from oracles import day_individual, reference_realizations
 
 EX = "http://example.org/data/"
+# the individuals ingest mints for each observed day
+DAY_STEMS = ("fishingTripPart", "beingObserved", "stInstant", "tInstant", "trackPoint")
 
 
 def _renamed(graph, pattern, replacement):
@@ -70,73 +73,106 @@ def pmice_values(g, vocab):
             for t in g.match(None, vocab.type, vocab.MarkovPMICE)}
 
 
+def _write_and_read_back(graph, counts, writes):
+    """Write back each (model, from-state) of ``writes`` into ``graph``, then
+    check that each reads back its own row: every state for the profile
+    model, and for a cco model on a graph without locations, its nonzero ones."""
+    for model, label in writes:
+        write = writeback_profile_model if model == MODEL_PROFILE else writeback_cco_model
+        write(graph, counts[label], label, 3)
+    for model, label in writes:
+        row = counts[label].rows[counts[label].row_index(label)]
+        want = {to: c / sum(row) for to, c in zip(counts[label].space.states, row)
+                if c or model == MODEL_PROFILE}
+        assert dict(read_probabilities(graph, label, model).as_pairs()) == want
+
+
+_LABEL = st.lists(st.sampled_from(["a", "t", "o", "to", "b", "k", "x", "1", "_d", "5", " ", "é"]),
+                  min_size=1, max_size=3).map("".join)
+
+
+@st.composite
+def _writebacks(draw):
+    """One to four (from-state, label set, row) writebacks of distinct from-states,
+    each over a set of two or three labels that holds its from-state first."""
+    writebacks = []
+    for label in draw(st.lists(_LABEL, min_size=1, max_size=4, unique=True)):
+        others = draw(st.lists(_LABEL.filter(lambda other: other != label),
+                               min_size=1, max_size=2, unique=True))
+        row = [draw(st.integers(1, 4)), *(draw(st.integers(0, 4)) for _ in others)]
+        writebacks.append((label, (label, *others), row))
+    return writebacks
+
+
 class TestStateToken:
     @pytest.mark.parametrize(
         "label,token",
         [("location1", "1"), ("location12", "12"), ("harbor", "harbor"),
-         ("open sea", "open_sea"), ("dock-4", "dock_4")],
+         ("home_port", "home_port"), ("x_dock", "x_dock")],
     )
-    def test_tokens(self, label, token):
+    def test_tokens_of_locations_and_plain_labels_are_unchanged(self, label, token):
         assert state_token(label) == token
 
-    @pytest.mark.parametrize("model", [writeback_profile_model, writeback_cco_model])
     @pytest.mark.parametrize(
-        "states,bad",
-        [(("harbor", "open sea"), "open sea"),
-         (("1", "location1"), "1"),
-         (("dock-4", "dock_4"), "dock-4"),
-         (("x", "x_d5"), "x_d5")],
+        "label,token",
+        [("open sea", "open%20sea"), ("dock-4", "dock%2D4"), ("1", "%31"),
+         ("x_d5", "x%5Fd5"), ("x_d5y", "x_d5y"), ("atoa", "a%74oa"), ("tot", "%74ot"),
+         ("100%", "%3100%25"), ("Ålesund", "%C3%85lesund"), ("location1 ", "location1%20"),
+         ("location", "location"), ("", "")],
     )
-    def test_labels_that_do_not_read_back_are_refused_before_any_write(
-            self, model, states, bad):
-        """'open sea' would read back as 'open_sea'; '1' and 'dock-4' would
-        mint the IRIs of 'location1' and 'dock_4'; a profile PMICE to 'x_d5'
-        would be named as a cco PMICE to 'x' for day 5."""
-        g = ingest_rows(THREE_DAY_ROWS)
-        before = len(g)
-        counts = ChainCounts(StateSpace(states), [[1, 1], [1, 1]], 1)
-        with pytest.raises(WritebackError, match=f"state label {bad!r}"):
-            model(g, counts, states[1], 3)
-        assert len(g) == before
+    def test_other_characters_are_percent_encoded(self, label, token):
+        assert state_token(label) == token
 
-    @pytest.mark.parametrize("model", [writeback_profile_model, writeback_cco_model])
-    @pytest.mark.parametrize("states", [("a", "ato", "x"), ("a", "ato", "tox", "x")])
-    @pytest.mark.parametrize("current", ["a", "ato"])
-    def test_labels_whose_names_prefix_each_other_are_refused_before_any_write(
-            self, model, states, current):
-        """'a' reads back every name starting 'ato', so it would take in
-        'ato''s row; with 'tox' too, ('a', 'tox') and ('ato', 'x') both
-        mint 'atotox…'."""
-        g = ingest_rows(THREE_DAY_ROWS)
-        before = len(g)
+    @given(st.text())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_detokenize_inverts_state_token(self, label):
+        token = state_token(label)
+        assert _detokenize(token) == label
+        # "{s}to" starts only s's names, and no token ends like a cco PMICE's day
+        assert "to" not in token and not re.search(r"_d[0-9]+$", token)
+        assert token[:1].isdigit() == bool(re.fullmatch(r"location[0-9]+", label))
+
+    @given(st.lists(st.one_of(st.text(), st.from_regex(r"location[0-9]{1,3}", fullmatch=True)),
+                    unique=True, max_size=8))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_distinct_labels_get_distinct_tokens(self, labels):
+        assert len({state_token(label) for label in labels}) == len(labels)
+
+    @pytest.mark.parametrize(
+        "states",
+        [("harbor", "open sea"), ("1", "location1"), ("dock-4", "dock_4"), ("x", "x_d5"),
+         ("a", "ato", "x"), ("a", "ato", "tox", "x")],
+    )
+    def test_labels_once_refused_write_back_and_read_back(self, states):
+        """Once refused: 'open sea' read back as 'open_sea'; '1' and 'dock-4'
+        minted the IRIs of 'location1' and 'dock_4'; a profile PMICE to 'x_d5'
+        was named as a cco PMICE to 'x' for day 5; and 'a' read back every
+        name starting 'ato', while ('a', 'tox') and ('ato', 'x') both minted
+        'atotox...'."""
         n = len(states)
-        counts = ChainCounts(StateSpace(states), [[1] * n] * n, 1)
-        with pytest.raises(WritebackError, match="'a' and 'ato'"):
-            model(g, counts, current, 3)
-        assert len(g) == before
+        rows = [[1 + i + j for j in range(n)] for i in range(n)]
+        counts = ChainCounts(StateSpace(states), rows, 1)
+        _write_and_read_back(Graph(), dict.fromkeys(states, counts),
+                             [(model, label) for label in states for model in MODELS])
 
-    @given(st.lists(st.lists(st.sampled_from(["a", "t", "o", "to", "x", "1", "_d", "2"]),
+    @given(st.lists(st.lists(st.sampled_from(["a", "t", "o", "to", "x", "1", "_d", "2", " ", "-",
+                                              "%", "_d5", "é", "location"]),
                              min_size=1, max_size=3).map("".join),
                     min_size=2, max_size=5, unique=True),
            st.integers(0, 2), st.data())
     # fixed examples: a label and that label plus "_d{day + 1}" is a rare draw
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_writeback_refuses_or_reads_every_row_back(self, labels, day, data):
-        """Both models, written for every label into one graph: the first
-        writeback is refused with the graph untouched, or both read every
+    def test_writeback_reads_every_row_back(self, labels, day, data):
+        """Both models, written for every label into one graph, read every
         row back."""
         n = len(labels)
         rows = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n)
                                   .filter(any), min_size=n, max_size=n))
         counts = ChainCounts(StateSpace(labels), rows, 1)
         g = Graph()
-        try:
-            for label in labels:
-                writeback_profile_model(g, counts, label, day)
-                writeback_cco_model(g, counts, label, day)
-        except WritebackError:
-            assert len(g) == 0
-            return
+        for label in labels:
+            writeback_profile_model(g, counts, label, day)
+            writeback_cco_model(g, counts, label, day)
         for i, label in enumerate(labels):
             total = sum(rows[i])
             for model in MODELS:
@@ -144,6 +180,21 @@ class TestStateToken:
                 want = {to: c / total for to, c in zip(labels, rows[i])
                         if c or model == MODEL_PROFILE}
                 assert dict(read_probabilities(g, label, model).as_pairs()) == want
+
+    @given(_writebacks())
+    @example([("a", ("a", "b"), [1, 1]), ("atoa", ("atoa", "c"), [1, 1])])
+    @example([("a", ("a", "btok"), [1, 3]), ("atob", ("atob", "k"), [1, 3])])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_from_states_written_over_their_own_label_sets_read_back_their_rows(
+            self, writebacks):
+        """Both models, one graph.  Once 'a' over ('a', 'b') and 'atoa' over
+        ('atoa', 'c') read back 'a' with both rows, summing to 2, and 'a' over
+        ('a', 'btok') and 'atob' over ('atob', 'k') shared 10 triples, so 'a'
+        read back a sum of 1.25."""
+        counts = {label: ChainCounts(StateSpace(states), [row] * len(states), 1)
+                  for label, states, row in writebacks}
+        _write_and_read_back(Graph(), counts,
+                             [(model, label) for label in counts for model in MODELS])
 
 
 class TestProfileModel:
@@ -256,15 +307,37 @@ class TestProfileModel:
         assert len(edges["ex"]) == sum(counts.rows[counts.row_index("location2")]) > 0
         assert edges["other"] == edges["ex"]
 
-    def test_a_realization_without_its_trip_part_is_refused_before_any_write(self):
+    def test_renamed_trip_parts_are_linked(self, vocab):
+        """The link once spelled each arriving part from its day number, and
+        refused a graph whose parts are named otherwise."""
         rows = generate(GenConfig(days=30))
         counts = count_transitions([row.location for row in rows])
         graph = _renamed(ingest_rows(rows), r"fishingTripPart_d", "fishingTripPart_day")
-        text = serialize_ntriples(graph)
-        with pytest.raises(WritebackError,
-                           match="the graph has no trip part 'fishingTripPart_d[0-9]+'"):
-            writeback_profile_model(graph, counts, "location2", 30, link_realizations=True)
-        assert serialize_ntriples(graph) == text
+        expected, before = reference_realizations(graph, counts, "location2"), set(graph)
+        writeback_profile_model(graph, counts, "location2", 30, link_realizations=True)
+        edges = {t for t in set(graph) - before if t.predicate == vocab.realizes}
+        assert edges == expected and len(edges) == 13
+        assert all(t.subject.local_name().startswith("fishingTripPart_day") for t in edges)
+
+    def test_a_missing_day_links_each_arrival_to_its_own_part(self, vocab):
+        """With day 7's individuals gone, 29 rows remain; 8 of the 13 edges
+        leaving location2 once started at the part of the day before the
+        arrival, whose number the arrival's position in the timeline gave."""
+        rows = generate(GenConfig(days=30))
+        counts = count_transitions([row.location for row in rows])
+        gone = {day_individual(stem, 7) for stem in DAY_STEMS}
+        graph = graph_of(t for t in ingest_rows(rows) if not {t.subject, t.object} & gone)
+        assert len(location_sequence(graph)) == 29
+        before = set(graph)
+        writeback_profile_model(graph, counts, "location2", 30, link_realizations=True)
+        days = [day for day in range(1, 31) if day != 7]
+        expected = {Triple(day_individual("fishingTripPart", later), vocab.realizes,
+                           Iri(f"{EX}2to{state_token(rows[later - 1].location)}_Disposition"))
+                    for earlier, later in zip(days, days[1:])
+                    if rows[earlier - 1].location == "location2"}
+        assert {t for t in set(graph) - before if t.predicate == vocab.realizes} == expected
+        assert len(expected) == 13
+        assert expected == reference_realizations(graph, counts, "location2")
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(days=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
@@ -272,12 +345,15 @@ class TestProfileModel:
     def test_linked_realizations_equal_the_reference(self, vocab, days, seed, prefix,
                                                      rename, data):
         """Counts from a prefix of the days may leave later arrivals unlisted;
-        locations moved to another namespace still match by local name."""
+        locations moved to another namespace still match by local name; whole
+        days dropped from the graph leave steps over them."""
         rows = generate(GenConfig(days=days, seed=seed))
         labels = [row.location for row in rows][:prefix]
         counts = count_transitions(labels)
         current = data.draw(st.sampled_from(sorted(set(labels[:-1]))))
-        graph = ingest_rows(rows)
+        dropped = data.draw(st.sets(st.integers(1, days), max_size=days // 3))
+        gone = {day_individual(stem, day) for stem in DAY_STEMS for day in dropped}
+        graph = graph_of(t for t in ingest_rows(rows) if not {t.subject, t.object} & gone)
         if rename:
             graph = _renamed(graph, r"example\.org/data/(location[0-9]+)", r"other.org/loc/\1")
         expected, before = reference_realizations(graph, counts, current), set(graph)
@@ -285,7 +361,7 @@ class TestProfileModel:
         assert {t for t in set(graph) - before if t.predicate == vocab.realizes} == expected
         assert one_string_per_key(graph)
 
-    def test_a_trip_part_named_only_as_an_object_is_refused_before_any_write(self):
+    def test_a_trip_part_named_only_as_an_object_is_refused_before_any_write(self, vocab):
         """The arriving part of a step leaving location2 has lost its own
         triples, but the trip's has_occurrent_part and the day before's
         precedes edge still name it, so the graph knows its key."""
@@ -299,7 +375,29 @@ class TestProfileModel:
         assert len(graph.match(None, None, part)) == 2 and not graph.match(part, None, None)
         text = serialize_ntriples(graph)
         with pytest.raises(WritebackError, match=re.escape(
-                f"cannot link a realization: the graph has no trip part 'fishingTripPart_d{day}'")):
+                f"cannot link a realization: <{EX}beingObserved_d{day}> is the object of 0 "
+                f"<{vocab.has_occurrent_part.value}> triples, not 1")):
+            writeback_profile_model(graph, counts, "location2", 30, link_realizations=True)
+        assert serialize_ntriples(graph) == text
+
+    @pytest.mark.parametrize("edge,stem", [("spatially_projects_onto", "trackPoint"),
+                                           ("occupies_spatiotemporal_region", "stInstant"),
+                                           ("has_occurrent_part", "beingObserved")])
+    def test_a_hop_with_two_subjects_is_refused_before_any_write(self, vocab, edge, stem):
+        """A second subject on any hop from the arriving track point leaves the
+        timeline as it was, but the arriving part is no longer one node."""
+        rows = generate(GenConfig(days=30))
+        labels = [row.location for row in rows]
+        counts = count_transitions(labels)
+        day = labels.index("location2") + 2
+        node, predicate = day_individual(stem, day), getattr(vocab, edge)
+        graph = ingest_rows(rows)
+        graph.insert(Triple(Iri(EX + "intruder"), predicate, node))
+        assert location_sequence(graph) == location_sequence(ingest_rows(rows))
+        text = serialize_ntriples(graph)
+        with pytest.raises(WritebackError, match=re.escape(
+                f"cannot link a realization: {node.key} is the object of 2 "
+                f"{predicate.key} triples, not 1")):
             writeback_profile_model(graph, counts, "location2", 30, link_realizations=True)
         assert serialize_ntriples(graph) == text
 
@@ -491,6 +589,14 @@ class TestCcoModel:
                            match="'location1'.*fishingTripPart_10, fishingTripPart_9"):
             read_probabilities(g, "location1", MODEL_CCO)
 
+    def test_another_state_on_another_day_leaves_a_readback_on_one_day(self):
+        g = Graph()
+        counts = ChainCounts(StateSpace(LOCATIONS3), [[12, 9, 11], [1, 0, 1], [0, 0, 0]], 1)
+        writeback_cco_model(g, counts, "location1", 8)
+        writeback_cco_model(g, counts, "location2", 9)
+        assert read_probabilities(g, "location1", MODEL_CCO).as_pairs() == [
+            ("location1", 0.375), ("location2", 0.28125), ("location3", 0.34375)]
+
     def test_writeback_is_idempotent(self):
         g = Graph()
         writeback_cco_model(g, worked_counts(), "location1", 100)
@@ -537,6 +643,43 @@ class TestReadback:
         with pytest.raises(WritebackError, match=f"^{pmice.local_name()} must have exactly "
                                                  f"one xsd:decimal value{tail}"):
             read_probabilities(edited, "location1", model)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_writeback_over_another_label_set_is_refused_before_any_write(self, model):
+        """'a' over ('a', 'c') after 'a' over ('a', 'b'), each row [1, 3], was
+        accepted: its values agree where the names meet, and readback then
+        summed b's and c's entries to 1.75."""
+        write = writeback_profile_model if model == MODEL_PROFILE else writeback_cco_model
+        g = ingest_rows(THREE_DAY_ROWS)
+        write(g, ChainCounts(StateSpace(("a", "b")), [[1, 3], [1, 3]], 1), "a", 5)
+        text = serialize_ntriples(g)
+        with pytest.raises(WritebackError, match=f"^the graph already holds a {model} writeback "
+                                                 f"for 'a' that reaches 'b', which this state "
+                                                 f"space lacks$"):
+            write(g, ChainCounts(StateSpace(("a", "c")), [[1, 3], [1, 3]], 1), "a", 5)
+        assert serialize_ntriples(g) == text
+        assert read_probabilities(g, "a", model).as_pairs() == [("a", 0.25), ("b", 0.75)]
+
+    def test_a_cco_writeback_over_another_label_set_for_another_day_is_accepted(self, vocab):
+        g = Graph()
+        writeback_cco_model(g, ChainCounts(StateSpace(("a", "b")), [[1, 3], [1, 3]], 1), "a", 5)
+        writeback_cco_model(g, ChainCounts(StateSpace(("a", "c")), [[1, 3], [1, 3]], 1), "a", 6)
+        assert g.match(Iri(EX + "markovPMICE_atoc_d7"), vocab.modally_about,
+                       Iri(EX + "fishingTripPart_7"))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_repeated_two_label_writeback_on_a_three_location_graph_is_accepted(self, model):
+        """A cco readback restores location3 with probability 0, but the
+        writeback never reached it, so the same writeback again is no relabel."""
+        write = writeback_profile_model if model == MODEL_PROFILE else writeback_cco_model
+        g = ingest_rows(generate(GenConfig(days=30)))
+        counts = ChainCounts(StateSpace(("location1", "location2")), [[1, 3], [1, 1]], 1)
+        write(g, counts, "location1", 5)
+        text = serialize_ntriples(g)
+        if model == MODEL_CCO:
+            assert dict(read_probabilities(g, "location1", model).as_pairs())["location3"] == 0
+        write(g, counts, "location1", 5)
+        assert serialize_ntriples(g) == text
 
     def test_reading_the_wrong_state_is_an_error(self):
         g = Graph()
