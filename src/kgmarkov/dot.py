@@ -9,7 +9,7 @@ and edges by property local name, sorted so files diff cleanly.
 from __future__ import annotations
 
 from .errors import ToolkitError
-from .ingest import PLACE, TIME, TRIP_PART, _day_query, default_manifest
+from .ingest import PLACE, TIME, TRIP_PART, _day_query, minted
 from .rdf import Graph, Iri, Literal, Triple
 from .vocab import _shipped
 from .writeback import PREDICTED_FLAG
@@ -25,16 +25,16 @@ def day_subgraph(graph: Graph, day: int) -> Graph:
     Its nodes are ``day.rq``'s on that day: the constant subjects (the
     vessel and the trip), the individual minted for each variable, and the
     location that ``?location`` binds."""
-    manifest, vocab = default_manifest(), _shipped()
+    vocab = _shipped()
     patterns = _day_query(vocab).patterns
-    minted = {var: Iri(manifest.minted(var.name, day))
-              for p in patterns for var in p.variables() if var not in (TIME, PLACE)}
-    if not graph.match_keys(minted[TRIP_PART].key):
+    individuals = {var: minted(var.name, day)
+                   for p in patterns for var in p.variables() if var not in (TIME, PLACE)}
+    if not graph.match_keys(individuals[TRIP_PART].key):
         raise DotError(f"day {day} is not present in the graph")
-    nodes = {*minted.values(), *(p.subject for p in patterns if isinstance(p.subject, Iri))}
+    nodes = {*individuals.values(), *(p.subject for p in patterns if isinstance(p.subject, Iri))}
     for p in patterns:
         if p.object == PLACE:
-            nodes.update(t.object for t in graph.match(minted[p.subject], p.predicate, None)
+            nodes.update(t.object for t in graph.match(individuals[p.subject], p.predicate, None)
                          if isinstance(t.object, Iri))
     keep = {node.key for node in nodes | vocab.class_iris()}
     term = graph.term
@@ -48,7 +48,9 @@ def day_subgraph(graph: Graph, day: int) -> Graph:
 
 
 def writeback_subgraph(graph: Graph) -> Graph:
-    """Everything the probability writeback added, plus its anchor nodes."""
+    """Everything the probability writeback added: each triple about one of
+    its individuals, and each triple whose object is one, such as a linked
+    writeback's realizes edges from the observed trip parts."""
     vocab = _shipped()
     wb_classes = (
         vocab.PatternOfLife,
@@ -68,7 +70,7 @@ def writeback_subgraph(graph: Graph) -> Graph:
         raise DotError("the graph holds no writeback structure")
     out = Graph()
     for subject in subjects:
-        for t in graph.match(subject, None, None):
+        for t in graph.match(subject, None, None) + graph.match(None, None, subject):
             out.insert(t)
     return out
 

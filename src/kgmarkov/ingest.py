@@ -13,7 +13,7 @@ transitions are the consecutive pairs of its chronological rows.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime
 from importlib import resources
 from typing import Sequence
@@ -40,33 +40,19 @@ def load_bundled_query(name: str) -> str:
     return resources.files("kgmarkov").joinpath("data", name + ".rq").read_text()
 
 
-@dataclass(frozen=True)
-class IngestManifest:
-    """Naming policy for every individual the ingest step mints.
-
-    One rule, ``minted``, names each individual of an observed day after
-    the ``day.rq`` variable that stands for it."""
-
-    vessel: Iri
-    trip: Iri
-    namespace: str
-
-    def minted(self, variable: str, day: int) -> str:
-        """The IRI text of ``day.rq``'s ``?variable`` on observed day ``day``."""
-        return f"{self.namespace}{variable}_d{day}"
-
-    def location(self, label: str) -> Iri:
-        return Iri(f"{self.namespace}{label}")
-
-    def future_trip_part(self, day: int) -> Iri:
-        """Trip part for a day that has not happened yet, named without the
-        observed-day marker."""
-        return Iri(f"{self.namespace}{TRIP_PART.name}_{day}")
+# the local names of the vessel and of the trip that every observed day is a part of
+VESSEL, TRIP = "fishingVessel", "fishingTrip"
 
 
-def default_manifest() -> IngestManifest:
-    ns = _shipped().prefixes.namespace("ex")
-    return IngestManifest(Iri(ns + "fishingVessel"), Iri(ns + "fishingTrip"), ns)
+def ex(local: str) -> Iri:
+    """The individual ``local`` in the shipped ``ex`` namespace, where every
+    individual the pipeline mints is named."""
+    return Iri(_shipped().prefixes.namespace("ex") + local)
+
+
+def minted(variable: str, day: int) -> Iri:
+    """The individual that ``day.rq``'s ``?variable`` names on observed day ``day``."""
+    return ex(f"{variable}_d{day}")
 
 
 def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
@@ -76,8 +62,8 @@ def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
     13n + (n - 1) + 3 + L triples.  Each day is the 13 patterns of the
     bundled ``day.rq`` with its variables bound: ``?datetime`` and
     ``?location`` to the row's time and location, every other ``?v`` to
-    the individual ``IngestManifest.minted(v, day)``.  Every term is built
-    by its validating constructor, which sets its key, and stored by
+    the individual ``minted(v, day)``.  Every term is built by its
+    validating constructor, which sets its key, and stored by
     ``Graph._key``; triples are written as keys.
     """
     if not rows:
@@ -88,17 +74,17 @@ def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
                               "fraction of a second; the graph keeps naive whole seconds")
         if day > 1 and row.time <= rows[day - 2].time:
             raise IngestError(f"observation times must strictly increase (Day{day})")
-    m, v = default_manifest(), _shipped()
+    v = _shipped()
     graph = Graph()
     key, write = graph._key, graph._add
-    vessel, trip, rdf_type, process = key(m.vessel), key(m.trip), key(v.type), key(v.Process)
+    vessel, trip, rdf_type, process = key(ex(VESSEL)), key(ex(TRIP)), key(v.type), key(v.Process)
     write(vessel, rdf_type, key(v.Watercraft))
     write(vessel, key(v.participates_in), trip)
     write(trip, rdf_type, process)
     locations = {}
     for label in sorted({row.location for row in rows}):  # once per label, not per row
         try:
-            iri = m.location(label)
+            iri = ex(label)
         except TermError:
             iri = None
         if iri is None or not label or iri.local_name() != label:  # the IRI reads back as label
@@ -109,13 +95,14 @@ def ingest_rows(rows: Sequence[ObservationRow]) -> Graph:
     patterns = _day_query(v).patterns
     positions = dict.fromkeys(t for p in patterns for t in (p.subject, p.predicate, p.object))
     constants = {t: key(t) for t in positions if not isinstance(t, Var)}
-    minted = [t for t in positions if isinstance(t, Var) and t not in (TIME, PLACE)]
-    slot = {t: i for i, t in enumerate([*constants, TIME, PLACE, *minted])}
+    individuals = [t for t in positions if isinstance(t, Var) and t not in (TIME, PLACE)]
+    slot = {t: i for i, t in enumerate([*constants, TIME, PLACE, *individuals])}
     writes = [(slot[p.subject], slot[p.predicate], slot[p.object]) for p in patterns]
     first, part, parts = list(constants.values()), slot[TRIP_PART], []
+    stems = [ex(f"{var.name}_d").value for var in individuals]  # stem + day is minted(var, day)
     for day, row in enumerate(rows, start=1):
         terms = [*first, key(datetime_literal(row.time)), locations[row.location],
-                 *[key(Iri(m.minted(var.name, day))) for var in minted]]
+                 *[key(Iri(f"{stem}{day}")) for stem in stems]]
         for s, p, o in writes:
             write(terms[s], terms[p], terms[o])
         parts.append(terms[part])
@@ -175,7 +162,7 @@ def _timeline(graph: Graph) -> tuple[list[tuple[datetime, Iri]], list[tuple[Term
         times.append(when.lexical)
         places.append(where)
     # the bucket's length: match_keys would build a tuple per point, +8% on this call
-    vessel, occupies = default_manifest().vessel, _shipped().occupies_spatial_region
+    vessel, occupies = ex(VESSEL), _shipped().occupies_spatial_region
     points = len(graph._spo.get(vessel.key, {}).get(occupies.key, ()))
     if len(rows) != points:
         raise IngestError(f"the location query returned {len(rows)} rows for the "

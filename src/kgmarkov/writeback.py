@@ -22,7 +22,7 @@ import re
 from urllib.parse import unquote
 
 from .errors import ToolkitError
-from .ingest import _timeline, default_manifest
+from .ingest import TRIP, TRIP_PART, VESSEL, _timeline, ex
 from .markov import ChainCounts, Distribution, StateSpace
 from .rdf import (
     DECIMAL,
@@ -121,14 +121,12 @@ def writeback_profile_model(
     it, but one that is not an int, or is negative, is refused as in the cco
     model, so both model calls stay interchangeable.
     """
-    manifest = default_manifest()
     vocab = _shipped()
     row, total, s_tok = _row_or_error(counts, current, day_index)
-    ns = manifest.namespace
     add = graph.insert
 
-    total_ice = Iri(f"{ns}total{s_tok}toXTransitions")
-    count_ices = [Iri(f"{ns}{s_tok}to{state_token(to_state)}TransitionCount")
+    total_ice = ex(f"total{s_tok}toXTransitions")
+    count_ices = [ex(f"{s_tok}to{state_token(to_state)}TransitionCount")
                   for to_state in counts.space.states]
     _refuse_a_different_rewrite(graph, MODEL_PROFILE, current, _profile_parts(graph, current),
                                 counts, vocab.has_integer_value, {
@@ -152,23 +150,23 @@ def writeback_profile_model(
                     (node,) = subjects
                 realized.setdefault(names[end], []).append(node)
 
-    pol = Iri(f"{ns}{manifest.vessel.local_name()}_PoL")
+    pol, vessel = ex(f"{VESSEL}_PoL"), ex(VESSEL)
     add(Triple(pol, vocab.type, vocab.PatternOfLife))
     add(Triple(pol, vocab.type, vocab.PatternProcessProfile))
-    add(Triple(pol, vocab.occurrent_part_of, manifest.trip))
+    add(Triple(pol, vocab.occurrent_part_of, ex(TRIP)))
 
     add(Triple(total_ice, vocab.type, vocab.TransitionTotalICE))
     add(Triple(total_ice, vocab.has_integer_value, integer_literal(total)))
 
     for j, to_state in enumerate(counts.space.states):
         j_tok = state_token(to_state)
-        part = Iri(f"{ns}{s_tok}to{j_tok}_PoL_Part")
+        part = ex(f"{s_tok}to{j_tok}_PoL_Part")
         add(Triple(part, vocab.type, vocab.PatternProcessProfile))
         add(Triple(part, vocab.occurrent_part_of, pol))
 
-        disposition = Iri(f"{ns}{s_tok}to{j_tok}_Disposition")
+        disposition = ex(f"{s_tok}to{j_tok}_Disposition")
         add(Triple(disposition, vocab.type, vocab.Disposition))
-        add(Triple(disposition, vocab.inheres_in, manifest.vessel))
+        add(Triple(disposition, vocab.inheres_in, vessel))
         if to_state in realized:
             realizes, target = graph._key(vocab.realizes), graph._key(disposition)
             for day_part in realized[to_state]:
@@ -180,7 +178,7 @@ def writeback_profile_model(
         add(Triple(count_ice, vocab.has_integer_value, integer_literal(row[j])))
 
         if row[j] > 0:
-            pmice = Iri(f"{ns}markovPMICE_{s_tok}to{j_tok}")
+            pmice = ex(f"markovPMICE_{s_tok}to{j_tok}")
             add(Triple(pmice, vocab.type, vocab.MarkovPMICE))
             add(Triple(pmice, vocab.is_a_measurement_of, part))
             add(Triple(pmice, vocab.has_decimal_value, decimal_literal(row[j] / total)))
@@ -199,17 +197,15 @@ def writeback_cco_model(
     has not occurred.  PMICE IRIs carry the future day so writebacks for
     different days can coexist.
     """
-    manifest = default_manifest()
     vocab = _shipped()
     row, total, s_tok = _row_or_error(counts, current, day_index)
-    ns = manifest.namespace
     add = graph.insert
 
-    pmices = [Iri(f"{ns}markovPMICE_{s_tok}to{state_token(to_state)}_d{day_index + 1}")
+    pmices = [ex(f"markovPMICE_{s_tok}to{state_token(to_state)}_d{day_index + 1}")
               for to_state in counts.space.states]
     # a zero-count target has no PMICE, so any value an earlier writeback left differs
     values = [decimal_literal(count / total) for count in row]
-    future = manifest.future_trip_part(day_index + 1)
+    future = ex(f"{TRIP_PART.name}_{day_index + 1}")  # no _d: the day is not observed
     _refuse_a_different_rewrite(graph, MODEL_CCO, current, _cco_pmices(graph, current, future),
                                 counts, vocab.has_decimal_value, dict(zip(pmices, values)))
 
@@ -235,11 +231,9 @@ def _decimal_value(graph: Graph, pmice: Iri, vocab: Vocab) -> float:
 
 def _profile_parts(graph: Graph, current: str) -> dict[str, Iri]:
     """The profile parts of ``current``'s writeback in the graph, by to-state."""
-    manifest = default_manifest()
     prefix, suffix = f"{state_token(current)}to", "_PoL_Part"
-    pol = Iri(f"{manifest.namespace}{manifest.vessel.local_name()}_PoL")
     parts = {}
-    for t in graph.match(None, _shipped().occurrent_part_of, pol):
+    for t in graph.match(None, _shipped().occurrent_part_of, ex(f"{VESSEL}_PoL")):
         local = t.subject.local_name()
         if local.startswith(prefix) and local.endswith(suffix):
             parts[_detokenize(local[len(prefix):-len(suffix)])] = t.subject

@@ -3,10 +3,11 @@
 A mutant changes one site of one module: a comparison swapped for its
 neighbour (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``in`` and
 ``not in``, ``is`` and ``is not``), ``+`` for ``-`` or back, ``and`` for ``or``
-or back, an integer from 0 to 10 made one larger, or a ``not`` dropped.  The change is
-made in the module's parsed tree, which ``ast.unparse`` writes back as source
-without its comments; the report names each site by its line in the module
-as written.
+or back, an integer from 0 to 10 made one larger, a ``not`` dropped, or an
+``if`` statement replaced by its ``else`` branch, or by ``pass`` when it has
+none, which drops a guard's ``raise``.  The change is made in the module's
+parsed tree, which ``ast.unparse`` writes back as source without its
+comments; the report names each site by its line in the module as written.
 
 Each mutant runs in a temporary copy of ``src/`` and ``tests/``, never in the
 working tree, against its module's tests plus the acceptance, golden and CLI
@@ -73,7 +74,7 @@ class Mutant:
     function: str    # enclosing qualified name, "" at module level
     line: int
     column: int      # 1-based, where the mutated node starts
-    operator: str    # such as "GtE->Gt", "Add->Sub", "int 0->1", "drop not"
+    operator: str    # such as "GtE->Gt", "Add->Sub", "int 0->1", "drop not", "if->else"
     source_line: str  # the original line, stripped
     occurrence: int  # 1 for the first site with this function, operator and line, then 2, ...
     index: int       # its position among the module's sites
@@ -135,6 +136,11 @@ class _Sites(ast.NodeTransformer):
         return self.generic_visit(node)
 
     visit_BinOp = visit_AugAssign = visit_BoolOp = _swap_op
+
+    def visit_If(self, node):
+        if self._site(node, "if->else"):
+            return node.orelse or ast.Pass()
+        return self.generic_visit(node)
 
     def visit_UnaryOp(self, node):
         if isinstance(node.op, ast.Not) and self._site(node, "drop not"):

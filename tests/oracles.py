@@ -19,7 +19,6 @@ from itertools import product
 
 import numpy as np
 
-from kgmarkov.ingest import default_manifest
 from kgmarkov.query import Query, QueryError, TriplePattern, Var
 from kgmarkov.rdf import (
     DATETIME,
@@ -161,17 +160,20 @@ def row_loop_estimate(counts: np.ndarray) -> tuple[np.ndarray, list[str]]:
     return p, status
 
 
+def ex_individual(local: str) -> Iri:
+    """``ex:{local}``, spelt from the shipped namespace, not by ingest's naming rule."""
+    return Iri(_shipped().prefixes.namespace("ex") + local)
+
+
 def day_individual(stem: str, day: int) -> Iri:
-    """The individual ingest mints for ``stem`` on observed day ``day``, named
-    here without the manifest: ``ex:{stem}_d{day}``."""
-    return Iri(f"{default_manifest().namespace}{stem}_d{day}")
+    """The individual ingest mints for ``stem`` on observed day ``day``: ``ex:{stem}_d{day}``."""
+    return ex_individual(f"{stem}_d{day}")
 
 
 def match_day_subgraph(graph: Graph, day: int) -> Graph:
     """One day's DOT fragment, selected term by term through ``Graph.match``:
     every triple about one of the day's nodes whose object is a literal, one
     of those nodes, or a vocabulary class."""
-    manifest = default_manifest()
     vocab = _shipped()
     track_point = day_individual("trackPoint", day)
     nodes = {
@@ -180,8 +182,8 @@ def match_day_subgraph(graph: Graph, day: int) -> Graph:
         day_individual("stInstant", day),
         day_individual("tInstant", day),
         track_point,
-        manifest.vessel,
-        manifest.trip,
+        ex_individual("fishingVessel"),
+        ex_individual("fishingTrip"),
     }
     for t in graph.match(track_point, vocab.spatial_part_of, None):
         if isinstance(t.object, Iri):
@@ -201,7 +203,7 @@ def reference_timeline(graph: Graph):
     every point has exactly one IRI place and one xsd:dateTime time, no two
     points share a time, and the distinct places have distinct, non-empty
     local names."""
-    vessel, vocab = default_manifest().vessel, _shipped()
+    vessel, vocab = ex_individual("fishingVessel"), _shipped()
     timeline = []
     for occupation in graph.match(vessel, vocab.occupies_spatial_region, None):
         point = occupation.object
@@ -233,7 +235,7 @@ def reference_realizations(graph: Graph, counts, current: str) -> set[Triple]:
     whose observation's instant carries the step's arriving time, found by a
     scan of every chain of has_occurrent_part, occupies_spatiotemporal_region,
     temporally_projects_onto and has_datetime_value triples."""
-    manifest, vocab = default_manifest(), _shipped()
+    vocab = _shipped()
     part_of, occupies, projects, time_of = (
         [(t.subject, t.object) for t in graph if t.predicate == p]
         for p in (vocab.has_occurrent_part, vocab.occupies_spatiotemporal_region,
@@ -252,7 +254,7 @@ def reference_realizations(graph: Graph, counts, current: str) -> set[Triple]:
     timeline = reference_timeline(graph)
 
     def disposition(to):
-        return Iri(f"{manifest.namespace}{state_token(current)}to{state_token(to)}_Disposition")
+        return ex_individual(f"{state_token(current)}to{state_token(to)}_Disposition")
     edges = set()
     for (_, start), (when, to) in zip(timeline, timeline[1:]):
         if start.local_name() == current and to.local_name() in counts.space.states:
@@ -264,22 +266,22 @@ def reference_realizations(graph: Graph, counts, current: str) -> set[Triple]:
 def triple_ingest(rows) -> Graph:
     """The activity graph of ``ingest_rows``, built one ``Graph.insert`` of
     one ``Triple`` at a time, each day's triples written out longhand."""
-    manifest = default_manifest()
     vocab = _shipped()
+    vessel, trip = ex_individual("fishingVessel"), ex_individual("fishingTrip")
     graph = Graph()
     add = graph.insert
-    add(Triple(manifest.vessel, vocab.type, vocab.Watercraft))
-    add(Triple(manifest.vessel, vocab.participates_in, manifest.trip))
-    add(Triple(manifest.trip, vocab.type, vocab.Process))
+    add(Triple(vessel, vocab.type, vocab.Watercraft))
+    add(Triple(vessel, vocab.participates_in, trip))
+    add(Triple(trip, vocab.type, vocab.Process))
     for day, row in enumerate(rows, start=1):
         part = day_individual("fishingTripPart", day)
         observation = day_individual("beingObserved", day)
         st_instant = day_individual("stInstant", day)
         t_instant = day_individual("tInstant", day)
         track_point = day_individual("trackPoint", day)
-        location = manifest.location(row.location)
+        location = ex_individual(row.location)
         add(Triple(part, vocab.type, vocab.Process))
-        add(Triple(manifest.trip, vocab.has_occurrent_part, part))
+        add(Triple(trip, vocab.has_occurrent_part, part))
         add(Triple(part, vocab.has_occurrent_part, observation))
         add(Triple(observation, vocab.type, vocab.ProcessBoundary))
         add(Triple(observation, vocab.occupies_spatiotemporal_region, st_instant))
@@ -290,12 +292,12 @@ def triple_ingest(rows) -> Graph:
         add(Triple(t_instant, vocab.has_datetime_value, datetime_literal(row.time)))
         add(Triple(track_point, vocab.type, vocab.VehicleTrackPoint))
         add(Triple(track_point, vocab.spatial_part_of, location))
-        add(Triple(manifest.vessel, vocab.occupies_spatial_region, track_point))
+        add(Triple(vessel, vocab.occupies_spatial_region, track_point))
     for day in range(1, len(rows)):
         add(Triple(day_individual("fishingTripPart", day), vocab.precedes,
                    day_individual("fishingTripPart", day + 1)))
     for label in sorted({row.location for row in rows}):
-        add(Triple(manifest.location(label), vocab.type, vocab.SpatialRegion))
+        add(Triple(ex_individual(label), vocab.type, vocab.SpatialRegion))
     return graph
 
 

@@ -386,7 +386,8 @@ class TestPowerBytesAcrossKernels:
         m.write_text(dumps_matrix(ChainMatrix(space, p, 1)), encoding="utf-8")
         return m, steps
 
-    def test_power_prints_the_same_bytes_under_either_kernel_family(self, matrix_and_steps):
+    def test_power_prints_the_same_bytes_under_either_kernel_family(self, matrix_and_steps,
+                                                                     capsys):
         m, steps = matrix_and_steps
         src = Path(__file__).resolve().parents[1] / "src"
         printed = []
@@ -398,6 +399,10 @@ class TestPowerBytesAcrossKernels:
                                   env=env, capture_output=True, timeout=120, check=True)
             printed.append(done.stdout)
         assert printed[0] == printed[1]
+        # run as a script, the module prints what its main prints
+        capsys.readouterr()
+        assert main(["power", "--matrix", str(m), "--steps", str(steps)]) == 0
+        assert printed[0] == capsys.readouterr().out.encode()
 
 
 class TestHugeStepCounts:

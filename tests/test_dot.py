@@ -63,6 +63,16 @@ class TestWritebackSubgraph:
         assert len(sub) == len(g) - base
         assert all("fishingTripPart" not in t.subject.value for t in sub)
 
+    def test_captures_the_realizes_edges_of_a_linked_writeback(self, vocab):
+        rows = generate(GenConfig(days=30))
+        g = ingest_rows(rows)
+        base = len(g)
+        counts = count_transitions([row.location for row in rows])
+        writeback_profile_model(g, counts, "location2", 30, link_realizations=True)
+        sub = writeback_subgraph(g)
+        assert len(sub) == len(g) - base == 48
+        assert len(sub.match(None, vocab.realizes, None)) == 13
+
     def test_captures_the_flagged_future_part(self, vocab):
         g = ingest_rows(THREE_DAY_ROWS)
         writeback_cco_model(g, worked_counts(), "location1", 3)

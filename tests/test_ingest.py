@@ -9,11 +9,14 @@ from kgmarkov.datagen import GenConfig, ObservationRow, generate
 from kgmarkov.ingest import (
     BUNDLED_QUERIES,
     PLACE,
+    TRIP,
+    VESSEL,
     IngestError,
-    default_manifest,
+    ex,
     ingest_rows,
     load_bundled_query,
     location_sequence,
+    minted,
     transition_pairs,
 )
 from kgmarkov.query import TriplePattern, Var, evaluate, parse_query
@@ -56,11 +59,10 @@ def _edited(rows, edits, vocab):
     has its track point in a second place, takes another day's time, or has
     its place moved to another namespace under the same local name, or to
     an IRI ending in "/", whose local name is empty."""
-    m = default_manifest()
     triples = set(ingest_rows(rows))
     for day, (kind, other, hours) in enumerate(edits[:len(rows)], start=1):
-        time_of_day = (Iri(m.minted("tInstant", day)), vocab.has_datetime_value)
-        point = Iri(m.minted("trackPoint", day))
+        time_of_day = (minted("tInstant", day), vocab.has_datetime_value)
+        point = minted("trackPoint", day)
         if kind in ("drop time", "share time"):
             triples = {t for t in triples if (t.subject, t.predicate) != time_of_day}
         if kind == "second time":
@@ -70,12 +72,12 @@ def _edited(rows, edits, vocab):
             other_time = rows[min(other, len(rows)) - 1].time
             triples.add(Triple(*time_of_day, datetime_literal(other_time)))
         elif kind == "second place":
-            triples.add(Triple(point, vocab.spatial_part_of, m.location(f"location{hours % 4}")))
+            triples.add(Triple(point, vocab.spatial_part_of, ex(f"location{hours % 4}")))
         elif kind in ("other namespace", "empty name"):
             label = rows[day - 1].location
             place = (Iri(f"http://example.org/alt/{label}") if kind == "other namespace"
-                     else m.location(label + "/"))
-            triples.remove(Triple(point, vocab.spatial_part_of, m.location(label)))
+                     else ex(label + "/"))
+            triples.remove(Triple(point, vocab.spatial_part_of, ex(label)))
             triples.add(Triple(point, vocab.spatial_part_of, place))
     return graph_of(triples)
 
@@ -185,15 +187,13 @@ class TestIngest:
         distinct = len({r.location for r in rows})
         assert len(g) == 13 * 100 + 99 + 3 + distinct
 
-    def test_manifest_naming(self):
-        m = default_manifest()
-        assert m.vessel == Iri(E + "fishingVessel")
-        assert m.trip == Iri(E + "fishingTrip")
+    def test_every_minted_individual_is_named_in_the_ex_namespace(self):
+        assert ex(VESSEL) == Iri(E + "fishingVessel")
+        assert ex(TRIP) == Iri(E + "fishingTrip")
         # one rule names every individual of an observed day, by its day.rq variable
         for stem in ("fishingTripPart", "beingObserved", "stInstant", "tInstant", "trackPoint"):
-            assert m.minted(stem, 7) == E + stem + "_d7"
-        assert m.location("location2") == Iri(E + "location2")
-        assert m.future_trip_part(101) == Iri(E + "fishingTripPart_101")
+            assert minted(stem, 7) == Iri(E + stem + "_d7")
+        assert ex("location2") == Iri(E + "location2")
 
     def test_rejects_empty_rows(self):
         with pytest.raises(IngestError):
@@ -301,22 +301,22 @@ class TestDayTemplate:
         assert vocab.precedes not in {p.predicate for p in _parsed("day").patterns}
 
     def test_the_days_constant_individuals_are_the_vessel_and_the_trip(self, vocab):
-        m, day = default_manifest(), _parsed("day")
+        day = _parsed("day")
         terms = [t for p in day.patterns for t in (p.subject, p.predicate, p.object)]
         assert all(isinstance(p.predicate, Iri) for p in day.patterns)
         assert {t for t in terms if isinstance(t, Iri)} - vocab.class_iris() - {
-            p.predicate for p in day.patterns} == {m.vessel, m.trip}
+            p.predicate for p in day.patterns} == {ex(VESSEL), ex(TRIP)}
 
     @given(_labels, _gaps_hours)
     @settings(max_examples=20)
     def test_the_day_query_gives_each_row_its_minted_individuals_in_time_order(
             self, labels, gaps_hours):
-        rows, m = _rows(labels, gaps_hours), default_manifest()
+        rows = _rows(labels, gaps_hours)
         table = evaluate(_parsed("day"), ingest_rows(rows))
         stems = ["fishingTripPart", "beingObserved", "stInstant", "tInstant", "trackPoint"]
         assert [v.name for v in table.variables] == ["datetime", "location", *stems]
-        assert table.rows == [(datetime_literal(row.time), m.location(row.location),
-                               *(Iri(m.minted(stem, day)) for stem in stems))
+        assert table.rows == [(datetime_literal(row.time), ex(row.location),
+                               *(minted(stem, day) for stem in stems))
                               for day, row in enumerate(rows, start=1)]
 
 
@@ -405,8 +405,7 @@ class TestReadback:
     @settings(max_examples=40)
     def test_transition_pairs_are_consecutive_row_locations(self, labels, gaps_hours):
         rows = _rows(labels, gaps_hours)
-        manifest = default_manifest()
-        expected = [manifest.location(row.location) for row in rows]
+        expected = [ex(row.location) for row in rows]
         assert transition_pairs(ingest_rows(rows)) == list(zip(expected, expected[1:]))
 
     def test_sequence_round_trips_the_input_rows(self):

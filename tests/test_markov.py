@@ -78,6 +78,11 @@ class TestStateSpace:
         with pytest.raises(MarkovError, match="nowhere"):
             SPACE3.index("nowhere")
 
+    @pytest.mark.parametrize("foreign", [SPACE3.states, "location1", None])
+    def test_a_space_is_unequal_to_any_other_kind_of_object(self, foreign):
+        assert not SPACE3 == foreign
+        assert SPACE3 != foreign
+
 
 class TestCounting:
     def test_counts_a_short_sequence_by_hand(self):
@@ -145,6 +150,12 @@ class TestCounting:
 
     def test_counts_differing_only_in_their_rows_are_unequal(self):
         assert ChainCounts(AB, [[1, 0], [0, 1]], 1) != ChainCounts(AB, [[0, 1], [0, 1]], 1)
+
+    @pytest.mark.parametrize("foreign", [((1, 0), (0, 1)), AB, None])
+    def test_counts_are_unequal_to_any_other_kind_of_object(self, foreign):
+        counts = ChainCounts(AB, [[1, 0], [0, 1]], 1)
+        assert not counts == foreign
+        assert counts != foreign
 
     def test_counts_up_to_the_int64_limit_are_kept_exactly(self):
         c = ChainCounts(StateSpace(["a", "b"]), [[2**62, 2**62 - 1], [2**63 - 1, 0]], 1)

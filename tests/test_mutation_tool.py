@@ -28,3 +28,22 @@ def test_one_seed_gives_one_sample_and_another_seed_another():
 def test_the_equivalent_list_names_live_sites():
     sites = {m.key() for module in MODULES for m in mutation.mutants(module)}
     assert set(mutation.load_equivalent()) <= sites
+
+
+def test_an_if_is_replaced_by_its_else_branch_or_by_pass(tmp_path, monkeypatch):
+    def unparsed(text):
+        return ast.unparse(ast.parse(text)) + "\n"
+
+    guard = "if x < 0:\n    raise ValueError(x)\n"
+    chain = "if x:\n    a()\nelif x is None:\n    b()\nelse:\n    c()\n"
+    (tmp_path / "m.py").write_text(guard + chain, encoding="utf-8")
+    monkeypatch.setattr(mutation, "PACKAGE", tmp_path)
+    ifs = [m for m in mutation.mutants("m.py") if m.operator == "if->else"]
+    assert [(m.line, m.source_line) for m in ifs] == [
+        (1, "if x < 0:"), (3, "if x:"), (5, "elif x is None:")]
+    # a guard's raise is dropped; an elif chain loses one test at a time
+    assert [m.text() for m in ifs] == [
+        unparsed("pass\n" + chain),
+        unparsed(guard + "if x is None:\n    b()\nelse:\n    c()\n"),
+        unparsed(guard + "if x:\n    a()\nelse:\n    c()\n"),
+    ]

@@ -199,6 +199,18 @@ class TestGraph:
         assert graph_of([t1, t2]) == graph_of([t2, t1])
         assert graph_of([t1]) != graph_of([t2])
 
+    @pytest.mark.parametrize("foreign", [set(), "s p o", None])
+    def test_a_graph_is_unequal_to_any_other_kind_of_object(self, foreign):
+        g = graph_of([Triple(iri("s"), iri("p"), iri("o"))])
+        assert not g == foreign
+        assert g != foreign
+
+    def test_only_a_triple_is_in_a_graph(self):
+        t = Triple(iri("s"), iri("p"), iri("o"))
+        g = graph_of([t])
+        assert (t.subject, t.predicate, t.object) not in g
+        assert t.subject.key not in g and None not in g
+
     def test_copy_is_independent(self):
         g = graph_of([Triple(iri("s"), iri("p"), iri("o"))])
         h = g.copy()

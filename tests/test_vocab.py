@@ -5,7 +5,7 @@ import pytest
 
 from kgmarkov import vocab as vocab_module
 from kgmarkov.datagen import GenConfig, generate
-from kgmarkov.ingest import default_manifest, ingest_rows, location_sequence
+from kgmarkov.ingest import VESSEL, ex, ingest_rows, location_sequence
 from kgmarkov.markov import count_transitions
 from kgmarkov.rdf import Iri, Literal
 from kgmarkov.vocab import (
@@ -174,7 +174,7 @@ class TestManifest:
         try:
             assert Vocab().Process == Iri("http://example.org/v2/bfo/Process")
             assert Vocab().prefixes.resolve("bfo:Process") == Vocab().Process
-            assert default_manifest().vessel == Iri("http://example.org/v2/ex/fishingVessel")
+            assert ex(VESSEL) == Iri("http://example.org/v2/ex/fishingVessel")
             graph = ingest_rows(generate(GenConfig(days=10)))
             assert len(location_sequence(graph)) == 10
         finally:

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from kgmarkov.datagen import GenConfig, generate
 from kgmarkov.ingest import (
     IngestError,
-    default_manifest,
     ingest_rows,
     location_sequence,
+    minted,
     transition_pairs,
 )
 from kgmarkov.markov import (
@@ -292,9 +292,9 @@ class TestProfileModel:
         assert len(g) > before
 
     def test_realizations_match_locations_by_local_name(self, vocab):
-        """Locations in another namespace than the manifest's still match
+        """Locations in another namespace than ex, where ingest mints them, still match
         the labels estimate gives them: one edge per transition leaving
-        location2 appears, as with the manifest's namespace."""
+        location2 appears, as with the ex namespace."""
         rows = generate(GenConfig(days=30))
         counts = count_transitions([row.location for row in rows])
         edges = {}
@@ -370,7 +370,7 @@ class TestProfileModel:
         counts = count_transitions(labels)
         day = labels.index("location2") + 2  # the day after the first in location2
         assert day <= len(rows)
-        part = Iri(default_manifest().minted("fishingTripPart", day))
+        part = minted("fishingTripPart", day)
         graph = graph_of(t for t in ingest_rows(rows) if t.subject != part)
         assert len(graph.match(None, None, part)) == 2 and not graph.match(part, None, None)
         text = serialize_ntriples(graph)
